@@ -361,16 +361,31 @@ def distance(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> float:
     return sq if metric == "squared-euclidean" else math.sqrt(sq)
 
 
+# Byte budget for one block's (rows, len(b), dim) coordinate-difference
+# temporary: about 1 MiB keeps it in cache on common CPUs.
+_BLOCK_BYTES = 2**20
+
+
+def block_rows(num_cols: int, dim: int) -> int:
+    """Rows per block so one block of differences against ``num_cols``
+    points in ``dim`` coordinates stays near the 1 MiB budget (at least 1)."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, num_cols) * max(1, dim)))
+
+
 def pairwise_distances(
     a: np.ndarray,
     b: np.ndarray,
     metric: str = "euclidean",
-    chunk: int = 256,
+    chunk: int | None = None,
 ) -> np.ndarray:
-    """Dense (len(a), len(b)) distance matrix, computed in row chunks.
+    """Dense (len(a), len(b)) distance matrix, computed in row blocks.
 
     Distances come from explicit coordinate differences (no inner-product
-    expansion), so entries agree with `distance` to rounding.
+    expansion), so entries agree with `distance` to rounding.  Each row's
+    arithmetic is independent of the block size, so the result is
+    bit-identical for any ``chunk``; by default it comes from `block_rows`.
+    Time O(len(a) * len(b) * dim); memory is the output plus two block
+    temporaries (the differences and their squares) of about 1 MiB each.
     """
     metric = canonical_metric(metric)
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -379,6 +394,8 @@ def pairwise_distances(
         raise ValidationError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
+    if chunk is None:
+        chunk = block_rows(b.shape[0], b.shape[1])
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     for start in range(0, a.shape[0], chunk):
         stop = min(start + chunk, a.shape[0])

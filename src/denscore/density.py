@@ -10,6 +10,11 @@ densities and an error of zero maps to ``beta`` exactly.  Estimators:
   is how badly its feature is reconstructed from the masked neighborhood
   around it (the center never contributes to its own reconstruction).
 
+Cost in n points of dimension d: ``knn_density`` builds a KD-tree and
+queries it, O(n log n) time for low d, with O(n k) memory; ``kernel_density``
+sums the kernel one block of rows at a time, O(n^2 d) time with O(n) memory
+plus ~1 MiB blocks.  No estimator allocates an n x n matrix.
+
 Raw errors are min-max normalized onto [0, 1] over the candidate set before
 the density map by default (``normalize_errors=False`` disables this); with
 all errors equal the normalized error is 0 everywhere.  Densities are clamped
@@ -24,13 +29,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.spatial import cKDTree
 
 from .coverage import all_radial_distances, assign_coverage
 from .data import (
     FeatureGrid,
     PointSet,
     ValidationError,
+    block_rows,
     canonical_metric,
     pairwise_distances,
 )
@@ -134,16 +140,25 @@ def normalize_errors_minmax(errors: np.ndarray) -> np.ndarray:
     return (errors - lo) / (hi - lo)
 
 
-def _torus_distances(features: np.ndarray, period) -> np.ndarray:
-    """All-pairs Euclidean distances with per-coordinate wraparound."""
-    period = np.broadcast_to(
-        np.asarray(period, dtype=np.float64), (features.shape[1],)
-    )
-    if np.any(period <= 0):
-        raise ValidationError("torus_period entries must be positive")
-    diff = np.mod(np.abs(features[:, None, :] - features[None, :, :]), period)
-    diff = np.minimum(diff, period - diff)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def _torus_period(torus_period, dim: int) -> np.ndarray:
+    """One positive finite period per coordinate, from a scalar or a vector."""
+    try:
+        period = np.asarray(torus_period, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"torus_period must be a number or a sequence of numbers "
+            f"(got {torus_period!r})"
+        ) from None
+    if period.ndim == 0:
+        period = np.full(dim, float(period))
+    if period.shape != (dim,):
+        raise ValidationError(
+            f"torus_period must be a scalar or have one entry per coordinate "
+            f"({dim}); got shape {period.shape}"
+        )
+    if not np.all(np.isfinite(period)) or np.any(period <= 0):
+        raise ValidationError("torus_period entries must be positive and finite")
+    return period
 
 
 def knn_density(
@@ -163,19 +178,29 @@ def knn_density(
 
     ``torus_period`` switches to wraparound distances (scalar or one period
     per coordinate) so that uniform grids have no boundary effect.
+
+    Neighbors come from a KD-tree (periodic for the torus): O(n log n) time
+    in low dimension, O(n k) memory, and no n x n matrix.
     """
     metric = canonical_metric(metric)
     k = int(k_neighbors)
     if not (1 <= k < points.n):
         raise ValidationError(f"k_neighbors must lie in 1..n-1 (got {k})")
+    features = points.features
     if torus_period is not None:
-        dists = _torus_distances(points.features, torus_period)
-        if metric == "squared-euclidean":
-            dists = dists**2
+        period = _torus_period(torus_period, points.dim)
+        features = np.mod(features, period)
+        # np.mod rounds tiny negative values up to the period itself, which
+        # the periodic tree rejects; they are the same point as 0.
+        features[features >= period] = 0.0
+        tree = cKDTree(features, boxsize=period)
     else:
-        dists = pairwise_distances(points.features, points.features, metric)
-    np.fill_diagonal(dists, np.inf)
-    nearest = np.partition(dists, k - 1, axis=1)[:, :k]
+        tree = cKDTree(features)
+    # The point's own zero distance is always among its k + 1 smallest, so
+    # dropping the first column is exact even when points repeat.
+    nearest = tree.query(features, k=k + 1)[0][:, 1:]
+    if metric == "squared-euclidean":
+        nearest = nearest**2
     errors = np.mean(nearest, axis=1)
     if normalize_errors:
         errors = normalize_errors_minmax(errors)
@@ -208,6 +233,10 @@ def kernel_density(
     matches the raw kernel density and the maximum maps to beta exactly.
     tau is not part of this map (stored as 1.0; the bandwidth is in the
     estimator descriptor).
+
+    Rows are summed one block at a time (block size from `block_rows`):
+    O(n^2 d) time, O(n) memory plus ~1 MiB blocks, and bit-identical to
+    summing the full n x n kernel matrix row by row.
     """
     bandwidth = float(bandwidth)
     if not (bandwidth > 0 and math.isfinite(bandwidth)):
@@ -216,10 +245,18 @@ def kernel_density(
         raise ValidationError("beta must be a positive finite number")
     if points.n < 2:
         raise ValidationError("kernel density needs at least two points")
-    sq = pairwise_distances(points.features, points.features, "squared-euclidean")
-    kernel = np.exp(-sq / (2.0 * bandwidth**2))
-    np.fill_diagonal(kernel, 0.0)
-    raw = np.sum(kernel, axis=1) / (points.n - 1)
+    features = points.features
+    n = points.n
+    step = block_rows(n, points.dim)
+    raw = np.empty(n, dtype=np.float64)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        sq = pairwise_distances(features[start:stop], features, "squared-euclidean")
+        kernel = np.exp(-sq / (2.0 * bandwidth**2))
+        rows = np.arange(stop - start)
+        kernel[rows, rows + start] = 0.0
+        raw[start:stop] = np.sum(kernel, axis=1)
+    raw /= n - 1
     values = beta * raw / float(raw.max())
     values, clamped = _clamp_floor(values, "kernel_density")
     return DensityField(
@@ -449,6 +486,10 @@ def calibrate(
         spearman = float("nan")
         degenerate = True
     else:
+        # Imported here, its only use: scipy.stats costs about 1 s to import
+        # and no other command needs it.
+        from scipy import stats
+
         spearman = float(stats.spearmanr(d, y).statistic)
         if spearman != spearman:
             degenerate = True

@@ -89,10 +89,15 @@ def kernel_density(features, bandwidth, beta):
     return [beta * v / top for v in raw]
 
 
-def knn_errors(features, k, torus_period=None):
-    """Mean distance to the k nearest neighbors, self excluded."""
+def knn_errors(features, k, torus_period=None, metric="euclidean"):
+    """Mean distance to the k nearest neighbors, self excluded.
+
+    torus_period is a scalar or one period per coordinate.
+    """
     n = len(features)
     dim = len(features[0])
+    periods = (list(torus_period) if isinstance(torus_period, (list, tuple))
+               else [torus_period] * dim)
     out = []
     for t in range(n):
         ds = []
@@ -100,14 +105,15 @@ def knn_errors(features, k, torus_period=None):
             if j == t:
                 continue
             if torus_period is None:
-                ds.append(euclidean(features[t], features[j]))
+                ds.append(dist(features[t], features[j], metric))
             else:
                 total = 0.0
                 for c in range(dim):
-                    delta = abs(features[t][c] - features[j][c]) % torus_period
-                    delta = min(delta, torus_period - delta)
+                    delta = abs(features[t][c] - features[j][c]) % periods[c]
+                    delta = min(delta, periods[c] - delta)
                     total += delta * delta
-                ds.append(math.sqrt(total))
+                ds.append(total if metric == "squared-euclidean"
+                          else math.sqrt(total))
         ds.sort()
         out.append(sum(ds[:k]) / k)
     return out

@@ -17,7 +17,7 @@ from denscore import (
     pairwise_distances,
     save_pointset,
 )
-from denscore.data import FeatureGrid, canonical_metric
+from denscore.data import FeatureGrid, block_rows, canonical_metric
 
 from oracles import dist as oracle_dist
 
@@ -87,6 +87,9 @@ class TestMetrics:
         full = pairwise_distances(a, a, chunk=256)
         tiny = pairwise_distances(a, a, chunk=11)
         assert np.array_equal(full, tiny)
+        # the default block rule splits these 300 rows too
+        assert block_rows(300, 3) < 300
+        assert np.array_equal(full, pairwise_distances(a, a))
 
 
 class TestGenerate:

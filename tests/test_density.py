@@ -1,9 +1,15 @@
 """Density estimators, masked grid reconstruction, and calibration."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import denscore
 
 from denscore import (
     DEFAULT_BETA,
@@ -22,6 +28,7 @@ from denscore import (
     masked_reconstruction_error,
     normalize_errors_minmax,
 )
+from denscore.data import block_rows
 
 import oracles
 
@@ -133,6 +140,48 @@ class TestKnnDensity:
         edge = knn_density(ps, k_neighbors=4)
         assert edge.values.max() - edge.values.min() > 1e-3
 
+    @pytest.mark.parametrize(
+        "case", ["coincident", "k_is_n_minus_1", "one_dim", "squared", "torus"]
+    )
+    def test_kdtree_edge_cases_match_oracle(self, case):
+        rng = np.random.default_rng(31)
+        feats = rng.normal(scale=0.5, size=(14, 3))
+        k, metric, period = 3, "euclidean", None
+        if case == "coincident":
+            feats[:6] = feats[0]  # more than k + 1 copies of one point
+        elif case == "k_is_n_minus_1":
+            k = len(feats) - 1
+        elif case == "one_dim":
+            feats = feats[:, :1]
+        elif case == "squared":
+            metric = "squared-euclidean"
+        else:
+            period = [1.5, 2.0, 0.75]
+            feats = feats - 1.0  # mostly negative, several periods out
+        field = knn_density(PointSet.from_features(feats), k, metric,
+                            normalize_errors=False, torus_period=period)
+        rows = [list(map(float, row)) for row in feats]
+        errs = oracles.knn_errors(rows, k, period, metric)
+        expected = [DEFAULT_BETA * math.exp(-e / DEFAULT_TAU) for e in errs]
+        np.testing.assert_allclose(field.values, expected, rtol=1e-12, atol=0)
+
+    def test_torus_folds_coordinates_rounded_up_to_the_period(self):
+        assert np.mod(-1e-17, 5.0) == 5.0
+        xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
+        feats = np.column_stack([xs.ravel(), ys.ravel()])
+        nudged = np.where(feats == 0.0, -1e-17, feats)
+        ref = knn_density(PointSet.from_features(feats), 4, torus_period=5.0)
+        got = knn_density(PointSet.from_features(nudged), 4, torus_period=5.0)
+        np.testing.assert_array_equal(got.values, ref.values)
+
+    @pytest.mark.parametrize(
+        "period", [[5.0, 5.0, 5.0], [5.0, np.nan], [np.inf, 5.0], 0.0, "five"]
+    )
+    def test_torus_period_validated(self, period):
+        ps = PointSet.from_features(np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValidationError, match="torus_period"):
+            knn_density(ps, 1, torus_period=period)
+
     def test_k_bounds(self):
         ps = _line([0.0, 1.0, 2.0])
         with pytest.raises(ValidationError):
@@ -166,6 +215,19 @@ class TestKernelDensity:
             expected = oracles.kernel_density(rows, h, DEFAULT_BETA)
             np.testing.assert_allclose(field.values, expected, atol=1e-10)
 
+    def test_blocks_match_dense_formula(self):
+        rng = np.random.default_rng(5)
+        feats = rng.normal(size=(700, 8))
+        assert block_rows(700, 8) < 700
+        h = 2.0
+        diff = feats[:, None, :] - feats[None, :, :]
+        kernel = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * h**2))
+        np.fill_diagonal(kernel, 0.0)
+        raw = np.sum(kernel, axis=1) / (len(feats) - 1)
+        expected = DEFAULT_BETA * raw / float(raw.max())
+        field = kernel_density(PointSet.from_features(feats), h)
+        assert np.array_equal(field.values, expected)
+
     def test_outlier_has_lowest_density(self):
         ps = _line([0.0, 0.1, 0.2, 0.3, 30.0])
         field = kernel_density(ps, bandwidth=0.5)
@@ -182,6 +244,30 @@ class TestKernelDensity:
             kernel_density(_line([0.0]), 1.0)
         with pytest.raises(ValidationError):
             kernel_density(_line([0.0, 1.0]), 0.0)
+
+
+class TestDensityCost:
+    @pytest.mark.parametrize("estimator", ["knn", "kernel"])
+    def test_peak_memory_below_one_dense_matrix(self, estimator):
+        n = 3000
+        ps = PointSet.from_features(np.random.default_rng(9).normal(size=(n, 8)))
+        tracemalloc.start()
+        try:
+            if estimator == "knn":
+                knn_density(ps, 10)
+            else:
+                kernel_density(ps, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(denscore.__file__))
+        code = "import sys, denscore; sys.exit('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert done.returncode == 0
 
 
 class TestMaskedReconstruction:
