@@ -11,6 +11,10 @@ Two scalar summaries of that partition drive the bound reports:
 
 Both feed a Hoeffding-style deviation term to produce the classical and the
 tightened bound values.
+
+Cost for n points, |s| selected, dimension d: the assignment takes
+O(n * |s| * d) time and O(n) memory plus one block of distances (see
+`data.nearest_selected`); every summary is then O(n) from its distances.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .data import (
     PointSet,
     ValidationError,
     canonical_metric,
+    nearest_selected,
     pairwise_distances,
 )
 
@@ -53,14 +58,15 @@ class CoverageAssignment:
     """Nearest-selected partition of a point set.
 
     selected: sorted unique selected indices.
-    pi: for every point, the selected index it is assigned to.
-    areas: selected index -> array of member indices (every point appears in
-        exactly one area; each selected point is in its own).
+    pi: for every point, the selected index it is assigned to.  A selected
+        point whose coordinates duplicate a lower selected index lands in
+        that index's area and leaves its own area empty.
+    distances: for every point, its distance to ``pi`` under ``metric``.
     """
 
     selected: np.ndarray
     pi: np.ndarray
-    areas: dict[int, np.ndarray]
+    distances: np.ndarray
     metric: str
 
     @property
@@ -88,35 +94,23 @@ def assign_coverage(
     """Assign every point to its nearest selected point.
 
     Ties resolve to the lowest selected index; squared and plain Euclidean
-    give the same assignment, but the metric is recorded for the distance
-    summaries computed downstream.
+    give the same assignment, and the metric sets ``distances``.
     """
     metric = canonical_metric(metric)
     sel = _check_selected(selected, points.n)
-    dists = pairwise_distances(
-        points.features, points.features[sel], metric="squared-euclidean"
-    )
-    nearest = np.argmin(dists, axis=1)  # first occurrence -> lowest index
-    pi = sel[nearest]
-    areas = {int(k): np.flatnonzero(pi == k) for k in sel}
-    pi = pi.copy()
-    pi.setflags(write=False)
-    sel = sel.copy()
-    sel.setflags(write=False)
-    return CoverageAssignment(selected=sel, pi=pi, areas=areas, metric=metric)
-
-
-def _assigned_distances(cov: CoverageAssignment, points: PointSet) -> np.ndarray:
-    diff = points.features - points.features[cov.pi]
-    sq = np.sum(diff * diff, axis=1)
-    return sq if cov.metric == "squared-euclidean" else np.sqrt(sq)
+    position, sq = nearest_selected(points.features, points.features[sel])
+    distances = sq if metric == "squared-euclidean" else np.sqrt(sq)
+    pi = sel[position]
+    for arr in (sel, pi, distances):
+        arr.setflags(write=False)
+    return CoverageAssignment(sel, pi, distances, metric)
 
 
 def classical_radius(cov: CoverageAssignment, points: PointSet) -> float:
     """Largest point-to-representative distance (the covering radius)."""
     if cov.n != points.n:
         raise ValidationError("assignment does not match point set")
-    return float(np.max(_assigned_distances(cov, points)))
+    return float(np.max(cov.distances))
 
 
 def average_radial_distance(
@@ -128,31 +122,29 @@ def average_radial_distance(
     """Mean distance from the members of coverage area k to point k.
 
     The inclusive mean counts the selected point's own zero distance
-    (``include_self=False`` drops it; an area left empty that way has mean
-    0 by convention).
+    (``include_self=False`` drops it).  An empty area has mean 0 by
+    convention.
     """
     k = int(k)
-    if k not in cov.areas:
+    if k not in cov.selected:
         raise ValidationError(f"point {k} is not in the selected set")
-    members = cov.areas[k]
+    members = cov.pi == k
     if not include_self:
-        members = members[members != k]
-        if members.size == 0:
-            return 0.0
-    diff = points.features[members] - points.features[k]
-    sq = np.sum(diff * diff, axis=1)
-    vals = sq if cov.metric == "squared-euclidean" else np.sqrt(sq)
-    return float(np.mean(vals))
+        members[k] = False
+    vals = cov.distances[members]
+    return float(np.mean(vals)) if vals.size else 0.0
 
 
 def all_radial_distances(
-    cov: CoverageAssignment, points: PointSet, include_self: bool = True
+    cov: CoverageAssignment, points: PointSet
 ) -> dict[int, float]:
-    """Average radial distance of every coverage area, keyed by index."""
-    return {
-        int(k): average_radial_distance(cov, points, int(k), include_self)
-        for k in cov.selected
-    }
+    """Average radial distance of every coverage area, keyed by index
+    (0 for an empty area, as in `average_radial_distance`)."""
+    pos = np.searchsorted(cov.selected, cov.pi)
+    counts = np.bincount(pos, minlength=cov.selected.size)
+    sums = np.bincount(pos, weights=cov.distances, minlength=cov.selected.size)
+    means = sums / np.maximum(counts, 1)
+    return dict(zip(cov.selected.tolist(), means.tolist()))
 
 
 def hoeffding_term(loss_bound: float, confidence: float, n: int) -> float:

@@ -31,6 +31,8 @@ __all__ = [
     "canonical_metric",
     "distance",
     "pairwise_distances",
+    "squared_distance_blocks",
+    "nearest_selected",
     "generate",
     "normalize",
     "load_pointset",
@@ -372,22 +374,16 @@ def block_rows(num_cols: int, dim: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(1, num_cols) * max(1, dim)))
 
 
-def pairwise_distances(
-    a: np.ndarray,
-    b: np.ndarray,
-    metric: str = "euclidean",
-    chunk: int | None = None,
-) -> np.ndarray:
-    """Dense (len(a), len(b)) distance matrix, computed in row blocks.
+def squared_distance_blocks(
+    a: np.ndarray, b: np.ndarray, chunk: int | None = None
+):
+    """Yield ``(start, stop, sq)``: the squared distances from
+    ``a[start:stop]`` to every row of ``b``, for consecutive row blocks.
 
-    Distances come from explicit coordinate differences (no inner-product
-    expansion), so entries agree with `distance` to rounding.  Each row's
-    arithmetic is independent of the block size, so the result is
-    bit-identical for any ``chunk``; by default it comes from `block_rows`.
-    Time O(len(a) * len(b) * dim); memory is the output plus two block
-    temporaries (the differences and their squares) of about 1 MiB each.
+    Entries come from explicit coordinate differences (no inner-product
+    expansion) and are bit-identical for any ``chunk`` (default `block_rows`);
+    each block holds two ~1 MiB temporaries, the differences and squares.
     """
-    metric = canonical_metric(metric)
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -396,14 +392,48 @@ def pairwise_distances(
         )
     if chunk is None:
         chunk = block_rows(b.shape[0], b.shape[1])
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     for start in range(0, a.shape[0], chunk):
         stop = min(start + chunk, a.shape[0])
         diff = a[start:stop, None, :] - b[None, :, :]
-        np.sum(diff * diff, axis=-1, out=out[start:stop])
+        yield start, stop, np.sum(diff * diff, axis=-1)
+
+
+def pairwise_distances(
+    a: np.ndarray,
+    b: np.ndarray,
+    metric: str = "euclidean",
+    chunk: int | None = None,
+) -> np.ndarray:
+    """Dense (len(a), len(b)) distance matrix filled from
+    `squared_distance_blocks`: O(len(a) * len(b) * dim) time, memory the
+    output plus one block."""
+    metric = canonical_metric(metric)
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    for start, stop, sq in squared_distance_blocks(a, b, chunk):
+        out[start:stop] = sq
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
+
+
+def nearest_selected(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Position of the nearest row of ``b`` for every row of ``a`` (ties to
+    the lowest position), and the squared distance to it.
+
+    O(len(a) * len(b) * dim) time; O(len(a)) memory plus one block of
+    `squared_distance_blocks`, never the len(a) x len(b) matrix.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    position = np.empty(a.shape[0], dtype=np.intp)
+    sq_min = np.empty(a.shape[0], dtype=np.float64)
+    for start, stop, sq in squared_distance_blocks(a, b):
+        np.argmin(sq, axis=1, out=position[start:stop])
+        np.min(sq, axis=1, out=sq_min[start:stop])
+    return position, sq_min
 
 
 def normalize(points: PointSet) -> PointSet:

@@ -36,9 +36,8 @@ from .data import (
     FeatureGrid,
     PointSet,
     ValidationError,
-    block_rows,
     canonical_metric,
-    pairwise_distances,
+    squared_distance_blocks,
 )
 
 __all__ = [
@@ -234,7 +233,7 @@ def kernel_density(
     tau is not part of this map (stored as 1.0; the bandwidth is in the
     estimator descriptor).
 
-    Rows are summed one block at a time (block size from `block_rows`):
+    Rows are summed one block of `squared_distance_blocks` at a time:
     O(n^2 d) time, O(n) memory plus ~1 MiB blocks, and bit-identical to
     summing the full n x n kernel matrix row by row.
     """
@@ -247,11 +246,8 @@ def kernel_density(
         raise ValidationError("kernel density needs at least two points")
     features = points.features
     n = points.n
-    step = block_rows(n, points.dim)
     raw = np.empty(n, dtype=np.float64)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        sq = pairwise_distances(features[start:stop], features, "squared-euclidean")
+    for start, stop, sq in squared_distance_blocks(features, features):
         kernel = np.exp(-sq / (2.0 * bandwidth**2))
         rows = np.arange(stop - start)
         kernel[rows, rows + start] = 0.0
@@ -529,7 +525,9 @@ def estimator_from_config(config: dict):
     """Build ``estimate(points) -> DensityField`` from a config dict.
 
     Supported kinds: ``knn`` (requires k_neighbors) and ``kernel`` (requires
-    bandwidth).  Unknown kinds or fields are rejected by name.  The knn
+    bandwidth).  Unknown kinds or fields are rejected by name.
+    ``grid_density`` is library-only: it maps a `FeatureGrid`, not a
+    `PointSet`, so it cannot serve as a per-round estimator.  The knn
     neighbor count is clamped to n-1 when a round's candidate set is smaller
     than k, so late protocol rounds on a nearly exhausted pool still work.
     """

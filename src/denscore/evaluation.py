@@ -24,6 +24,7 @@ import numpy as np
 from .coverage import (
     BoundParams,
     ORDERING_RTOL,
+    _check_selected,
     all_radial_distances,
     assign_coverage,
     classical_radius,
@@ -35,7 +36,7 @@ from .data import (
     ValidationError,
     canonical_metric,
     generate,
-    pairwise_distances,
+    nearest_selected,
 )
 from .rng import PortableRng
 from .selection import ProtocolConfig, run_rounds
@@ -89,13 +90,7 @@ class PluginLearner:
         cls, data: LabeledPointSet, selected, metric: str = "euclidean"
     ) -> "PluginLearner":
         metric = canonical_metric(metric)
-        sel = np.unique(np.asarray(selected, dtype=np.int64).ravel())
-        if sel.size == 0:
-            raise ValidationError("cannot fit on an empty selected set")
-        if np.asarray(selected).size != sel.size:
-            raise ValidationError("selected set must not contain duplicates")
-        if sel.min() < 0 or sel.max() >= data.n:
-            raise ValidationError("selected index out of range")
+        sel = _check_selected(selected, data.n)
         return cls(
             kind="one-nearest-neighbor",
             fitted_indices=sel,
@@ -105,12 +100,8 @@ class PluginLearner:
         )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        dists = pairwise_distances(
-            features, self.fitted_features, "squared-euclidean"
-        )
-        nearest = np.argmin(dists, axis=1)  # first occurrence -> lowest index
-        return self.fitted_labels[nearest]
+        position, _ = nearest_selected(features, self.fitted_features)
+        return self.fitted_labels[position]
 
 
 def core_set_loss(
@@ -123,9 +114,7 @@ def core_set_loss(
     loss under ``learner`` (which must be fitted on exactly ``selected``)."""
     if loss != "zero-one":
         raise ValidationError(f"unsupported loss {loss!r} (only 'zero-one')")
-    sel = np.unique(np.asarray(selected, dtype=np.int64).ravel())
-    if sel.size == 0:
-        raise ValidationError("selected set must be non-empty")
+    sel = _check_selected(selected, data.n)
     if not np.array_equal(sel, learner.fitted_indices):
         raise ValidationError("learner was not fitted on the given selected set")
     predictions = learner.predict(data.points.features)

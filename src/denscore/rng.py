@@ -92,11 +92,6 @@ class PortableRng:
         """Uniform random permutation of range(n), via argsort of uniforms."""
         return np.argsort(self.uniforms(n), kind="stable")
 
-    def spawn(self, key: int) -> "PortableRng":
-        """Independent substream with a seed derived from (seed, key)."""
-        derived = mix64(int(self._seed) ^ mix64(int(key) + 1))
-        return PortableRng(derived)
-
 
 def derive_seed(seed: int, key: int) -> int:
     """Deterministic per-key seed, used for per-round substreams."""

@@ -22,7 +22,7 @@ radius-at-pick is recorded as inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,12 +131,17 @@ def _greedy_select(
         remaining -= 1
 
     radii = np.full(n, np.inf)
-    for k in selected:
+
+    def cover(k: int) -> None:
+        """Lower every radius to its (rescaled) squared distance to k."""
         diff = features - features[k]
         dist_sq = np.sum(diff * diff, axis=1)
         if densities is not None:
             dist_sq = dist_sq / densities[k]
         np.minimum(radii, dist_sq, out=radii)
+
+    for k in selected:
+        cover(k)
 
     history = [radii.copy()] if keep_history else None
     for _ in range(remaining):
@@ -145,11 +150,7 @@ def _greedy_select(
         selected.append(u)
         picks.append(u)
         unselected[u] = False
-        diff = features - features[u]
-        dist_sq = np.sum(diff * diff, axis=1)
-        if densities is not None:
-            dist_sq = dist_sq / densities[u]
-        np.minimum(radii, dist_sq, out=radii)
+        cover(u)
         if keep_history:
             history.append(radii.copy())
 
@@ -501,15 +502,7 @@ def run_rounds(
                 state = k_center_greedy(sub_points, s0_local, take)
             picks = tuple(int(universe[i]) for i in state.picks)
             pick_radii = state.pick_radii
-            state = SelectionState(
-                selected=state.selected,
-                picks=state.picks,
-                radii=state.radii,
-                pick_radii=state.pick_radii,
-                budget_used=state.budget_used,
-                round_index=round_index,
-                history=state.history,
-            )
+            state = replace(state, round_index=round_index)
         else:
             universe = pool
             round_seed = derive_seed(config.seed, round_index)

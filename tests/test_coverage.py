@@ -1,6 +1,7 @@
 """Coverage partitions, radii, and bound reports against naive oracles."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from denscore import (
     BoundParams,
+    LabeledPointSet,
+    PluginLearner,
     PointSet,
     ValidationError,
     assign_coverage,
@@ -37,10 +40,36 @@ class TestAssignment:
         rng = np.random.default_rng(0)
         ps = PointSet.from_features(rng.normal(size=(30, 3)))
         cov = assign_coverage(ps, [4, 11, 25])
-        members = np.sort(np.concatenate(list(cov.areas.values())))
-        assert members.tolist() == list(range(30))
-        for k in (4, 11, 25):
-            assert k in cov.areas[k]
+        assert set(cov.pi.tolist()) <= {4, 11, 25}
+        assert cov.pi[[4, 11, 25]].tolist() == [4, 11, 25]
+
+    def test_duplicate_selected_point_leaves_empty_area(self):
+        # point 1 duplicates point 0, so both land in area 0 and area 1 is
+        # empty; its mean is 0 by convention, not NaN.
+        ps = PointSet.from_features(np.array([[0.0], [0.0], [3.0], [4.0]]))
+        rep = bound_report(ps, [0, 1, 2])
+        assert rep.radial == {0: 0.0, 1: 0.0, 2: 0.5}
+        assert rep.delta == 1.0
+        assert rep.max_radial == 0.5
+
+    @pytest.mark.parametrize("path", ["assign_coverage", "predict"])
+    def test_never_holds_the_full_distance_matrix(self, path):
+        n, b = 3000, 600
+        feats = np.random.default_rng(8).normal(size=(n, 8))
+        sel = np.arange(0, n, n // b)
+        ps = PointSet.from_features(feats)
+        learner = PluginLearner.fit(
+            LabeledPointSet(ps, np.ones(n, dtype=np.int64), 1), sel)
+        tracemalloc.start()
+        try:
+            if path == "assign_coverage":
+                assign_coverage(ps, sel)
+            else:
+                learner.predict(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * b * 8
 
     def test_selected_validation(self):
         ps = _line([0.0, 1.0])

@@ -475,6 +475,16 @@ class TestCalibration:
         for c, m in zip(d["bin_counts"], d["bin_mean_radial"]):
             assert (m is None) == (c == 0)
 
+    def test_duplicate_selected_point_keeps_fit_finite(self):
+        # point 7 duplicates point 3, so its coverage area is empty
+        feats = np.random.default_rng(4).normal(size=(60, 2))
+        feats[7] = feats[3]
+        points = PointSet.from_features(feats)
+        rep = calibrate(points, knn_density(points, 5), [3, 7, 10, 20, 30, 40])
+        assert math.isfinite(rep.r_squared)
+        assert math.isfinite(rep.slope)
+        assert math.isfinite(rep.spearman)
+
     def test_needs_three_selected(self):
         points, selected = self._clustered([1.0, 2.0])
         field = DensityField(np.ones(points.n), beta=DEFAULT_BETA,
