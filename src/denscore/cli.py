@@ -9,11 +9,18 @@ Subcommands::
     denscore compare   --config cfg.json [--out DIR] [--metric M]
 
 Configs are JSON with command-specific sections (unknown fields are
-rejected); the flags override the corresponding config values.  The output
-directory defaults to the DENSCORE_OUT environment variable, then to the
-current directory.  All randomness flows from explicit seeds, so a rerun
-with an identical config writes byte-identical data artifacts; the only
-fields that differ are wall-clock metadata (``timestamp``, ``runtime_ms``).
+rejected); the flags override the corresponding config values, and a command
+rejects a flag it does not read.  The output directory defaults to the
+DENSCORE_OUT environment variable, then to the current directory.  All
+randomness flows from explicit seeds, so a rerun with an identical config
+writes byte-identical data artifacts; the only fields that differ are
+wall-clock metadata (``timestamp``, ``runtime_ms``).
+
+``select`` runs the greedy algorithms and the ``random`` baseline.  The
+``entropy``, ``sconf`` and ``margin`` baselines need class probabilities,
+and a dataset CSV carries only one scalar ``score`` per point, so ``select``
+exits 1 for them; call ``run_rounds(..., scores=ScoreMap(p,
+"probabilities"))`` from the library instead.
 
 Exit codes: 0 success, 1 invalid config or input, 2 runtime failure,
 3 success with warnings (e.g. a selection round ran out of candidates).
@@ -359,7 +366,7 @@ def cmd_evaluate(args) -> int:
     metric = canonical_metric(metric)
     bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
     report = bound_report(dataset.points, positions, metric, bounds)
-    learner = PluginLearner.fit(dataset, positions, metric)
+    learner = PluginLearner.fit(dataset, positions)
     loss = core_set_loss(dataset, positions, learner)
     payload = report.to_dict(ids=dataset.points.ids)
     payload["core_set_loss"] = loss
@@ -454,24 +461,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Density-aware core-set selection experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "draw a synthetic dataset and write it as CSV"),
-        ("select", "run the multi-round selection protocol on a dataset"),
-        ("evaluate", "bound report and core-set loss for a stored selection"),
-        ("calibrate", "regress coverage radii on inverse density"),
-        ("compare", "k-center vs density-aware over a seed list"),
+    # Each command gets only the overrides it reads.
+    for name, help_text, seed, metric in (
+        ("generate", "draw a synthetic dataset and write it as CSV", True, False),
+        ("select", "run the multi-round selection protocol on a dataset", True, True),
+        ("evaluate", "bound report and core-set loss for a stored selection", False, True),
+        ("calibrate", "regress coverage radii on inverse density", False, True),
+        ("compare", "k-center vs density-aware over a seed list", False, True),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output directory "
                        f"(default ${OUTPUT_DIR_ENV} or '.')")
-        p.add_argument(
-            "--metric",
-            choices=["euclidean", "squared", "squared-euclidean"],
-            default=None,
-            help="override distance metric",
-        )
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
+        if metric:
+            p.add_argument(
+                "--metric",
+                choices=["euclidean", "squared", "squared-euclidean"],
+                default=None,
+                help="override distance metric",
+            )
     return parser
 
 

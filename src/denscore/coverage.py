@@ -106,32 +106,30 @@ def assign_coverage(
     return CoverageAssignment(sel, pi, distances, metric)
 
 
-def classical_radius(cov: CoverageAssignment, points: PointSet) -> float:
-    """Largest point-to-representative distance (the covering radius)."""
+def _check_points(cov: CoverageAssignment, points: PointSet) -> None:
     if cov.n != points.n:
         raise ValidationError("assignment does not match point set")
+
+
+def classical_radius(cov: CoverageAssignment, points: PointSet) -> float:
+    """Largest point-to-representative distance (the covering radius)."""
+    _check_points(cov, points)
     return float(np.max(cov.distances))
 
 
 def average_radial_distance(
-    cov: CoverageAssignment,
-    points: PointSet,
-    k: int,
-    include_self: bool = True,
+    cov: CoverageAssignment, points: PointSet, k: int
 ) -> float:
     """Mean distance from the members of coverage area k to point k.
 
-    The inclusive mean counts the selected point's own zero distance
-    (``include_self=False`` drops it).  An empty area has mean 0 by
-    convention.
+    The mean counts the selected point's own zero distance.  An empty area
+    has mean 0 by convention.
     """
+    _check_points(cov, points)
     k = int(k)
     if k not in cov.selected:
         raise ValidationError(f"point {k} is not in the selected set")
-    members = cov.pi == k
-    if not include_self:
-        members[k] = False
-    vals = cov.distances[members]
+    vals = cov.distances[cov.pi == k]
     return float(np.mean(vals)) if vals.size else 0.0
 
 
@@ -140,6 +138,7 @@ def all_radial_distances(
 ) -> dict[int, float]:
     """Average radial distance of every coverage area, keyed by index
     (0 for an empty area, as in `average_radial_distance`)."""
+    _check_points(cov, points)
     pos = np.searchsorted(cov.selected, cov.pi)
     counts = np.bincount(pos, minlength=cov.selected.size)
     sums = np.bincount(pos, weights=cov.distances, minlength=cov.selected.size)

@@ -297,10 +297,6 @@ class GeneratorSpec:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "dim", dim)
 
-    @property
-    def total_count(self) -> int:
-        return int(sum(self.counts))
-
     def to_dict(self) -> dict:
         out = {
             "kind": self.kind,

@@ -15,11 +15,12 @@ queries it, O(n log n) time for low d, with O(n k) memory; ``kernel_density``
 sums the kernel one block of rows at a time, O(n^2 d) time with O(n) memory
 plus ~1 MiB blocks.  No estimator allocates an n x n matrix.
 
-Raw errors are min-max normalized onto [0, 1] over the candidate set before
-the density map by default (``normalize_errors=False`` disables this); with
-all errors equal the normalized error is 0 everywhere.  Densities are clamped
-to at least 1e-12 so downstream divisions stay finite; clamping is counted on
-the field and logged.
+The kNN and grid errors take one shared step: min-max normalization onto
+[0, 1] over the candidate set by default (``normalize_errors=False`` disables
+it; with all errors equal the normalized error is 0 everywhere), then the
+density map.  Every estimator then ends in one tail, ``_density_field``: it
+lifts densities below 1e-12 to that floor so downstream divisions stay
+finite, counts and logs what it lifted, and builds the `DensityField`.
 """
 
 from __future__ import annotations
@@ -101,15 +102,6 @@ class DensityField:
         return self.values.shape[0]
 
 
-def _clamp_floor(values: np.ndarray, what: str) -> tuple[np.ndarray, int]:
-    low = values < DENSITY_FLOOR
-    count = int(np.count_nonzero(low))
-    if count:
-        logger.warning("%s: clamped %d densities to the %g floor", what, count, DENSITY_FLOOR)
-        values = np.where(low, DENSITY_FLOOR, values)
-    return values, count
-
-
 def density_from_error(err, beta: float = DEFAULT_BETA, tau: float = DEFAULT_TAU):
     """Map non-negative errors to densities: ``beta * exp(-err / tau)``.
 
@@ -137,6 +129,34 @@ def normalize_errors_minmax(errors: np.ndarray) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(errors)
     return (errors - lo) / (hi - lo)
+
+
+def _density_field(
+    values: np.ndarray, beta: float, tau: float, estimator: dict
+) -> DensityField:
+    """Lift values below the floor to it, count and log them, and wrap the
+    result with its map and descriptor."""
+    low = values < DENSITY_FLOOR
+    clamped = int(np.count_nonzero(low))
+    if clamped:
+        logger.warning(
+            "%s estimator: clamped %d densities to the %g floor",
+            estimator["kind"], clamped, DENSITY_FLOOR,
+        )
+        values = np.where(low, DENSITY_FLOOR, values)
+    return DensityField(values, beta, tau, estimator, num_clamped=clamped)
+
+
+def _field_from_errors(
+    errors: np.ndarray, beta: float, tau: float, normalize_errors: bool,
+    estimator: dict,
+) -> DensityField:
+    """Optionally min-max normalize the errors, map them through
+    `density_from_error`, and end in the shared tail."""
+    if normalize_errors:
+        errors = normalize_errors_minmax(errors)
+    estimator = {**estimator, "normalize_errors": bool(normalize_errors)}
+    return _density_field(density_from_error(errors, beta, tau), beta, tau, estimator)
 
 
 def _torus_period(torus_period, dim: int) -> np.ndarray:
@@ -200,23 +220,10 @@ def knn_density(
     nearest = tree.query(features, k=k + 1)[0][:, 1:]
     if metric == "squared-euclidean":
         nearest = nearest**2
-    errors = np.mean(nearest, axis=1)
-    if normalize_errors:
-        errors = normalize_errors_minmax(errors)
-    values = density_from_error(errors, beta, tau)
-    values, clamped = _clamp_floor(values, "knn_density")
-    return DensityField(
-        values=values,
-        beta=beta,
-        tau=tau,
-        estimator={
-            "kind": "knn",
-            "k_neighbors": k,
-            "metric": metric,
-            "normalize_errors": bool(normalize_errors),
-            "torus": torus_period is not None,
-        },
-        num_clamped=clamped,
+    return _field_from_errors(
+        np.mean(nearest, axis=1), beta, tau, normalize_errors,
+        {"kind": "knn", "k_neighbors": k, "metric": metric,
+         "torus": torus_period is not None},
     )
 
 
@@ -253,14 +260,9 @@ def kernel_density(
         kernel[rows, rows + start] = 0.0
         raw[start:stop] = np.sum(kernel, axis=1)
     raw /= n - 1
-    values = beta * raw / float(raw.max())
-    values, clamped = _clamp_floor(values, "kernel_density")
-    return DensityField(
-        values=values,
-        beta=beta,
-        tau=1.0,
-        estimator={"kind": "kernel", "bandwidth": bandwidth},
-        num_clamped=clamped,
+    return _density_field(
+        beta * raw / float(raw.max()), beta, 1.0,
+        {"kind": "kernel", "bandwidth": bandwidth},
     )
 
 
@@ -369,22 +371,11 @@ def grid_density(
 ) -> DensityField:
     """Density field over the row-major flattened grid, from masked
     reconstruction errors."""
-    errors = masked_reconstruction_error(grid, rec).ravel()
-    if normalize_errors:
-        errors = normalize_errors_minmax(errors)
-    values = density_from_error(errors, beta, tau)
-    values, clamped = _clamp_floor(values, "grid_density")
-    return DensityField(
-        values=values,
-        beta=beta,
-        tau=tau,
-        estimator={
-            "kind": "masked-reconstruction",
-            "kernel_size": rec.kernel_size,
-            "weight_mode": rec.weight_mode,
-            "normalize_errors": bool(normalize_errors),
-        },
-        num_clamped=clamped,
+    return _field_from_errors(
+        masked_reconstruction_error(grid, rec).ravel(), beta, tau,
+        normalize_errors,
+        {"kind": "masked-reconstruction", "kernel_size": rec.kernel_size,
+         "weight_mode": rec.weight_mode},
     )
 
 

@@ -77,26 +77,21 @@ class PluginLearner:
     fitted index, so among duplicate coordinates the earliest selected point
     wins).  Every fitted point therefore predicts its own label except in
     the degenerate case of coordinate duplicates with conflicting labels.
+    Plain and squared Euclidean distance give the same nearest point, so the
+    learner takes no metric.
     """
 
-    kind: str
     fitted_indices: np.ndarray
     fitted_features: np.ndarray
     fitted_labels: np.ndarray
-    metric: str
 
     @classmethod
-    def fit(
-        cls, data: LabeledPointSet, selected, metric: str = "euclidean"
-    ) -> "PluginLearner":
-        metric = canonical_metric(metric)
+    def fit(cls, data: LabeledPointSet, selected) -> "PluginLearner":
         sel = _check_selected(selected, data.n)
         return cls(
-            kind="one-nearest-neighbor",
             fitted_indices=sel,
             fitted_features=data.points.features[sel],
             fitted_labels=data.labels[sel],
-            metric=metric,
         )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -108,12 +103,10 @@ def core_set_loss(
     data: LabeledPointSet,
     selected,
     learner: PluginLearner,
-    loss: str = "zero-one",
 ) -> float:
-    """Absolute gap between the dataset mean loss and the selected-set mean
-    loss under ``learner`` (which must be fitted on exactly ``selected``)."""
-    if loss != "zero-one":
-        raise ValidationError(f"unsupported loss {loss!r} (only 'zero-one')")
+    """Absolute gap between the dataset mean zero-one loss and the
+    selected-set mean zero-one loss under ``learner`` (which must be fitted
+    on exactly ``selected``)."""
     sel = _check_selected(selected, data.n)
     if not np.array_equal(sel, learner.fitted_indices):
         raise ValidationError("learner was not fitted on the given selected set")
@@ -174,7 +167,7 @@ def _single_run(
     result = run_rounds(dataset, config)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     bound = result.rounds[-1].bound
-    learner = PluginLearner.fit(dataset, result.selected, metric)
+    learner = PluginLearner.fit(dataset, result.selected)
     loss = core_set_loss(dataset, result.selected, learner)
     return {
         "algorithm": algorithm,

@@ -52,13 +52,9 @@ class PortableRng:
     stream; two instances with the same seed replay identical values.
     """
 
-    def __init__(self, seed: int, position: int = 0):
+    def __init__(self, seed: int):
         self._seed = np.uint64(int(seed) & _U64_MASK)
-        self._position = int(position)
-
-    @property
-    def position(self) -> int:
-        return self._position
+        self._position = 0
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit outputs as a uint64 array."""

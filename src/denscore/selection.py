@@ -22,7 +22,7 @@ radius-at-pick is recorded as inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class SelectionState:
     radii: np.ndarray
     pick_radii: np.ndarray
     budget_used: int
-    round_index: int = 0
     history: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
@@ -105,7 +104,6 @@ def _greedy_select(
     budget: int,
     densities: np.ndarray | None,
     keep_history: bool,
-    round_index: int = 0,
 ) -> SelectionState:
     n = features.shape[0]
     budget = int(budget)
@@ -160,7 +158,6 @@ def _greedy_select(
         radii=radii,
         pick_radii=np.asarray(pick_radii, dtype=np.float64),
         budget_used=len(picks),
-        round_index=round_index,
         history=tuple(history) if keep_history else None,
     )
 
@@ -502,7 +499,6 @@ def run_rounds(
                 state = k_center_greedy(sub_points, s0_local, take)
             picks = tuple(int(universe[i]) for i in state.picks)
             pick_radii = state.pick_radii
-            state = replace(state, round_index=round_index)
         else:
             universe = pool
             round_seed = derive_seed(config.seed, round_index)

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from denscore import LabeledPointSet, load_pointset, save_pointset
 from denscore.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -187,6 +188,25 @@ class TestSelect:
         )
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert "estimator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["entropy", "sconf", "margin"])
+    def test_uncertainty_baselines_need_probabilities(
+        self, tmp_path, capsys, algorithm
+    ):
+        # A dataset CSV carries one scalar score per point, never class
+        # probabilities, so these baselines run only through the library.
+        plain = load_pointset(run_generate(tmp_path))
+        scored = tmp_path / "scored.csv"
+        save_pointset(LabeledPointSet(
+            plain.points, plain.labels, plain.num_classes,
+            scores=np.linspace(0.0, 1.0, plain.n),
+        ), scored)
+        cfg = self.select_config(
+            tmp_path, scored, protocol={"algorithm": algorithm}
+        )
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert (f"strategy {algorithm!r} requires class probabilities"
+                in capsys.readouterr().err)
 
     def test_density_aware_with_estimator_runs(self, tmp_path):
         dataset = run_generate(tmp_path)
@@ -371,6 +391,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "bound_report", boom)
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_RUNTIME
         assert "disk on fire" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--metric", "squared"),
+        ("evaluate", "--seed", "1"),
+        ("calibrate", "--seed", "1"),
+        ("compare", "--seed", "1"),
+    ])
+    def test_flag_the_command_ignores_is_rejected(self, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "cfg.json", flag, value])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:

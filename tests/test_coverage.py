@@ -99,13 +99,16 @@ class TestRadii:
         assert average_radial_distance(cov, ps, 0) == pytest.approx(1.0, abs=1e-15)
         assert average_radial_distance(cov, ps, 3) == 0.0
 
-    def test_exclusive_mean_drops_own_zero(self):
+    @pytest.mark.parametrize("summary", [
+        classical_radius,
+        all_radial_distances,
+        lambda cov, ps: average_radial_distance(cov, ps, 0),
+    ], ids=["classical_radius", "all_radial_distances", "average_radial_distance"])
+    def test_mismatched_point_set_rejected(self, summary):
         ps = _line([0.0, 1.0, 2.0, 4.0])
         cov = assign_coverage(ps, [0, 3])
-        assert average_radial_distance(cov, ps, 0, include_self=False) == \
-            pytest.approx(1.5, abs=1e-15)
-        # singleton area loses its only member
-        assert average_radial_distance(cov, ps, 3, include_self=False) == 0.0
+        with pytest.raises(ValidationError, match="assignment does not match point set"):
+            summary(cov, _line([0.0, 1.0, 2.0]))
 
     def test_non_selected_query_rejected(self):
         ps = _line([0.0, 1.0])

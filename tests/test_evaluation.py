@@ -107,8 +107,6 @@ class TestCoreSetLoss:
         learner = PluginLearner.fit(ds, [0, 1])
         with pytest.raises(ValidationError):
             core_set_loss(ds, [0, 2], learner)
-        with pytest.raises(ValidationError):
-            core_set_loss(ds, [0, 1], learner, loss="hinge")
 
 
 class TestBoundOrdering:

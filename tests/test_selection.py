@@ -11,11 +11,13 @@ from denscore import (
     ProtocolConfig,
     ScoreMap,
     ValidationError,
+    bound_report,
     density_aware_greedy,
     filter_candidates,
     k_center_greedy,
     knn_density,
     margin_score,
+    normalize,
     run_rounds,
     uncertainty_select,
 )
@@ -279,6 +281,30 @@ class TestProtocol:
                 budget=15, rounds=1, algorithm=algorithm, estimator=est))
             assert multi.selected == single.selected
             assert len(multi.rounds) == 3 and len(single.rounds) == 1
+
+    def test_normalize_features_selects_on_the_unit_sphere(self):
+        rng = np.random.default_rng(17)
+        ps = PointSet.from_features(rng.normal(size=(300, 4)) + 0.5)
+        ds = LabeledPointSet(ps, rng.integers(1, 3, size=300), num_classes=2)
+        res = run_rounds(ds, ProtocolConfig(
+            budget=5, rounds=2, algorithm="k-center", normalize_features=True))
+        unit = normalize(ps)
+        expected = k_center_greedy(unit, [], 10).selected
+        assert res.selected == expected
+        assert res.rounds[-1].bound.delta == bound_report(unit, expected).delta
+        raw = run_rounds(ds, ProtocolConfig(
+            budget=5, rounds=2, algorithm="k-center"))
+        assert raw.selected != expected
+
+    def test_normalize_features_names_a_zero_row(self):
+        feats = np.random.default_rng(3).normal(size=(20, 3))
+        feats[7] = 0.0
+        ps = PointSet(feats, np.arange(100, 120))
+        ds = LabeledPointSet(ps, np.ones(20, dtype=np.int64), num_classes=1)
+        with pytest.raises(ValidationError, match=r"\(id 107\)"):
+            run_rounds(ds, ProtocolConfig(
+                budget=5, rounds=2, algorithm="k-center",
+                normalize_features=True))
 
     def test_round_accounting_and_disjoint_picks(self):
         ds = self._dataset()
