@@ -10,6 +10,7 @@ import numpy as np
 from denscore import (
     BoundParams,
     GeneratorSpec,
+    assign_coverage,
     bound_report,
     generate,
     hoeffding_term,
@@ -30,7 +31,8 @@ params = BoundParams(
     lambda_l=1.0, lambda_eta=1.0, loss_bound=1.0,
     num_classes=dataset.num_classes, confidence=0.05,
 )
-report = bound_report(dataset.points, state.selected, "euclidean", params)
+coverage = assign_coverage(dataset.points, state.selected, "euclidean")
+report = bound_report(dataset.points, coverage, params)
 
 print(f"n={report.n} selected={report.num_selected}")
 print(f"delta (covering radius)      : {report.delta:.4f}")
@@ -52,9 +54,12 @@ print("\nHoeffding term vs n (loss_bound=1, confidence=0.05):")
 for n in (100, 1000, 10000, 100000):
     print(f"  n={n:>6d}: {hoeffding_term(1.0, 0.05, n):.5f}")
 
-# more selection budget never hurts either radius statistic
+# more selection budget never hurts either radius statistic; each larger
+# greedy run extends the smaller one's picks, so its assignment extends too
 print("\nbudget sweep (delta / max mean radial):")
+coverage = None
 for budget in (4, 8, 16, 32):
     st = k_center_greedy(dataset.points, None, budget)
-    rep = bound_report(dataset.points, st.selected, "euclidean", params)
+    coverage = assign_coverage(dataset.points, st.selected, "euclidean", coverage)
+    rep = bound_report(dataset.points, coverage, params)
     print(f"  b={budget:2d}: {rep.delta:.4f} / {rep.max_radial:.4f}")

@@ -35,24 +35,26 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .coverage import BoundParams, bound_report
+from .coverage import BoundParams, assign_coverage, bound_report
 from .data import (
     GeneratorSpec,
     LabeledPointSet,
     ValidationError,
     canonical_metric,
+    config_value,
     generate,
     load_pointset,
     save_pointset,
 )
 from .density import calibrate, estimator_from_config
-from .evaluation import PluginLearner, compare_algorithms, core_set_loss
+from .evaluation import compare_algorithms, core_set_loss
 from .selection import ProtocolConfig, run_rounds
 
 __all__ = ["main", "ExperimentConfig"]
@@ -315,8 +317,13 @@ def cmd_select(args) -> int:
         estimator=estimator,
         **protocol_section,
     )
+    # config.initial holds dataset ids, as the summary records them; the
+    # protocol takes row positions
+    initial = _ids_to_positions(
+        dataset, config.initial, f"{cfg.path}: protocol.initial"
+    )
     bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
-    result = run_rounds(dataset, config, bound_params=bounds)
+    result = run_rounds(dataset, replace(config, initial=initial), bound_params=bounds)
 
     out = _out_dir(args)
     ids = dataset.points.ids
@@ -365,9 +372,9 @@ def cmd_evaluate(args) -> int:
     metric = args.metric or cfg.raw.get("metric", "euclidean")
     metric = canonical_metric(metric)
     bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
-    report = bound_report(dataset.points, positions, metric, bounds)
-    learner = PluginLearner.fit(dataset, positions)
-    loss = core_set_loss(dataset, positions, learner)
+    cov = assign_coverage(dataset.points, positions, metric)
+    report = bound_report(dataset.points, cov, bounds)
+    loss = core_set_loss(dataset, cov)
     payload = report.to_dict(ids=dataset.points.ids)
     payload["core_set_loss"] = loss
     payload["selection_file"] = str(selection_path)
@@ -391,7 +398,7 @@ def cmd_calibrate(args) -> int:
     estimator = cfg.require("estimator")
     estimate = estimator_from_config(estimator)
     densities = estimate(dataset.points)
-    bins = int(cfg.raw.get("bins", 10))
+    bins = config_value(cfg.raw.get("bins", 10), int, "bins")
     report = calibrate(dataset.points, densities, positions, metric, bins)
     payload = report.to_dict()
     payload["estimator"] = dict(estimator)
@@ -413,8 +420,8 @@ def cmd_compare(args) -> int:
     seeds = cfg.require("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ValidationError(f"{cfg.path}: 'seeds' must be a non-empty list")
-    budget = int(cfg.require("budget"))
-    rounds = int(cfg.raw.get("rounds", 1))
+    budget = config_value(cfg.require("budget"), int, "budget")
+    rounds = config_value(cfg.raw.get("rounds", 1), int, "rounds")
     metric = args.metric or cfg.raw.get("metric", "euclidean")
     estimator = cfg.raw.get("estimator")
     report = compare_algorithms(spec, budget, rounds, seeds, estimator, metric)

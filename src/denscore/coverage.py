@@ -15,6 +15,10 @@ tightened bound values.
 Cost for n points, |s| selected, dimension d: the assignment takes
 O(n * |s| * d) time and O(n) memory plus one block of distances (see
 `data.nearest_selected`); every summary is then O(n) from its distances.
+An assignment extended by new selected points measures only those points,
+so a multi-round protocol that carries one assignment measures each
+selected point against the n points once: O(n * |s| * d) per run, not per
+round.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .data import (
     PointSet,
     ValidationError,
     canonical_metric,
+    config_value,
     nearest_selected,
     pairwise_distances,
 )
@@ -61,11 +66,14 @@ class CoverageAssignment:
     pi: for every point, the selected index it is assigned to.  A selected
         point whose coordinates duplicate a lower selected index lands in
         that index's area and leaves its own area empty.
+    sq_distances: for every point, its squared distance to ``pi`` (what an
+        extension compares, whatever the metric).
     distances: for every point, its distance to ``pi`` under ``metric``.
     """
 
     selected: np.ndarray
     pi: np.ndarray
+    sq_distances: np.ndarray
     distances: np.ndarray
     metric: str
 
@@ -88,27 +96,53 @@ def _check_selected(selected, n: int) -> np.ndarray:
     return uniq
 
 
+def _check_points(cov: CoverageAssignment, points: PointSet) -> None:
+    if cov.n != points.n:
+        raise ValidationError("assignment does not match point set")
+
+
 def assign_coverage(
-    points: PointSet, selected, metric: str = "euclidean"
+    points: PointSet,
+    selected,
+    metric: str = "euclidean",
+    previous: CoverageAssignment | None = None,
 ) -> CoverageAssignment:
     """Assign every point to its nearest selected point.
 
     Ties resolve to the lowest selected index; squared and plain Euclidean
     give the same assignment, and the metric sets ``distances``.
+
+    ``previous``, an assignment of the same points to a subset of
+    ``selected``, is extended: only the selected points it lacks are
+    measured, and the result is bit-identical to assigning from scratch.
     """
     metric = canonical_metric(metric)
     sel = _check_selected(selected, points.n)
-    position, sq = nearest_selected(points.features, points.features[sel])
+    if previous is None:
+        position, sq = nearest_selected(points.features, points.features[sel])
+        pi = sel[position]
+    else:
+        _check_points(previous, points)
+        new = np.setdiff1d(sel, previous.selected, assume_unique=True)
+        if new.size != sel.size - previous.selected.size:
+            raise ValidationError(
+                "selected set must contain the previous assignment's selected set"
+            )
+        pi, sq = previous.pi, previous.sq_distances
+        if new.size:
+            position, new_sq = nearest_selected(
+                points.features, points.features[new]
+            )
+            new_pi = new[position]
+            # a new owner takes a point it is strictly nearer to, or as near
+            # and of lower index: the scratch argmin's tie rule
+            take = (new_sq < sq) | ((new_sq == sq) & (new_pi < pi))
+            pi = np.where(take, new_pi, pi)
+            sq = np.where(take, new_sq, sq)
     distances = sq if metric == "squared-euclidean" else np.sqrt(sq)
-    pi = sel[position]
-    for arr in (sel, pi, distances):
+    for arr in (sel, pi, sq, distances):
         arr.setflags(write=False)
-    return CoverageAssignment(sel, pi, distances, metric)
-
-
-def _check_points(cov: CoverageAssignment, points: PointSet) -> None:
-    if cov.n != points.n:
-        raise ValidationError("assignment does not match point set")
+    return CoverageAssignment(sel, pi, sq, distances, metric)
 
 
 def classical_radius(cov: CoverageAssignment, points: PointSet) -> float:
@@ -178,14 +212,15 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("lambda_l", "lambda_eta", "loss_bound"):
-            v = float(getattr(self, name))
+            v = config_value(getattr(self, name), float, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValidationError(f"{name} must be a positive finite number")
             object.__setattr__(self, name, v)
-        if int(self.num_classes) < 1:
+        num_classes = config_value(self.num_classes, int, "num_classes")
+        if num_classes < 1:
             raise ValidationError("num_classes must be >= 1")
-        object.__setattr__(self, "num_classes", int(self.num_classes))
-        c = float(self.confidence)
+        object.__setattr__(self, "num_classes", num_classes)
+        c = config_value(self.confidence, float, "confidence")
         if not (0.0 < c < 1.0):
             raise ValidationError("confidence must lie in (0, 1)")
         object.__setattr__(self, "confidence", c)
@@ -240,18 +275,17 @@ class BoundReport:
 
 def bound_report(
     points: PointSet,
-    selected,
-    metric: str = "euclidean",
+    cov: CoverageAssignment,
     params: BoundParams | None = None,
 ) -> BoundReport:
-    """Compute delta, per-area radial means, and both bound values.
+    """Compute delta, per-area radial means, and both bound values from the
+    assignment ``cov`` of ``points`` (its metric is the report's).
 
     The mean-vs-max ordering (max_radial <= delta) is asserted before the
     report is returned; a violation would be an internal error, not bad
     input.
     """
     params = params if params is not None else BoundParams()
-    cov = assign_coverage(points, selected, metric)
     delta = classical_radius(cov, points)
     radial = all_radial_distances(cov, points)
     max_radial = max(radial.values())

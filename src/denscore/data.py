@@ -62,6 +62,21 @@ def canonical_metric(metric: str) -> str:
         ) from None
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", tuple: "a list"}
+
+
+def config_value(value, kind: type, name: str):
+    """``kind(value)`` for a configured value, ``kind`` being int, float or
+    tuple; a value of the wrong type raises a ValidationError naming
+    ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"{name} must be {_KIND_NAMES[kind]} (got {value!r})"
+        ) from None
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)

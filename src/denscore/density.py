@@ -38,6 +38,7 @@ from .data import (
     PointSet,
     ValidationError,
     canonical_metric,
+    config_value,
     squared_distance_blocks,
 )
 
@@ -537,10 +538,10 @@ def estimator_from_config(config: dict):
     if kind == "knn":
         if "k_neighbors" not in config:
             raise ValidationError("estimator.k_neighbors is required for kind 'knn'")
-        k = int(config["k_neighbors"])
+        k = config_value(config["k_neighbors"], int, "estimator.k_neighbors")
         metric = config.get("metric", "euclidean")
-        beta = float(config.get("beta", DEFAULT_BETA))
-        tau = float(config.get("tau", DEFAULT_TAU))
+        beta = config_value(config.get("beta", DEFAULT_BETA), float, "estimator.beta")
+        tau = config_value(config.get("tau", DEFAULT_TAU), float, "estimator.tau")
         norm = bool(config.get("normalize_errors", True))
 
         def estimate(points: PointSet, k=k) -> DensityField:
@@ -550,8 +551,8 @@ def estimator_from_config(config: dict):
         return estimate
     if "bandwidth" not in config:
         raise ValidationError("estimator.bandwidth is required for kind 'kernel'")
-    bandwidth = float(config["bandwidth"])
-    beta = float(config.get("beta", DEFAULT_BETA))
+    bandwidth = config_value(config["bandwidth"], float, "estimator.bandwidth")
+    beta = config_value(config.get("beta", DEFAULT_BETA), float, "estimator.beta")
 
     def estimate(points: PointSet) -> DensityField:
         return kernel_density(points, bandwidth, beta)

@@ -10,7 +10,8 @@ for a learner A_s fitted on s.  With the one-nearest-neighbor plug-in
 learner and zero-one loss the second mean vanishes (every fitted point is
 its own nearest neighbor), so the value reduces to the plain error rate of
 the 1-NN classifier over the dataset; both sums are still computed
-explicitly.
+explicitly.  The 1-NN prediction of every point is the label of its owner
+in the coverage assignment of s, so the loss reads that assignment.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import (
-    BoundParams,
     ORDERING_RTOL,
+    CoverageAssignment,
+    _check_points,
     _check_selected,
     all_radial_distances,
     assign_coverage,
@@ -78,7 +80,8 @@ class PluginLearner:
     wins).  Every fitted point therefore predicts its own label except in
     the degenerate case of coordinate duplicates with conflicting labels.
     Plain and squared Euclidean distance give the same nearest point, so the
-    learner takes no metric.
+    learner takes no metric.  On the points it was fitted from it predicts
+    ``labels[assign_coverage(points, selected).pi]``.
     """
 
     fitted_indices: np.ndarray
@@ -99,20 +102,14 @@ class PluginLearner:
         return self.fitted_labels[position]
 
 
-def core_set_loss(
-    data: LabeledPointSet,
-    selected,
-    learner: PluginLearner,
-) -> float:
+def core_set_loss(data: LabeledPointSet, cov: CoverageAssignment) -> float:
     """Absolute gap between the dataset mean zero-one loss and the
-    selected-set mean zero-one loss under ``learner`` (which must be fitted
-    on exactly ``selected``)."""
-    sel = _check_selected(selected, data.n)
-    if not np.array_equal(sel, learner.fitted_indices):
-        raise ValidationError("learner was not fitted on the given selected set")
-    predictions = learner.predict(data.points.features)
-    errors = (predictions != data.labels).astype(np.float64)
-    return float(abs(errors.mean() - errors[sel].mean()))
+    selected-set mean zero-one loss of the 1-NN learner fitted on
+    ``cov.selected``, whose prediction for each point is its owner's label
+    ``data.labels[cov.pi]`` (the owners and ties of `PluginLearner`)."""
+    _check_points(cov, data.points)
+    errors = (data.labels[cov.pi] != data.labels).astype(np.float64)
+    return float(abs(errors.mean() - errors[cov.selected].mean()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +164,7 @@ def _single_run(
     result = run_rounds(dataset, config)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     bound = result.rounds[-1].bound
-    learner = PluginLearner.fit(dataset, result.selected)
-    loss = core_set_loss(dataset, result.selected, learner)
+    loss = core_set_loss(dataset, result.coverage)
     return {
         "algorithm": algorithm,
         "delta": bound.delta,

@@ -26,12 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import BoundParams, BoundReport, bound_report
+from .coverage import (
+    BoundParams,
+    BoundReport,
+    CoverageAssignment,
+    assign_coverage,
+    bound_report,
+)
 from .data import (
     LabeledPointSet,
     PointSet,
     ValidationError,
     canonical_metric,
+    config_value,
     normalize,
 )
 from .density import DensityField, estimator_from_config
@@ -72,7 +79,6 @@ class SelectionState:
     picks: tuple[int, ...]
     radii: np.ndarray
     pick_radii: np.ndarray
-    budget_used: int
     history: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
@@ -157,7 +163,6 @@ def _greedy_select(
         picks=tuple(picks),
         radii=radii,
         pick_radii=np.asarray(pick_radii, dtype=np.float64),
-        budget_used=len(picks),
         history=tuple(history) if keep_history else None,
     )
 
@@ -337,7 +342,8 @@ class ProtocolConfig:
     10 around a 5% budget).  It defaults to None, which disables filtering
     and needs no scores.  ``estimator`` is a density estimator config dict
     (see density.estimator_from_config), required for the density-aware
-    algorithm.
+    algorithm.  ``initial`` holds the row positions of the points selected
+    before the first round.
     """
 
     budget: int
@@ -351,14 +357,16 @@ class ProtocolConfig:
     normalize_features: bool = False
 
     def __post_init__(self):
-        if int(self.rounds) < 1:
+        rounds = config_value(self.rounds, int, "rounds")
+        if rounds < 1:
             raise ValidationError("rounds must be >= 1")
-        object.__setattr__(self, "rounds", int(self.rounds))
-        if int(self.budget) < 1:
+        object.__setattr__(self, "rounds", rounds)
+        budget = config_value(self.budget, int, "budget")
+        if budget < 1:
             raise ValidationError("budget must be >= 1")
-        object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", budget)
         if self.alpha is not None:
-            a = float(self.alpha)
+            a = config_value(self.alpha, float, "alpha")
             if not (a > 1):
                 raise ValidationError("alpha must be > 1 (or None to disable)")
             object.__setattr__(self, "alpha", a)
@@ -372,9 +380,10 @@ class ProtocolConfig:
                 "estimator config is required for the density-aware algorithm"
             )
         object.__setattr__(self, "metric", canonical_metric(self.metric))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", config_value(self.seed, int, "seed"))
+        initial = config_value(self.initial, tuple, "initial")
         object.__setattr__(
-            self, "initial", tuple(int(i) for i in self.initial)
+            self, "initial", tuple(config_value(i, int, "initial") for i in initial)
         )
 
     def to_dict(self) -> dict:
@@ -395,9 +404,9 @@ class ProtocolConfig:
 class RoundResult:
     """One protocol round: who was considered, picked, and how it measured.
 
-    ``universe`` maps the greedy run's local indices to dataset indices
-    (``state`` is expressed in universe positions); ``picks`` and ``pool``
-    are dataset indices.  ``partial`` flags an exhausted pool.
+    ``universe`` holds the dataset indices the greedy ran on (the pool plus
+    the selected points); ``picks`` and ``pool`` are dataset indices.
+    ``partial`` flags an exhausted pool.
     """
 
     round_index: int
@@ -405,7 +414,6 @@ class RoundResult:
     universe: np.ndarray
     picks: tuple[int, ...]
     pick_radii: np.ndarray
-    state: SelectionState | None
     densities: DensityField | None
     bound: BoundReport
     partial: bool
@@ -413,10 +421,18 @@ class RoundResult:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolResult:
+    """All rounds of a protocol run.
+
+    ``coverage`` is the final selected set's assignment over the points the
+    protocol ran on (normalized when ``config.normalize_features``), or None
+    when no round ran.
+    """
+
     rounds: tuple[RoundResult, ...]
     selected: tuple[int, ...]
     exhausted: bool
     config: ProtocolConfig
+    coverage: CoverageAssignment | None
 
 
 def run_rounds(
@@ -426,7 +442,9 @@ def run_rounds(
     bound_params: BoundParams | None = None,
 ) -> ProtocolResult:
     """Drive ``config.rounds`` rounds of filtering, density estimation, and
-    selection, emitting a coverage bound report after each round.
+    selection, emitting a coverage bound report after each round.  One
+    coverage assignment is carried across the rounds and extended by each
+    round's picks.
 
     Each round removes already-selected points, optionally filters the rest
     to the top alpha*budget by score, estimates densities on the filtered
@@ -465,6 +483,7 @@ def run_rounds(
 
     selected = list(_check_initial(config.initial, points.n))
     rounds: list[RoundResult] = []
+    coverage: CoverageAssignment | None = None
     exhausted = False
     for round_index in range(1, config.rounds + 1):
         mask = np.ones(points.n, dtype=bool)
@@ -482,7 +501,6 @@ def run_rounds(
         take = min(config.budget, pool.size)
         partial = take < config.budget
 
-        state: SelectionState | None = None
         densities: DensityField | None = None
         if config.algorithm in GREEDY_ALGORITHMS:
             universe = np.sort(np.concatenate([pool, np.asarray(selected, dtype=np.int64)])) \
@@ -509,7 +527,8 @@ def run_rounds(
             pick_radii = np.full(len(picks), np.nan)
 
         selected.extend(picks)
-        bound = bound_report(points, selected, config.metric, bound_params)
+        coverage = assign_coverage(points, selected, config.metric, coverage)
+        bound = bound_report(points, coverage, bound_params)
         rounds.append(
             RoundResult(
                 round_index=round_index,
@@ -517,7 +536,6 @@ def run_rounds(
                 universe=universe,
                 picks=picks,
                 pick_radii=np.asarray(pick_radii, dtype=np.float64),
-                state=state,
                 densities=densities,
                 bound=bound,
                 partial=partial,
@@ -532,4 +550,5 @@ def run_rounds(
         selected=tuple(selected),
         exhausted=exhausted,
         config=config,
+        coverage=coverage,
     )

@@ -1,0 +1,142 @@
+"""One coverage assignment per run: the protocol extends it round by round,
+and the bound report and the 1-NN loss read it.
+
+The property tests draw small integer coordinates, so duplicate rows and
+equal distances (the tie-breaking cases) are common.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from denscore import (
+    BoundParams,
+    LabeledPointSet,
+    PluginLearner,
+    PointSet,
+    ProtocolConfig,
+    ScoreMap,
+    assign_coverage,
+    bound_report,
+    run_rounds,
+    save_pointset,
+)
+from denscore import coverage, evaluation, selection
+from denscore.cli import EXIT_OK, main
+
+ALGORITHMS = ("k-center", "density-aware", "random", "entropy", "sconf", "margin")
+ESTIMATORS = (
+    {"kind": "knn", "k_neighbors": 3},
+    {"kind": "kernel", "bandwidth": 1.5},
+)
+
+
+def _grid_dataset(rng, n, dim):
+    features = rng.integers(0, 4, size=(n, dim)).astype(np.float64)
+    labels = rng.integers(1, 4, size=n)
+    return LabeledPointSet(PointSet.from_features(features), labels, num_classes=3)
+
+
+@st.composite
+def protocols(draw):
+    n = draw(st.integers(6, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dataset = _grid_dataset(rng, n, draw(st.integers(1, 4)))
+    scores = ScoreMap(rng.dirichlet(np.ones(3), size=n), "probabilities")
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    config = ProtocolConfig(
+        budget=draw(st.integers(1, 4)),
+        rounds=draw(st.integers(1, 4)),
+        alpha=draw(st.sampled_from([None, 2.0])),
+        algorithm=algorithm,
+        estimator=(
+            draw(st.sampled_from(ESTIMATORS)) if algorithm == "density-aware" else None
+        ),
+        metric=draw(st.sampled_from(["euclidean", "squared-euclidean"])),
+        seed=draw(st.integers(0, 100)),
+        initial=tuple(draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))),
+    )
+    return dataset, config, scores
+
+
+def _recording(owner, name, calls):
+    """Patch ``owner.name`` to append ``(args, result)`` of every call."""
+    real = getattr(owner, name)
+
+    def record(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    return mock.patch.object(owner, name, record)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(protocols())
+def test_carried_assignment_and_reports_equal_scratch(case):
+    dataset, config, scores = case
+    calls = []
+    with _recording(selection, "assign_coverage", calls):
+        result = run_rounds(dataset, config, scores=scores)
+    carried = [cov for _, cov in calls]
+    assert len(carried) == len(result.rounds)
+    assert result.coverage is (carried[-1] if carried else None)
+    params = BoundParams(num_classes=dataset.num_classes)
+    selected = list(config.initial)
+    for cov, rnd in zip(carried, result.rounds):
+        selected.extend(rnd.picks)
+        assert cov.selected.tolist() == sorted(selected)
+        scratch = assign_coverage(dataset.points, selected, config.metric)
+        assert np.array_equal(cov.pi, scratch.pi)
+        assert np.array_equal(cov.distances, scratch.distances)
+        assert (rnd.bound.to_dict()
+                == bound_report(dataset.points, scratch, params).to_dict())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_learner_predicts_the_owner_label(n, dim, seed, data):
+    ds = _grid_dataset(np.random.default_rng(seed), n, dim)
+    sel = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    cov = assign_coverage(ds.points, sel)
+    predicted = PluginLearner.fit(ds, sel).predict(ds.points.features)
+    assert np.array_equal(predicted, ds.labels[cov.pi])
+
+
+def test_learner_matches_owners_on_conflicting_duplicates():
+    # rows 0 and 1 coincide with different labels: both go to the lower
+    # selected index, so row 1 is predicted label 2, not its own label 1
+    ps = PointSet.from_features(np.array([[5.0], [5.0], [9.0], [6.0]]))
+    ds = LabeledPointSet(ps, np.array([2, 1, 1, 1]), num_classes=2)
+    cov = assign_coverage(ps, [1, 0, 2])
+    predicted = PluginLearner.fit(ds, [1, 0, 2]).predict(ps.features)
+    assert predicted.tolist() == ds.labels[cov.pi].tolist() == [2, 2, 1, 2]
+
+
+def test_run_rounds_measures_each_selected_point_once():
+    ds = _grid_dataset(np.random.default_rng(6), 200, 3)
+    calls = []
+    with _recording(coverage, "nearest_selected", calls):
+        result = run_rounds(ds, ProtocolConfig(
+            budget=5, rounds=4, algorithm="k-center", initial=(3, 8)))
+    assert len(result.rounds) == 4
+    assert sum(len(args[1]) for args, _ in calls) == len(result.selected) == 22
+
+
+def test_evaluate_assigns_once(tmp_path):
+    ds = _grid_dataset(np.random.default_rng(7), 120, 2)
+    save_pointset(ds, tmp_path / "dataset.csv")
+    (tmp_path / "selection.csv").write_text("id\n3\n40\n77\n")
+    cfg = tmp_path / "evaluate.json"
+    cfg.write_text(json.dumps({
+        "dataset": str(tmp_path / "dataset.csv"),
+        "selection": str(tmp_path / "selection.csv"),
+    }))
+    calls = []
+    with _recording(coverage, "nearest_selected", calls), \
+            _recording(evaluation, "nearest_selected", calls):
+        code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert [len(args[1]) for args, _ in calls] == [3]

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from denscore import LabeledPointSet, load_pointset, save_pointset
+from denscore import LabeledPointSet, PointSet, load_pointset, save_pointset
 from denscore.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -238,6 +238,34 @@ class TestSelect:
         assert a["protocol"]["seed"] == 1
         assert b["protocol"]["seed"] == 2
 
+    def spaced_dataset(self, tmp_path):
+        """The generated dataset with ids 1000 + 7 * row, so that no id is
+        a row position."""
+        plain = load_pointset(run_generate(tmp_path))
+        target = tmp_path / "spaced.csv"
+        ids = 1000 + 7 * np.arange(plain.n)
+        save_pointset(LabeledPointSet(
+            PointSet(plain.points.features, ids), plain.labels, plain.num_classes,
+        ), target)
+        return target
+
+    def test_initial_lists_dataset_ids(self, tmp_path):
+        cfg = self.select_config(
+            tmp_path, self.spaced_dataset(tmp_path), protocol={"initial": [1007]}
+        )
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "selection_summary.json").read_text())
+        assert summary["selected_ids"][0] == 1007
+        assert summary["protocol"]["initial"] == [1007]
+
+    def test_initial_id_missing_from_dataset_rejected(self, tmp_path, capsys):
+        cfg = self.select_config(
+            tmp_path, self.spaced_dataset(tmp_path), protocol={"initial": [5]}
+        )
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "protocol.initial" in err and "id 5 does not occur" in err
+
 
 class TestEvaluate:
     def prepare(self, tmp_path):
@@ -402,6 +430,34 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", "cfg.json", flag, value])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, path, value", [
+        ("compare", "budget", "ten"),
+        ("select", "protocol.budget", "ten"),
+        ("select", "protocol.initial", 3),
+        ("select", "bounds.confidence", "x"),
+        ("select", "estimator.k_neighbors", "ten"),
+    ])
+    def test_value_of_wrong_type_names_its_field(
+        self, tmp_path, capsys, command, path, value
+    ):
+        payload = {
+            "select": {
+                "dataset": str(run_generate(tmp_path)),
+                "protocol": {"budget": 4, "rounds": 1, "algorithm": "k-center"},
+                "estimator": {"kind": "knn", "k_neighbors": 5},
+                "bounds": {"confidence": 0.05},
+            },
+            "compare": {"generator": MIXTURE_GENERATOR, "budget": 5, "seeds": [1]},
+        }[command]
+        *sections, field = path.split(".")
+        target = payload
+        for key in sections:
+            target = target[key]
+        target[field] = value
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert f"{field} must be" in capsys.readouterr().err
 
     def test_unknown_subcommand_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:

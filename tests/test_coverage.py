@@ -43,11 +43,24 @@ class TestAssignment:
         assert set(cov.pi.tolist()) <= {4, 11, 25}
         assert cov.pi[[4, 11, 25]].tolist() == [4, 11, 25]
 
+    def test_extension_checks_its_previous_assignment(self):
+        ps = _line([0.0, 1.0, 2.0, 5.0])
+        prev = assign_coverage(ps, [0, 3])
+        with pytest.raises(ValidationError, match="previous"):
+            assign_coverage(ps, [0, 2], previous=prev)
+        with pytest.raises(ValidationError, match="does not match"):
+            assign_coverage(_line([0.0, 1.0]), [0, 1], previous=prev)
+        # nothing new to measure: only the metric's distances are redone
+        same = assign_coverage(ps, [3, 0], "squared-euclidean", previous=prev)
+        scratch = assign_coverage(ps, [0, 3], "squared-euclidean")
+        assert same.pi.tolist() == scratch.pi.tolist()
+        assert same.distances.tolist() == scratch.distances.tolist() == [0, 1, 4, 0]
+
     def test_duplicate_selected_point_leaves_empty_area(self):
         # point 1 duplicates point 0, so both land in area 0 and area 1 is
         # empty; its mean is 0 by convention, not NaN.
         ps = PointSet.from_features(np.array([[0.0], [0.0], [3.0], [4.0]]))
-        rep = bound_report(ps, [0, 1, 2])
+        rep = bound_report(ps, assign_coverage(ps, [0, 1, 2]))
         assert rep.radial == {0: 0.0, 1: 0.0, 2: 0.5}
         assert rep.delta == 1.0
         assert rep.max_radial == 0.5
@@ -200,7 +213,7 @@ class TestBoundParams:
 class TestBoundReport:
     def test_hand_traced_values(self):
         ps = _line([0.0, 1.0, 2.0, 4.0])
-        rep = bound_report(ps, [0, 3])
+        rep = bound_report(ps, assign_coverage(ps, [0, 3]))
         eps = math.sqrt(math.log(1.0 / 0.05) / 8.0)
         assert rep.delta == 2.0
         assert rep.max_radial == pytest.approx(1.0, abs=1e-15)
@@ -215,12 +228,12 @@ class TestBoundReport:
             n = int(rng.integers(5, 50))
             ps = PointSet.from_features(rng.normal(size=(n, 2)))
             b = int(rng.integers(1, min(n, 6) + 1))
-            rep = bound_report(ps, rng.permutation(n)[:b])
+            rep = bound_report(ps, assign_coverage(ps, rng.permutation(n)[:b]))
             assert rep.tight_bound_value <= rep.classical_bound_value + 1e-12
 
     def test_full_selection_leaves_only_hoeffding(self):
         ps = _line([0.0, 3.0, 7.0])
-        rep = bound_report(ps, [0, 1, 2])
+        rep = bound_report(ps, assign_coverage(ps, [0, 1, 2]))
         assert rep.delta == 0.0
         assert rep.max_radial == 0.0
         assert rep.classical_bound_value == rep.hoeffding
@@ -228,7 +241,7 @@ class TestBoundReport:
 
     def test_to_dict_translates_ids(self):
         ps = PointSet(np.array([[0.0], [1.0], [5.0]]), np.array([10, 20, 30]))
-        rep = bound_report(ps, [0, 2])
+        rep = bound_report(ps, assign_coverage(ps, [0, 2]))
         d = rep.to_dict(ids=ps.ids)
         assert set(d["radial"]) == {"10", "30"}
         assert d["params"]["confidence"] == 0.05

@@ -10,6 +10,7 @@ from denscore import (
     PluginLearner,
     PointSet,
     ValidationError,
+    assign_coverage,
     compare_algorithms,
     core_set_loss,
     nonuniform_mixture_spec,
@@ -62,18 +63,16 @@ class TestPluginLearner:
 class TestCoreSetLoss:
     def test_hand_traced_quarter(self):
         ds = _dataset([0.0, 1.0, 10.0, 11.0], [1, 2, 1, 1])
-        learner = PluginLearner.fit(ds, [0, 2])
-        assert core_set_loss(ds, [0, 2], learner) == 0.25
+        assert core_set_loss(ds, assign_coverage(ds.points, [0, 2])) == 0.25
 
     def test_hand_traced_half(self):
         ds = _dataset([0.0, 1.0], [1, 2])
-        learner = PluginLearner.fit(ds, [0])
-        assert core_set_loss(ds, [0], learner) == 0.5
+        assert core_set_loss(ds, assign_coverage(ds.points, [0])) == 0.5
 
     def test_full_selection_has_zero_loss(self):
         ds = _dataset([0.0, 3.0, 7.0, 9.0], [1, 2, 2, 1])
         sel = [0, 1, 2, 3]
-        assert core_set_loss(ds, sel, PluginLearner.fit(ds, sel)) == 0.0
+        assert core_set_loss(ds, assign_coverage(ds.points, sel)) == 0.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(88)
@@ -85,7 +84,7 @@ class TestCoreSetLoss:
                                  num_classes=3)
             b = int(rng.integers(1, n + 1))
             sel = sorted(rng.permutation(n)[:b].tolist())
-            got = core_set_loss(ds, sel, PluginLearner.fit(ds, sel))
+            got = core_set_loss(ds, assign_coverage(ds.points, sel))
             rows = [list(map(float, r)) for r in feats]
             assert got == pytest.approx(
                 oracles.core_set_loss(rows, labels.tolist(), sel), abs=1e-12)
@@ -100,13 +99,13 @@ class TestCoreSetLoss:
         learner = PluginLearner.fit(ds, sel)
         preds = learner.predict(feats)
         error_rate = float(np.mean(preds != labels))
-        assert core_set_loss(ds, sel, learner) == error_rate
+        assert core_set_loss(ds, assign_coverage(ds.points, sel)) == error_rate
 
-    def test_learner_selection_mismatch_rejected(self):
+    def test_assignment_dataset_mismatch_rejected(self):
         ds = _dataset([0.0, 1.0, 2.0], [1, 1, 2])
-        learner = PluginLearner.fit(ds, [0, 1])
-        with pytest.raises(ValidationError):
-            core_set_loss(ds, [0, 2], learner)
+        other = _dataset([0.0, 1.0], [1, 1])
+        with pytest.raises(ValidationError, match="does not match"):
+            core_set_loss(ds, assign_coverage(other.points, [0, 1]))
 
 
 class TestBoundOrdering:

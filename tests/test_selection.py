@@ -11,6 +11,7 @@ from denscore import (
     ProtocolConfig,
     ScoreMap,
     ValidationError,
+    assign_coverage,
     bound_report,
     density_aware_greedy,
     filter_candidates,
@@ -46,7 +47,7 @@ class TestGreedyHandTraces:
         assert state.picks == (3, 2)
         assert state.selected == (0, 3, 2)
         assert state.pick_radii.tolist() == [100.0, 4.0]
-        assert state.budget_used == 2
+        assert len(state.picks) == 2
 
     def test_bootstrap_starts_at_lowest_index(self):
         state = k_center_greedy(_line([5.0, 0.0, 10.0]), None, 3)
@@ -76,7 +77,7 @@ class TestGreedyHandTraces:
         state = k_center_greedy(_line([0.0, 1.0]), [1], 0)
         assert state.picks == ()
         assert state.selected == (1,)
-        assert state.budget_used == 0
+        assert len(state.picks) == 0
 
 
 class TestGreedyProperties:
@@ -291,7 +292,7 @@ class TestProtocol:
         unit = normalize(ps)
         expected = k_center_greedy(unit, [], 10).selected
         assert res.selected == expected
-        assert res.rounds[-1].bound.delta == bound_report(unit, expected).delta
+        assert res.rounds[-1].bound.delta == bound_report(unit, assign_coverage(unit, expected)).delta
         raw = run_rounds(ds, ProtocolConfig(
             budget=5, rounds=2, algorithm="k-center"))
         assert raw.selected != expected
