@@ -198,26 +198,10 @@ def _generator_spec(section: dict, seed_override) -> GeneratorSpec:
     params = dict(section)
     if seed_override is not None:
         params["seed"] = seed_override
-    if "seed" not in params:
-        raise ValidationError("generator.seed is required")
-    kind = params.pop("kind", None)
-    if kind is None:
-        raise ValidationError("generator.kind is required")
-    means = params.pop("means", ())
-    means = tuple(tuple(float(x) for x in row) for row in means)
-    grid_shape = params.pop("grid_shape", None)
-    if grid_shape is not None:
-        grid_shape = tuple(int(v) for v in grid_shape)
-    return GeneratorSpec(
-        kind=kind,
-        seed=int(params.pop("seed")),
-        means=means,
-        sigmas=tuple(float(s) for s in params.pop("sigmas", ())),
-        counts=tuple(int(c) for c in params.pop("counts", ())),
-        dim=params.pop("dim", None),
-        grid_shape=grid_shape,
-        grid_spacing=params.pop("grid_spacing", None),
-    )
+    for key in ("seed", "kind"):
+        if key not in params:
+            raise ValidationError(f"generator.{key} is required")
+    return GeneratorSpec(**params)
 
 
 def _bound_params(section: dict | None, dataset: LabeledPointSet) -> BoundParams:

@@ -114,31 +114,31 @@ def assign_coverage(
 
     ``previous``, an assignment of the same points to a subset of
     ``selected``, is extended: only the selected points it lacks are
-    measured, and the result is bit-identical to assigning from scratch.
+    measured.  Without it the empty assignment (owner -1 at squared
+    distance inf) is extended, so there is one path, and an extended
+    assignment is bit-identical to one assigned from scratch.
     """
     metric = canonical_metric(metric)
     sel = _check_selected(selected, points.n)
     if previous is None:
-        position, sq = nearest_selected(points.features, points.features[sel])
-        pi = sel[position]
+        held = np.empty(0, dtype=np.int64)
+        pi, sq = np.full(points.n, -1, dtype=np.int64), np.full(points.n, np.inf)
     else:
         _check_points(previous, points)
-        new = np.setdiff1d(sel, previous.selected, assume_unique=True)
-        if new.size != sel.size - previous.selected.size:
-            raise ValidationError(
-                "selected set must contain the previous assignment's selected set"
-            )
-        pi, sq = previous.pi, previous.sq_distances
-        if new.size:
-            position, new_sq = nearest_selected(
-                points.features, points.features[new]
-            )
-            new_pi = new[position]
-            # a new owner takes a point it is strictly nearer to, or as near
-            # and of lower index: the scratch argmin's tie rule
-            take = (new_sq < sq) | ((new_sq == sq) & (new_pi < pi))
-            pi = np.where(take, new_pi, pi)
-            sq = np.where(take, new_sq, sq)
+        held, pi, sq = previous.selected, previous.pi, previous.sq_distances
+    new = np.setdiff1d(sel, held, assume_unique=True)
+    if new.size != sel.size - held.size:
+        raise ValidationError(
+            "selected set must contain the previous assignment's selected set"
+        )
+    if new.size:
+        position, new_sq = nearest_selected(points.features, points.features[new])
+        new_pi = new[position]
+        # a new owner takes a point it is strictly nearer to, or as near
+        # and of lower index: the scratch argmin's tie rule
+        take = (new_sq < sq) | ((new_sq == sq) & (new_pi < pi))
+        pi = np.where(take, new_pi, pi)
+        sq = np.where(take, new_sq, sq)
     distances = sq if metric == "squared-euclidean" else np.sqrt(sq)
     for arr in (sel, pi, sq, distances):
         arr.setflags(write=False)

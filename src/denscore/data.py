@@ -77,6 +77,11 @@ def config_value(value, kind: type, name: str):
         ) from None
 
 
+def _config_values(values, kind: type, name: str) -> tuple:
+    """Every entry of the configured list ``values`` as ``kind``."""
+    return tuple(config_value(v, kind, name) for v in config_value(values, tuple, name))
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -233,14 +238,19 @@ class GeneratorSpec:
                 f"kind: unknown generator kind {self.kind!r}; "
                 f"expected one of {GENERATOR_KINDS}"
             )
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", config_value(self.seed, int, "seed"))
+        if self.dim is not None:
+            object.__setattr__(self, "dim", config_value(self.dim, int, "dim"))
+        for name, kind in (("sigmas", float), ("counts", int)):
+            object.__setattr__(self, name, _config_values(getattr(self, name), kind, name))
         if self.kind == "grid-blobs":
             self._validate_grid()
         else:
             self._validate_components()
 
     def _validate_components(self):
-        means = tuple(tuple(float(x) for x in row) for row in self.means)
+        given = config_value(self.means, tuple, "means")
+        means = tuple(_config_values(row, float, "means") for row in given)
         if not means:
             raise ValidationError("means: at least one component is required")
         dim = len(means[0])
@@ -250,21 +260,17 @@ class GeneratorSpec:
             raise ValidationError("means: all component means must share a dimension")
         if self.dim is not None and self.dim != dim:
             raise ValidationError("dim: inconsistent with means")
-        sigmas = tuple(float(s) for s in self.sigmas)
-        counts = tuple(int(c) for c in self.counts)
-        if len(sigmas) != len(means):
+        if len(self.sigmas) != len(means):
             raise ValidationError("sigmas: need one value per component")
-        if len(counts) != len(means):
+        if len(self.counts) != len(means):
             raise ValidationError("counts: need one value per component")
-        if any(s <= 0 for s in sigmas):
+        if any(s <= 0 for s in self.sigmas):
             raise ValidationError("sigmas: must be strictly positive")
-        if any(c < 1 for c in counts):
+        if any(c < 1 for c in self.counts):
             raise ValidationError("counts: must be >= 1")
         if not all(math.isfinite(x) for row in means for x in row):
             raise ValidationError("means: must be finite")
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "dim", dim)
 
     def _validate_grid(self):
@@ -272,20 +278,19 @@ class GeneratorSpec:
             raise ValidationError(
                 "grid_shape/grid_spacing: required for kind 'grid-blobs'"
             )
-        rows, cols = (int(v) for v in self.grid_shape)
-        if rows < 1 or cols < 1:
-            raise ValidationError("grid_shape: entries must be >= 1")
-        spacing = float(self.grid_spacing)
+        shape = _config_values(self.grid_shape, int, "grid_shape")
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValidationError("grid_shape: need two entries, each >= 1")
+        rows, cols = shape
+        spacing = config_value(self.grid_spacing, float, "grid_spacing")
         if not (spacing > 0 and math.isfinite(spacing)):
             raise ValidationError("grid_spacing: must be a positive finite number")
-        dim = 2 if self.dim is None else int(self.dim)
+        dim = 2 if self.dim is None else self.dim
         if dim < 2:
             raise ValidationError("dim: grid-blobs needs dim >= 2")
         blobs = rows * cols
-        sigmas = self.sigmas if self.sigmas else (1.0,)
-        counts = self.counts if self.counts else (1,)
-        sigmas = tuple(float(s) for s in sigmas)
-        counts = tuple(int(c) for c in counts)
+        sigmas = self.sigmas or (1.0,)
+        counts = self.counts or (1,)
         if len(sigmas) == 1:
             sigmas = sigmas * blobs
         if len(counts) == 1:
@@ -327,7 +332,7 @@ class GeneratorSpec:
         return out
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 def generate(spec: GeneratorSpec) -> LabeledPointSet:

@@ -13,10 +13,11 @@ d == 1 (no rescale), so the two differ only in how strongly an existing pick
 low-density pick almost nothing, which is what steers extra budget into
 sparse areas.
 
-All ties (equal r, equal scores) resolve to the lowest index.  With an empty
-initial set the first pick is the lowest-index candidate (bootstrap), which
-consumes one unit of budget and has no prior set to measure against, so its
-radius-at-pick is recorded as inf.
+All ties (equal r, equal scores) resolve to the lowest index.  Every r
+starts at inf, so with an empty initial set the rule itself makes the first
+pick the lowest-index candidate, with radius-at-pick inf; no case is special.
+A run resumes from the state of an earlier run on the same points (and
+densities), and b1 picks then b2 more equal one run of b1 + b2.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ class SelectionState:
     radii: final r_t for every candidate (0 for selected points, whose
         nearest selected point is themselves).
     pick_radii: r at the moment of each pick, aligned with ``picks``.
-    history: per-iteration snapshots of ``radii`` (init state first) when
-        the run was instrumented, else None.
+    history: per-iteration snapshots of ``radii`` (init state first: all
+        inf when the run starts from an empty set) when the run was
+        instrumented, else None.
     """
 
     selected: tuple[int, ...]
@@ -113,7 +115,12 @@ def _greedy_select(
 ) -> SelectionState:
     n = features.shape[0]
     budget = int(budget)
-    selected = _check_initial(s0, n)
+    resume = isinstance(s0, SelectionState)
+    if resume and s0.radii.shape != (n,):
+        raise ValidationError(
+            f"selection state covers {s0.radii.size} points, not {n}"
+        )
+    selected = list(s0.selected) if resume else _check_initial(s0, n)
     if budget < 0:
         raise ValidationError("budget must be non-negative")
     if budget > n - len(selected):
@@ -122,19 +129,7 @@ def _greedy_select(
         )
     unselected = np.ones(n, dtype=bool)
     unselected[selected] = False
-
-    picks: list[int] = []
-    pick_radii: list[float] = []
-    remaining = budget
-    if not selected and remaining > 0:
-        # Bootstrap: no prior set to measure against.
-        selected.append(0)
-        unselected[0] = False
-        picks.append(0)
-        pick_radii.append(math.inf)
-        remaining -= 1
-
-    radii = np.full(n, np.inf)
+    radii = s0.radii.copy() if resume else np.full(n, np.inf)
 
     def cover(k: int) -> None:
         """Lower every radius to its (rescaled) squared distance to k."""
@@ -144,11 +139,14 @@ def _greedy_select(
             dist_sq = dist_sq / densities[k]
         np.minimum(radii, dist_sq, out=radii)
 
-    for k in selected:
-        cover(k)
+    if not resume:
+        for k in selected:
+            cover(k)
 
+    picks: list[int] = []
+    pick_radii: list[float] = []
     history = [radii.copy()] if keep_history else None
-    for _ in range(remaining):
+    for _ in range(budget):
         u = int(np.argmax(np.where(unselected, radii, -np.inf)))
         pick_radii.append(float(radii[u]))
         selected.append(u)
@@ -177,6 +175,9 @@ def k_center_greedy(
     each step finds the worst-covered candidate and cuts its coverage link.
     Achieves a covering radius within a factor 2 of the best size-b subset
     when started from a single point or from scratch.
+
+    ``s0`` is the initial set, or the SelectionState of an earlier call on
+    the same points, which this call resumes from its radii.
     """
     return _greedy_select(points.features, s0, b, None, keep_history)
 
@@ -194,6 +195,8 @@ def density_aware_greedy(
     ``densities`` is a DensityField or a positive array aligned with
     ``points``.  Rescaling every density by one common factor changes no
     decision (all r_t scale together), so only density ratios matter.
+    ``s0`` is as in `k_center_greedy`; a resumed state must come from the
+    same points and densities.
     """
     values = densities.values if isinstance(densities, DensityField) else None
     if values is None:
@@ -447,11 +450,15 @@ def run_rounds(
     round's picks.
 
     Each round removes already-selected points, optionally filters the rest
-    to the top alpha*budget by score, estimates densities on the filtered
-    pool plus the selected points (the greedy divides by the densities of
-    selected points too), and selects ``config.budget`` new points.  A pool
-    smaller than the budget yields a partial round (flagged, and the
-    protocol stops adding afterwards).
+    to the top alpha*budget by score, and selects ``config.budget`` new
+    points by greedy on its universe: the filtered pool plus the selected
+    points (the greedy divides by the densities of selected points too).
+    Densities are estimated once per distinct universe: a round whose
+    universe equals the last round's (always so without a filter) reuses
+    its DensityField and resumes its greedy state, so R unfiltered rounds
+    of b picks are one greedy run of R*b.  A pool smaller than the budget
+    yields a partial round (flagged, and the protocol stops adding
+    afterwards).
     """
     points = dataset.points
     if config.normalize_features:
@@ -484,6 +491,8 @@ def run_rounds(
     selected = list(_check_initial(config.initial, points.n))
     rounds: list[RoundResult] = []
     coverage: CoverageAssignment | None = None
+    # the greedy's last universe, its points, densities and state
+    universe = sub_points = densities = state = None
     exhausted = False
     for round_index in range(1, config.rounds + 1):
         mask = np.ones(points.n, dtype=bool)
@@ -501,20 +510,20 @@ def run_rounds(
         take = min(config.budget, pool.size)
         partial = take < config.budget
 
-        densities: DensityField | None = None
         if config.algorithm in GREEDY_ALGORITHMS:
-            universe = np.sort(np.concatenate([pool, np.asarray(selected, dtype=np.int64)])) \
-                if selected else pool
-            local = {int(g): i for i, g in enumerate(universe.tolist())}
-            sub_points = PointSet(points.features[universe], points.ids[universe])
-            s0_local = [local[int(g)] for g in selected]
-            if config.algorithm == "density-aware":
-                densities = estimate(sub_points)
-                state = density_aware_greedy(
-                    sub_points, densities, s0_local, take
-                )
+            last = universe
+            universe = np.union1d(pool, np.asarray(selected, dtype=np.int64))
+            if last is not None and np.array_equal(universe, last):
+                s0 = state  # same points, same densities: resume
             else:
-                state = k_center_greedy(sub_points, s0_local, take)
+                sub_points = PointSet(points.features[universe], points.ids[universe])
+                if config.algorithm == "density-aware":
+                    densities = estimate(sub_points)
+                s0 = np.searchsorted(universe, selected)
+            if config.algorithm == "density-aware":
+                state = density_aware_greedy(sub_points, densities, s0, take)
+            else:
+                state = k_center_greedy(sub_points, s0, take)
             picks = tuple(int(universe[i]) for i in state.picks)
             pick_radii = state.pick_radii
         else:

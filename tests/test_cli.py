@@ -437,6 +437,11 @@ class TestExitCodes:
         ("select", "protocol.initial", 3),
         ("select", "bounds.confidence", "x"),
         ("select", "estimator.k_neighbors", "ten"),
+        ("generate", "generator.seed", "x"),
+        ("generate", "generator.counts", ["ten"]),
+        ("generate", "generator.grid_shape", [2, "x"]),
+        ("generate", "generator.grid_spacing", "wide"),
+        ("compare", "generator.means", [[0.0, 0.0], ["x", 0.0]]),
     ])
     def test_value_of_wrong_type_names_its_field(
         self, tmp_path, capsys, command, path, value
@@ -448,7 +453,11 @@ class TestExitCodes:
                 "estimator": {"kind": "knn", "k_neighbors": 5},
                 "bounds": {"confidence": 0.05},
             },
-            "compare": {"generator": MIXTURE_GENERATOR, "budget": 5, "seeds": [1]},
+            "compare": {"generator": dict(MIXTURE_GENERATOR), "budget": 5, "seeds": [1]},
+            "generate": {"generator": {
+                "kind": "grid-blobs", "seed": 3, "grid_shape": [2, 2],
+                "grid_spacing": 5.0, "counts": [10],
+            }},
         }[command]
         *sections, field = path.split(".")
         target = payload

@@ -50,9 +50,11 @@ class TestGreedyHandTraces:
         assert len(state.picks) == 2
 
     def test_bootstrap_starts_at_lowest_index(self):
-        state = k_center_greedy(_line([5.0, 0.0, 10.0]), None, 3)
+        state = k_center_greedy(_line([5.0, 0.0, 10.0]), None, 3, keep_history=True)
         assert state.picks == (0, 1, 2)
         assert math.isinf(state.pick_radii[0])
+        # no special case: every radius starts at inf and argmax takes index 0
+        assert len(state.history) == 4 and np.all(np.isinf(state.history[0]))
         # coords 0 and 10 are both 25 away (squared) from coord 5: tie
         # resolves to index 1
         assert state.pick_radii.tolist()[1:] == [25.0, 25.0]
