@@ -32,7 +32,7 @@ params = BoundParams(
     num_classes=dataset.num_classes, confidence=0.05,
 )
 coverage = assign_coverage(dataset.points, state.selected, "euclidean")
-report = bound_report(dataset.points, coverage, params)
+report = bound_report(coverage, params)
 
 print(f"n={report.n} selected={report.num_selected}")
 print(f"delta (covering radius)      : {report.delta:.4f}")
@@ -61,5 +61,5 @@ coverage = None
 for budget in (4, 8, 16, 32):
     st = k_center_greedy(dataset.points, None, budget)
     coverage = assign_coverage(dataset.points, st.selected, "euclidean", coverage)
-    rep = bound_report(dataset.points, coverage, params)
+    rep = bound_report(coverage, params)
     print(f"  b={budget:2d}: {rep.delta:.4f} / {rep.max_radial:.4f}")

@@ -43,7 +43,7 @@ print(f"field maximum is always beta = {np.exp(2.4):.4f}")
 print(f"\nsparsest point, knn    : index {int(np.argmin(knn.values))}")
 print(f"sparsest point, kernel : index {int(np.argmin(kern.values))}")
 
-# grid route: reconstruction by the provided neighborhood stencil. a smooth
+# grid route: reconstruction from the masked 3x3 neighborhood. a smooth
 # ramp reconstructs almost perfectly, salt noise does not.
 rng = np.random.default_rng(0)
 h, w = 16, 16

@@ -8,14 +8,22 @@ and radius is what justifies density-weighted selection in the first place.
 
 import numpy as np
 
-from denscore import calibrate, generate, k_center_greedy, knn_density, nonuniform_mixture_spec
+from denscore import (
+    assign_coverage,
+    calibrate,
+    generate,
+    k_center_greedy,
+    knn_density,
+    nonuniform_mixture_spec,
+)
 
 r2s, rhos = [], []
 for seed in range(1, 11):
     dataset = generate(nonuniform_mixture_spec(seed=seed))
     state = k_center_greedy(dataset.points, None, 30)
     field = knn_density(dataset.points, k_neighbors=10)
-    report = calibrate(dataset.points, field, state.selected)
+    coverage = assign_coverage(dataset.points, state.selected)
+    report = calibrate(field, coverage)
     r2s.append(report.r_squared)
     rhos.append(report.spearman)
 
@@ -27,7 +35,8 @@ print(f"  mean Spearman(d, r)   : {np.mean(rhos):.3f}")
 dataset = generate(nonuniform_mixture_spec(seed=1))
 state = k_center_greedy(dataset.points, None, 30)
 field = knn_density(dataset.points, k_neighbors=10)
-report = calibrate(dataset.points, field, state.selected, num_bins=8)
+coverage = assign_coverage(dataset.points, state.selected)
+report = calibrate(field, coverage, num_bins=8)
 
 print(f"\nseed 1: R^2={report.r_squared:.3f} spearman={report.spearman:.3f} "
       f"slope={report.slope:.4f}")

@@ -27,7 +27,6 @@ from .data import (
     LabeledPointSet,
     PointSet,
     ValidationError,
-    distance,
     generate,
     load_pointset,
     normalize,
@@ -109,7 +108,6 @@ __all__ = [
     "core_set_loss",
     "density_aware_greedy",
     "density_from_error",
-    "distance",
     "estimator_from_config",
     "filter_candidates",
     "generate",

@@ -357,7 +357,7 @@ def cmd_evaluate(args) -> int:
     metric = canonical_metric(metric)
     bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
     cov = assign_coverage(dataset.points, positions, metric)
-    report = bound_report(dataset.points, cov, bounds)
+    report = bound_report(cov, bounds)
     loss = core_set_loss(dataset, cov)
     payload = report.to_dict(ids=dataset.points.ids)
     payload["core_set_loss"] = loss
@@ -383,7 +383,8 @@ def cmd_calibrate(args) -> int:
     estimate = estimator_from_config(estimator)
     densities = estimate(dataset.points)
     bins = config_value(cfg.raw.get("bins", 10), int, "bins")
-    report = calibrate(dataset.points, densities, positions, metric, bins)
+    cov = assign_coverage(dataset.points, positions, metric)
+    report = calibrate(densities, cov, bins)
     payload = report.to_dict()
     payload["estimator"] = dict(estimator)
     payload["selection_file"] = str(selection_path)

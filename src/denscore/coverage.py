@@ -14,11 +14,11 @@ tightened bound values.
 
 Cost for n points, |s| selected, dimension d: the assignment takes
 O(n * |s| * d) time and O(n) memory plus one block of distances (see
-`data.nearest_selected`); every summary is then O(n) from its distances.
-An assignment extended by new selected points measures only those points,
-so a multi-round protocol that carries one assignment measures each
-selected point against the n points once: O(n * |s| * d) per run, not per
-round.
+`data.nearest_selected`); every summary then reads only the assignment,
+O(n) from its distances.  An assignment extended by new selected points
+measures only those points, so a multi-round protocol that carries one
+assignment measures each selected point against the n points once:
+O(n * |s| * d) per run, not per round.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .data import (
     PointSet,
     ValidationError,
     canonical_metric,
+    check_indices,
     config_value,
     nearest_selected,
     pairwise_distances,
@@ -83,22 +84,11 @@ class CoverageAssignment:
 
 
 def _check_selected(selected, n: int) -> np.ndarray:
-    sel = np.asarray(selected, dtype=np.int64).ravel()
+    """The selected indices sorted: non-empty, in range, none repeated."""
+    sel = np.sort(check_indices(selected, n, "selected"))
     if sel.size == 0:
         raise ValidationError("selected set must be non-empty")
-    if sel.min() < 0 or sel.max() >= n:
-        raise ValidationError(
-            f"selected index out of range (n={n}, got {int(sel.min())}..{int(sel.max())})"
-        )
-    uniq = np.unique(sel)
-    if uniq.size != sel.size:
-        raise ValidationError("selected set must not contain duplicates")
-    return uniq
-
-
-def _check_points(cov: CoverageAssignment, points: PointSet) -> None:
-    if cov.n != points.n:
-        raise ValidationError("assignment does not match point set")
+    return sel
 
 
 def assign_coverage(
@@ -124,7 +114,8 @@ def assign_coverage(
         held = np.empty(0, dtype=np.int64)
         pi, sq = np.full(points.n, -1, dtype=np.int64), np.full(points.n, np.inf)
     else:
-        _check_points(previous, points)
+        if previous.n != points.n:
+            raise ValidationError("previous assignment does not match point set")
         held, pi, sq = previous.selected, previous.pi, previous.sq_distances
     new = np.setdiff1d(sel, held, assume_unique=True)
     if new.size != sel.size - held.size:
@@ -145,21 +136,17 @@ def assign_coverage(
     return CoverageAssignment(sel, pi, sq, distances, metric)
 
 
-def classical_radius(cov: CoverageAssignment, points: PointSet) -> float:
+def classical_radius(cov: CoverageAssignment) -> float:
     """Largest point-to-representative distance (the covering radius)."""
-    _check_points(cov, points)
     return float(np.max(cov.distances))
 
 
-def average_radial_distance(
-    cov: CoverageAssignment, points: PointSet, k: int
-) -> float:
+def average_radial_distance(cov: CoverageAssignment, k: int) -> float:
     """Mean distance from the members of coverage area k to point k.
 
     The mean counts the selected point's own zero distance.  An empty area
     has mean 0 by convention.
     """
-    _check_points(cov, points)
     k = int(k)
     if k not in cov.selected:
         raise ValidationError(f"point {k} is not in the selected set")
@@ -167,12 +154,9 @@ def average_radial_distance(
     return float(np.mean(vals)) if vals.size else 0.0
 
 
-def all_radial_distances(
-    cov: CoverageAssignment, points: PointSet
-) -> dict[int, float]:
+def all_radial_distances(cov: CoverageAssignment) -> dict[int, float]:
     """Average radial distance of every coverage area, keyed by index
     (0 for an empty area, as in `average_radial_distance`)."""
-    _check_points(cov, points)
     pos = np.searchsorted(cov.selected, cov.pi)
     counts = np.bincount(pos, minlength=cov.selected.size)
     sums = np.bincount(pos, weights=cov.distances, minlength=cov.selected.size)
@@ -274,22 +258,21 @@ class BoundReport:
 
 
 def bound_report(
-    points: PointSet,
-    cov: CoverageAssignment,
-    params: BoundParams | None = None,
+    cov: CoverageAssignment, params: BoundParams | None = None
 ) -> BoundReport:
     """Compute delta, per-area radial means, and both bound values from the
-    assignment ``cov`` of ``points`` (its metric is the report's).
+    assignment ``cov`` (its metric is the report's, and its point count the
+    deviation term's sample count).
 
     The mean-vs-max ordering (max_radial <= delta) is asserted before the
     report is returned; a violation would be an internal error, not bad
     input.
     """
     params = params if params is not None else BoundParams()
-    delta = classical_radius(cov, points)
-    radial = all_radial_distances(cov, points)
+    delta = classical_radius(cov)
+    radial = all_radial_distances(cov)
     max_radial = max(radial.values())
-    eps = hoeffding_term(params.loss_bound, params.confidence, points.n)
+    eps = hoeffding_term(params.loss_bound, params.confidence, cov.n)
     coef = params.coefficient
     if max_radial > delta + ORDERING_RTOL * delta:
         raise RuntimeError(
@@ -304,7 +287,7 @@ def bound_report(
         classical_bound_value=delta * coef + eps,
         tight_bound_value=float(max_radial) * coef + eps,
         metric=cov.metric,
-        n=points.n,
+        n=cov.n,
         num_selected=int(cov.selected.size),
         params=params,
     )

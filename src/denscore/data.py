@@ -29,7 +29,6 @@ __all__ = [
     "FeatureGrid",
     "GeneratorSpec",
     "canonical_metric",
-    "distance",
     "pairwise_distances",
     "squared_distance_blocks",
     "nearest_selected",
@@ -62,24 +61,51 @@ def canonical_metric(metric: str) -> str:
         ) from None
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", tuple: "a list"}
+_KIND_NAMES = {
+    int: "an integer", float: "a number", tuple: "a list", bool: "true or false",
+}
 
 
 def config_value(value, kind: type, name: str):
-    """``kind(value)`` for a configured value, ``kind`` being int, float or
-    tuple; a value of the wrong type raises a ValidationError naming
-    ``name``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"{name} must be {_KIND_NAMES[kind]} (got {value!r})"
-        ) from None
+    """``kind(value)`` for a configured value, ``kind`` being int, float,
+    tuple or bool; a value of the wrong type raises a ValidationError naming
+    ``name``.
+
+    Nothing is coerced that would change its meaning: an int takes no bool
+    and no number with a fraction, a number takes no bool, a list takes no
+    string, and a bool only ``True`` or ``False``.
+    """
+    wrong = (
+        isinstance(value, bool) != (kind is bool)
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+        or (kind is tuple and isinstance(value, str))
+    )
+    if not wrong:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{name} must be {_KIND_NAMES[kind]} (got {value!r})")
 
 
 def _config_values(values, kind: type, name: str) -> tuple:
     """Every entry of the configured list ``values`` as ``kind``."""
     return tuple(config_value(v, kind, name) for v in config_value(values, tuple, name))
+
+
+def check_indices(indices, n: int, name: str) -> np.ndarray:
+    """``indices`` as an int64 array in the given order; an index outside
+    0..n-1 or one given twice raises a ValidationError naming the ``name``
+    set."""
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValidationError(f"{name} index {int(outside[0])} out of range (n={n})")
+    ordered = np.sort(idx)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValidationError(f"{name} set contains duplicate index {int(repeated[0])}")
+    return idx
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -364,19 +390,6 @@ def generate(spec: GeneratorSpec) -> LabeledPointSet:
     num_classes = 1 if spec.kind == "uniform-box" else len(spec.means)
     points = PointSet(features, np.arange(len(features), dtype=np.int64))
     return LabeledPointSet(points, labels, num_classes)
-
-
-def distance(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> float:
-    """Distance between two feature vectors under the named metric."""
-    metric = canonical_metric(metric)
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValidationError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-    sq = float(np.sum((a - b) ** 2))
-    return sq if metric == "squared-euclidean" else math.sqrt(sq)
 
 
 # Byte budget for one block's (rows, len(b), dim) coordinate-difference

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .coverage import all_radial_distances, assign_coverage
+from .coverage import CoverageAssignment, all_radial_distances
 from .data import (
     FeatureGrid,
     PointSet,
@@ -70,15 +70,12 @@ DENSITY_FLOOR = 1e-12
 class DensityField:
     """Per-point densities in (0, beta], plus the map that produced them.
 
-    ``estimator`` is a descriptor dict (kind and parameters).  For the kernel
-    estimator tau plays no role in the map; it is stored as 1.0 and the
-    bandwidth lives in the descriptor.  ``num_clamped`` counts values lifted
-    to the 1e-12 floor.
+    ``estimator`` is a descriptor dict (kind and parameters).
+    ``num_clamped`` counts values lifted to the 1e-12 floor.
     """
 
     values: np.ndarray
     beta: float
-    tau: float
     estimator: dict
     num_clamped: int = 0
 
@@ -88,8 +85,6 @@ class DensityField:
             raise ValidationError("density values must be a non-empty 1-d array")
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ValidationError("beta must be a positive finite number")
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValidationError("tau must be a positive finite number")
         if not np.all(np.isfinite(values)):
             raise ValidationError("densities must be finite")
         if values.min() <= 0 or values.max() > self.beta * (1 + 1e-12):
@@ -132,9 +127,7 @@ def normalize_errors_minmax(errors: np.ndarray) -> np.ndarray:
     return (errors - lo) / (hi - lo)
 
 
-def _density_field(
-    values: np.ndarray, beta: float, tau: float, estimator: dict
-) -> DensityField:
+def _density_field(values: np.ndarray, beta: float, estimator: dict) -> DensityField:
     """Lift values below the floor to it, count and log them, and wrap the
     result with its map and descriptor."""
     low = values < DENSITY_FLOOR
@@ -145,7 +138,7 @@ def _density_field(
             estimator["kind"], clamped, DENSITY_FLOOR,
         )
         values = np.where(low, DENSITY_FLOOR, values)
-    return DensityField(values, beta, tau, estimator, num_clamped=clamped)
+    return DensityField(values, beta, estimator, num_clamped=clamped)
 
 
 def _field_from_errors(
@@ -157,28 +150,7 @@ def _field_from_errors(
     if normalize_errors:
         errors = normalize_errors_minmax(errors)
     estimator = {**estimator, "normalize_errors": bool(normalize_errors)}
-    return _density_field(density_from_error(errors, beta, tau), beta, tau, estimator)
-
-
-def _torus_period(torus_period, dim: int) -> np.ndarray:
-    """One positive finite period per coordinate, from a scalar or a vector."""
-    try:
-        period = np.asarray(torus_period, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"torus_period must be a number or a sequence of numbers "
-            f"(got {torus_period!r})"
-        ) from None
-    if period.ndim == 0:
-        period = np.full(dim, float(period))
-    if period.shape != (dim,):
-        raise ValidationError(
-            f"torus_period must be a scalar or have one entry per coordinate "
-            f"({dim}); got shape {period.shape}"
-        )
-    if not np.all(np.isfinite(period)) or np.any(period <= 0):
-        raise ValidationError("torus_period entries must be positive and finite")
-    return period
+    return _density_field(density_from_error(errors, beta, tau), beta, estimator)
 
 
 def knn_density(
@@ -188,7 +160,6 @@ def knn_density(
     beta: float = DEFAULT_BETA,
     tau: float = DEFAULT_TAU,
     normalize_errors: bool = True,
-    torus_period=None,
 ) -> DensityField:
     """Density from the mean distance to the k nearest neighbors.
 
@@ -196,35 +167,22 @@ def knn_density(
     mean neighbor distance always gives a strictly larger density (the error
     normalization and the density map are both order-preserving).
 
-    ``torus_period`` switches to wraparound distances (scalar or one period
-    per coordinate) so that uniform grids have no boundary effect.
-
-    Neighbors come from a KD-tree (periodic for the torus): O(n log n) time
-    in low dimension, O(n k) memory, and no n x n matrix.
+    Neighbors come from a KD-tree: O(n log n) time in low dimension, O(n k)
+    memory, and no n x n matrix.
     """
     metric = canonical_metric(metric)
     k = int(k_neighbors)
     if not (1 <= k < points.n):
         raise ValidationError(f"k_neighbors must lie in 1..n-1 (got {k})")
     features = points.features
-    if torus_period is not None:
-        period = _torus_period(torus_period, points.dim)
-        features = np.mod(features, period)
-        # np.mod rounds tiny negative values up to the period itself, which
-        # the periodic tree rejects; they are the same point as 0.
-        features[features >= period] = 0.0
-        tree = cKDTree(features, boxsize=period)
-    else:
-        tree = cKDTree(features)
     # The point's own zero distance is always among its k + 1 smallest, so
     # dropping the first column is exact even when points repeat.
-    nearest = tree.query(features, k=k + 1)[0][:, 1:]
+    nearest = cKDTree(features).query(features, k=k + 1)[0][:, 1:]
     if metric == "squared-euclidean":
         nearest = nearest**2
     return _field_from_errors(
         np.mean(nearest, axis=1), beta, tau, normalize_errors,
-        {"kind": "knn", "k_neighbors": k, "metric": metric,
-         "torus": torus_period is not None},
+        {"kind": "knn", "k_neighbors": k, "metric": metric},
     )
 
 
@@ -237,9 +195,8 @@ def kernel_density(
 
     The raw value is ``k_t = mean over j != t of exp(-||x_t - x_j||^2 /
     (2 h^2))`` and the field is ``beta * k_t / max_j k_j``, so the ordering
-    matches the raw kernel density and the maximum maps to beta exactly.
-    tau is not part of this map (stored as 1.0; the bandwidth is in the
-    estimator descriptor).
+    matches the raw kernel density and the maximum maps to beta exactly;
+    the bandwidth is in the estimator descriptor.
 
     Rows are summed one block of `squared_distance_blocks` at a time:
     O(n^2 d) time, O(n) memory plus ~1 MiB blocks, and bit-identical to
@@ -262,7 +219,7 @@ def kernel_density(
         raw[start:stop] = np.sum(kernel, axis=1)
     raw /= n - 1
     return _density_field(
-        beta * raw / float(raw.max()), beta, 1.0,
+        beta * raw / float(raw.max()), beta,
         {"kind": "kernel", "bandwidth": bandwidth},
     )
 
@@ -272,17 +229,14 @@ class MaskedReconstructor:
     """Configuration for masked neighborhood reconstruction on a grid.
 
     kernel_size: odd window edge K >= 3.
-    weight_mode: ``uniform`` (1/(K^2-1) per neighbor), ``similarity``
+    weight_mode: ``uniform`` (1/(K^2-1) per neighbor) or ``similarity``
         (softmax over negated squared neighbor-to-center feature distances
-        divided by ``temperature``), or ``provided`` (a fixed K x K
-        non-negative stencil; its center is forced to zero and the rest is
-        renormalized to sum to one).
-    The center weight is exactly zero in every mode.
+        divided by ``temperature``, the paper's dynamic weighting).
+    The center weight is exactly zero in both modes.
     """
 
     kernel_size: int
     weight_mode: str = "uniform"
-    provided_weights: np.ndarray | None = None
     temperature: float = 1.0
 
     def __post_init__(self):
@@ -290,33 +244,13 @@ class MaskedReconstructor:
         if k < 3 or k % 2 == 0:
             raise ValidationError("kernel_size must be an odd integer >= 3")
         object.__setattr__(self, "kernel_size", k)
-        if self.weight_mode not in ("uniform", "similarity", "provided"):
+        if self.weight_mode not in ("uniform", "similarity"):
             raise ValidationError(
-                f"weight_mode must be 'uniform', 'similarity', or 'provided' "
+                f"weight_mode must be 'uniform' or 'similarity' "
                 f"(got {self.weight_mode!r})"
             )
         if not (self.temperature > 0 and math.isfinite(self.temperature)):
             raise ValidationError("temperature must be a positive finite number")
-        if self.weight_mode == "provided":
-            if self.provided_weights is None:
-                raise ValidationError("provided_weights required for mode 'provided'")
-            w = np.asarray(self.provided_weights, dtype=np.float64)
-            if w.shape != (k, k):
-                raise ValidationError("provided_weights must have shape (K, K)")
-            if not np.all(np.isfinite(w)) or np.any(w < 0):
-                raise ValidationError("provided_weights must be finite and non-negative")
-            w = w.copy()
-            w[k // 2, k // 2] = 0.0
-            total = w.sum()
-            if total <= 0:
-                raise ValidationError(
-                    "provided_weights must have positive mass off-center"
-                )
-            w /= total
-            w.setflags(write=False)
-            object.__setattr__(self, "provided_weights", w)
-        elif self.provided_weights is not None:
-            raise ValidationError("provided_weights only valid for mode 'provided'")
 
 
 def masked_reconstruction_error(
@@ -347,11 +281,6 @@ def masked_reconstruction_error(
 
     if rec.weight_mode == "uniform":
         weights = np.full((len(offsets), h, w), 1.0 / len(offsets))
-    elif rec.weight_mode == "provided":
-        flat = np.array(
-            [rec.provided_weights[u + r, v + r] for u, v in offsets]
-        )
-        weights = np.broadcast_to(flat[:, None, None], (len(offsets), h, w))
     else:  # similarity softmax per pixel
         sq = np.sum((shifted - grid.values[None]) ** 2, axis=-1)
         logits = -sq / rec.temperature
@@ -424,30 +353,26 @@ class CalibrationReport:
 
 
 def calibrate(
-    points: PointSet,
-    densities: DensityField,
-    selection,
-    metric: str = "euclidean",
-    num_bins: int = 10,
+    densities: DensityField, cov: CoverageAssignment, num_bins: int = 10
 ) -> CalibrationReport:
-    """Regress each selected point's mean radial distance on its inverse
-    density and report fit quality.
+    """Regress each selected point's mean radial distance in the assignment
+    ``cov`` (its metric is the report's) on its inverse density and report
+    fit quality.
 
     Needs at least 3 selected points for a meaningful fit.  With a constant
     regressor (all selected densities equal) the report is degenerate:
     slope 0, R^2 0 by convention, correlation undefined.
     """
-    if densities.n != points.n:
-        raise ValidationError("density field does not match point set")
+    if densities.n != cov.n:
+        raise ValidationError("density field does not match the assignment")
     if int(num_bins) < 1:
         raise ValidationError("num_bins must be >= 1")
     num_bins = int(num_bins)
-    cov = assign_coverage(points, selection, metric)
     if cov.selected.size < 3:
         raise ValidationError(
             f"calibration needs at least 3 selected points (got {cov.selected.size})"
         )
-    radial = all_radial_distances(cov, points)
+    radial = all_radial_distances(cov)
     sel = cov.selected
     d = densities.values[sel]
     y = np.array([radial[int(k)] for k in sel])
@@ -542,7 +467,9 @@ def estimator_from_config(config: dict):
         metric = config.get("metric", "euclidean")
         beta = config_value(config.get("beta", DEFAULT_BETA), float, "estimator.beta")
         tau = config_value(config.get("tau", DEFAULT_TAU), float, "estimator.tau")
-        norm = bool(config.get("normalize_errors", True))
+        norm = config_value(
+            config.get("normalize_errors", True), bool, "estimator.normalize_errors"
+        )
 
         def estimate(points: PointSet, k=k) -> DensityField:
             k_eff = min(k, points.n - 1)

@@ -25,7 +25,6 @@ import numpy as np
 from .coverage import (
     ORDERING_RTOL,
     CoverageAssignment,
-    _check_points,
     _check_selected,
     all_radial_distances,
     assign_coverage,
@@ -107,7 +106,8 @@ def core_set_loss(data: LabeledPointSet, cov: CoverageAssignment) -> float:
     selected-set mean zero-one loss of the 1-NN learner fitted on
     ``cov.selected``, whose prediction for each point is its owner's label
     ``data.labels[cov.pi]`` (the owners and ties of `PluginLearner`)."""
-    _check_points(cov, data.points)
+    if cov.n != data.n:
+        raise ValidationError("assignment does not match dataset")
     errors = (data.labels[cov.pi] != data.labels).astype(np.float64)
     return float(abs(errors.mean() - errors[cov.selected].mean()))
 
@@ -277,8 +277,8 @@ def verify_bound_ordering(
         size = min(size, n)
         subset = rng.permutation(n)[:size]
         cov = assign_coverage(points, subset, metric)
-        delta = classical_radius(cov, points)
-        max_radial = max(all_radial_distances(cov, points).values())
+        delta = classical_radius(cov)
+        max_radial = max(all_radial_distances(cov).values())
         if max_radial > delta + ORDERING_RTOL * delta:
             violations += 1
         min_gap = min(min_gap, delta - max_radial)

@@ -39,6 +39,7 @@ from .data import (
     PointSet,
     ValidationError,
     canonical_metric,
+    check_indices,
     config_value,
     normalize,
 )
@@ -72,16 +73,12 @@ class SelectionState:
     radii: final r_t for every candidate (0 for selected points, whose
         nearest selected point is themselves).
     pick_radii: r at the moment of each pick, aligned with ``picks``.
-    history: per-iteration snapshots of ``radii`` (init state first: all
-        inf when the run starts from an empty set) when the run was
-        instrumented, else None.
     """
 
     selected: tuple[int, ...]
     picks: tuple[int, ...]
     radii: np.ndarray
     pick_radii: np.ndarray
-    history: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         radii = np.asarray(self.radii, dtype=np.float64).copy()
@@ -92,26 +89,11 @@ class SelectionState:
         object.__setattr__(self, "pick_radii", pick_radii)
 
 
-def _check_initial(s0, n: int) -> list[int]:
-    out: list[int] = []
-    seen = set()
-    for v in np.asarray(s0, dtype=np.int64).ravel().tolist() if s0 is not None else []:
-        v = int(v)
-        if v < 0 or v >= n:
-            raise ValidationError(f"initial index {v} out of range (n={n})")
-        if v in seen:
-            raise ValidationError(f"initial set contains duplicate index {v}")
-        seen.add(v)
-        out.append(v)
-    return out
-
-
 def _greedy_select(
     features: np.ndarray,
     s0,
     budget: int,
     densities: np.ndarray | None,
-    keep_history: bool,
 ) -> SelectionState:
     n = features.shape[0]
     budget = int(budget)
@@ -120,7 +102,10 @@ def _greedy_select(
         raise ValidationError(
             f"selection state covers {s0.radii.size} points, not {n}"
         )
-    selected = list(s0.selected) if resume else _check_initial(s0, n)
+    if resume:
+        selected = list(s0.selected)
+    else:
+        selected = check_indices(() if s0 is None else s0, n, "initial").tolist()
     if budget < 0:
         raise ValidationError("budget must be non-negative")
     if budget > n - len(selected):
@@ -145,7 +130,6 @@ def _greedy_select(
 
     picks: list[int] = []
     pick_radii: list[float] = []
-    history = [radii.copy()] if keep_history else None
     for _ in range(budget):
         u = int(np.argmax(np.where(unselected, radii, -np.inf)))
         pick_radii.append(float(radii[u]))
@@ -153,21 +137,16 @@ def _greedy_select(
         picks.append(u)
         unselected[u] = False
         cover(u)
-        if keep_history:
-            history.append(radii.copy())
 
     return SelectionState(
         selected=tuple(selected),
         picks=tuple(picks),
         radii=radii,
         pick_radii=np.asarray(pick_radii, dtype=np.float64),
-        history=tuple(history) if keep_history else None,
     )
 
 
-def k_center_greedy(
-    points: PointSet, s0, b: int, keep_history: bool = False
-) -> SelectionState:
+def k_center_greedy(points: PointSet, s0, b: int) -> SelectionState:
     """Farthest-point greedy: repeatedly add the candidate farthest from the
     current selected set.
 
@@ -179,15 +158,11 @@ def k_center_greedy(
     ``s0`` is the initial set, or the SelectionState of an earlier call on
     the same points, which this call resumes from its radii.
     """
-    return _greedy_select(points.features, s0, b, None, keep_history)
+    return _greedy_select(points.features, s0, b, None)
 
 
 def density_aware_greedy(
-    points: PointSet,
-    densities,
-    s0,
-    b: int,
-    keep_history: bool = False,
+    points: PointSet, densities, s0, b: int
 ) -> SelectionState:
     """Greedy selection on squared distances rescaled by the density of the
     selected endpoint (see module docstring).
@@ -205,7 +180,7 @@ def density_aware_greedy(
         raise ValidationError("densities must align with points")
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise ValidationError("densities must be strictly positive and finite")
-    return _greedy_select(points.features, s0, b, values, keep_history)
+    return _greedy_select(points.features, s0, b, values)
 
 
 def margin_score(probabilities):
@@ -388,6 +363,10 @@ class ProtocolConfig:
         object.__setattr__(
             self, "initial", tuple(config_value(i, int, "initial") for i in initial)
         )
+        object.__setattr__(
+            self, "normalize_features",
+            config_value(self.normalize_features, bool, "normalize_features"),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -488,7 +467,7 @@ def run_rounds(
     if config.algorithm == "density-aware" and estimate is None:
         raise ValidationError("density-aware selection requires an estimator")
 
-    selected = list(_check_initial(config.initial, points.n))
+    selected = check_indices(config.initial, points.n, "initial").tolist()
     rounds: list[RoundResult] = []
     coverage: CoverageAssignment | None = None
     # the greedy's last universe, its points, densities and state
@@ -537,7 +516,7 @@ def run_rounds(
 
         selected.extend(picks)
         coverage = assign_coverage(points, selected, config.metric, coverage)
-        bound = bound_report(points, coverage, bound_params)
+        bound = bound_report(coverage, bound_params)
         rounds.append(
             RoundResult(
                 round_index=round_index,

@@ -89,44 +89,23 @@ def kernel_density(features, bandwidth, beta):
     return [beta * v / top for v in raw]
 
 
-def knn_errors(features, k, torus_period=None, metric="euclidean"):
-    """Mean distance to the k nearest neighbors, self excluded.
-
-    torus_period is a scalar or one period per coordinate.
-    """
+def knn_errors(features, k, metric="euclidean"):
+    """Mean distance to the k nearest neighbors, self excluded."""
     n = len(features)
-    dim = len(features[0])
-    periods = (list(torus_period) if isinstance(torus_period, (list, tuple))
-               else [torus_period] * dim)
     out = []
     for t in range(n):
-        ds = []
-        for j in range(n):
-            if j == t:
-                continue
-            if torus_period is None:
-                ds.append(dist(features[t], features[j], metric))
-            else:
-                total = 0.0
-                for c in range(dim):
-                    delta = abs(features[t][c] - features[j][c]) % periods[c]
-                    delta = min(delta, periods[c] - delta)
-                    total += delta * delta
-                ds.append(total if metric == "squared-euclidean"
-                          else math.sqrt(total))
+        ds = [dist(features[t], features[j], metric) for j in range(n) if j != t]
         ds.sort()
         out.append(sum(ds[:k]) / k)
     return out
 
 
-def masked_reconstruction_error(grid, kernel_size, weights=None,
-                                temperature=None):
+def masked_reconstruction_error(grid, kernel_size, temperature=None):
     """Per-pixel squared reconstruction error of the masked K x K mean.
 
-    grid is a nested list [H][W][C].  weights=None means uniform
-    1/(K^2-1); a K x K nested list fixes the stencil (center zeroed,
-    renormalized); temperature switches to per-pixel softmax weights over
-    negated squared neighbor-to-center distances.
+    grid is a nested list [H][W][C].  The weights are uniform 1/(K^2-1);
+    temperature switches to per-pixel softmax weights over negated squared
+    neighbor-to-center distances.
     """
     h, w = len(grid), len(grid[0])
     channels = len(grid[0][0])
@@ -135,17 +114,6 @@ def masked_reconstruction_error(grid, kernel_size, weights=None,
     def at(i, j):
         # replicate padding
         return grid[min(max(i, 0), h - 1)][min(max(j, 0), w - 1)]
-
-    if weights is not None:
-        total = 0.0
-        clean = [[0.0] * kernel_size for _ in range(kernel_size)]
-        for u in range(kernel_size):
-            for v in range(kernel_size):
-                if u == r and v == r:
-                    continue
-                clean[u][v] = weights[u][v]
-                total += weights[u][v]
-        weights = [[val / total for val in row] for row in clean]
 
     errors = [[0.0] * w for _ in range(h)]
     for i in range(h):
@@ -162,8 +130,6 @@ def masked_reconstruction_error(grid, kernel_size, weights=None,
                 exps = [math.exp(x - peak) for x in logits]
                 denom = sum(exps)
                 wvals = [e / denom for e in exps]
-            elif weights is not None:
-                wvals = [weights[u + r][v + r] for u, v in offsets]
             else:
                 wvals = [1.0 / (kernel_size * kernel_size - 1)] * len(offsets)
             recon = [0.0] * channels

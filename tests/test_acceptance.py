@@ -7,7 +7,6 @@ Each test prints one PASS/FAIL line (run with ``pytest -s``) before
 asserting, so the verdict per criterion is visible even on failure.
 """
 
-import itertools
 import json
 import math
 import re
@@ -87,9 +86,7 @@ def test_criterion_02_greedy_within_twice_optimal():
         dim = int(rng.integers(1, 4))
         points = PointSet.from_features(rng.uniform(-5, 5, size=(n, dim)))
         greedy = k_center_greedy(points, None, b)
-        greedy_delta = classical_radius(
-            assign_coverage(points, greedy.selected), points
-        )
+        greedy_delta = classical_radius(assign_coverage(points, greedy.selected))
         _, optimal_delta = brute_force_k_center(points, b)
         if optimal_delta > 0:
             worst = max(worst, greedy_delta / optimal_delta)
@@ -154,7 +151,7 @@ def test_criterion_04_calibration_on_same_family():
             tau=est["tau"],
             normalize_errors=est["normalize_errors"],
         )
-        rep = calibrate(data.points, field, state.selected)
+        rep = calibrate(field, assign_coverage(data.points, state.selected))
         r2s.append(rep.r_squared)
         rhos.append(rep.spearman)
     mean_r2 = float(np.mean(r2s))
@@ -211,9 +208,12 @@ def test_criterion_07_radii_never_increase():
         b = int(rng.integers(2, min(n, 20)))
         points = PointSet.from_features(rng.normal(size=(n, dim)))
         densities = rng.uniform(0.2, 5.0, size=n)
-        state = density_aware_greedy(points, densities, None, b, keep_history=True)
-        for before, after in itertools.pairwise(state.history):
-            if np.any(after > before + 1e-15):
+        # step one pick at a time from the empty state (all radii inf)
+        state = density_aware_greedy(points, densities, None, 0)
+        for _ in range(b):
+            before = state.radii
+            state = density_aware_greedy(points, densities, state, 1)
+            if np.any(state.radii > before + 1e-15):
                 violations += 1
     verdict(7, violations == 0, f"50 instrumented runs, {violations} violations")
     assert violations == 0
@@ -244,12 +244,12 @@ def test_criterion_09_oracle_equivalence():
         selected = rng.choice(n, size=m, replace=False)
         cov = assign_coverage(points, selected)
         worst = max(worst, abs(
-            classical_radius(cov, points)
+            classical_radius(cov)
             - oracles.classical_radius(features, selected)
         ))
         for k in selected:
             worst = max(worst, abs(
-                average_radial_distance(cov, points, int(k))
+                average_radial_distance(cov, int(k))
                 - oracles.average_radial_distance(features, selected, int(k))
             ))
 

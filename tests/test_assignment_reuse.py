@@ -92,7 +92,7 @@ def test_carried_assignment_and_reports_equal_scratch(case):
         assert np.array_equal(cov.pi, scratch.pi)
         assert np.array_equal(cov.distances, scratch.distances)
         assert (rnd.bound.to_dict()
-                == bound_report(dataset.points, scratch, params).to_dict())
+                == bound_report(scratch, params).to_dict())
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -442,6 +442,14 @@ class TestExitCodes:
         ("generate", "generator.grid_shape", [2, "x"]),
         ("generate", "generator.grid_spacing", "wide"),
         ("compare", "generator.means", [[0.0, 0.0], ["x", 0.0]]),
+        # values a bare int(), tuple() or bool() would coerce silently
+        ("select", "protocol.budget", 2.7),
+        ("select", "protocol.initial", "12"),
+        ("select", "protocol.rounds", True),
+        ("generate", "generator.counts", [2.7]),
+        ("select", "bounds.num_classes", 2.5),
+        ("select", "protocol.normalize_features", "no"),
+        ("select", "estimator.normalize_errors", "false"),
     ])
     def test_value_of_wrong_type_names_its_field(
         self, tmp_path, capsys, command, path, value

@@ -60,7 +60,7 @@ class TestAssignment:
         # point 1 duplicates point 0, so both land in area 0 and area 1 is
         # empty; its mean is 0 by convention, not NaN.
         ps = PointSet.from_features(np.array([[0.0], [0.0], [3.0], [4.0]]))
-        rep = bound_report(ps, assign_coverage(ps, [0, 1, 2]))
+        rep = bound_report(assign_coverage(ps, [0, 1, 2]))
         assert rep.radial == {0: 0.0, 1: 0.0, 2: 0.5}
         assert rep.delta == 1.0
         assert rep.max_radial == 0.5
@@ -108,26 +108,15 @@ class TestRadii:
         ps = _line([0.0, 1.0, 2.0, 4.0])
         cov = assign_coverage(ps, [0, 3])
         assert cov.pi.tolist() == [0, 0, 0, 3]
-        assert classical_radius(cov, ps) == 2.0
-        assert average_radial_distance(cov, ps, 0) == pytest.approx(1.0, abs=1e-15)
-        assert average_radial_distance(cov, ps, 3) == 0.0
-
-    @pytest.mark.parametrize("summary", [
-        classical_radius,
-        all_radial_distances,
-        lambda cov, ps: average_radial_distance(cov, ps, 0),
-    ], ids=["classical_radius", "all_radial_distances", "average_radial_distance"])
-    def test_mismatched_point_set_rejected(self, summary):
-        ps = _line([0.0, 1.0, 2.0, 4.0])
-        cov = assign_coverage(ps, [0, 3])
-        with pytest.raises(ValidationError, match="assignment does not match point set"):
-            summary(cov, _line([0.0, 1.0, 2.0]))
+        assert classical_radius(cov) == 2.0
+        assert average_radial_distance(cov, 0) == pytest.approx(1.0, abs=1e-15)
+        assert average_radial_distance(cov, 3) == 0.0
 
     def test_non_selected_query_rejected(self):
         ps = _line([0.0, 1.0])
         cov = assign_coverage(ps, [0])
         with pytest.raises(ValidationError):
-            average_radial_distance(cov, ps, 1)
+            average_radial_distance(cov, 1)
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(123)
@@ -141,11 +130,11 @@ class TestRadii:
             metric = ("euclidean", "squared-euclidean")[trial % 2]
             cov = assign_coverage(ps, selected, metric)
             rows = [list(map(float, feats[i])) for i in range(n)]
-            assert classical_radius(cov, ps) == pytest.approx(
+            assert classical_radius(cov) == pytest.approx(
                 oracles.classical_radius(rows, selected, metric), abs=1e-10)
             for k in selected:
                 expected = oracles.average_radial_distance(rows, selected, k, metric)
-                assert average_radial_distance(cov, ps, k) == pytest.approx(
+                assert average_radial_distance(cov, k) == pytest.approx(
                     expected, abs=1e-10)
 
     def test_mean_never_exceeds_max(self):
@@ -157,8 +146,8 @@ class TestRadii:
             b = int(rng.integers(1, min(n, 8) + 1))
             selected = rng.permutation(n)[:b]
             cov = assign_coverage(ps, selected)
-            delta = classical_radius(cov, ps)
-            worst_mean = max(all_radial_distances(cov, ps).values())
+            delta = classical_radius(cov)
+            worst_mean = max(all_radial_distances(cov).values())
             assert worst_mean <= delta + ORDERING_RTOL * delta
 
 
@@ -213,7 +202,7 @@ class TestBoundParams:
 class TestBoundReport:
     def test_hand_traced_values(self):
         ps = _line([0.0, 1.0, 2.0, 4.0])
-        rep = bound_report(ps, assign_coverage(ps, [0, 3]))
+        rep = bound_report(assign_coverage(ps, [0, 3]))
         eps = math.sqrt(math.log(1.0 / 0.05) / 8.0)
         assert rep.delta == 2.0
         assert rep.max_radial == pytest.approx(1.0, abs=1e-15)
@@ -228,12 +217,12 @@ class TestBoundReport:
             n = int(rng.integers(5, 50))
             ps = PointSet.from_features(rng.normal(size=(n, 2)))
             b = int(rng.integers(1, min(n, 6) + 1))
-            rep = bound_report(ps, assign_coverage(ps, rng.permutation(n)[:b]))
+            rep = bound_report(assign_coverage(ps, rng.permutation(n)[:b]))
             assert rep.tight_bound_value <= rep.classical_bound_value + 1e-12
 
     def test_full_selection_leaves_only_hoeffding(self):
         ps = _line([0.0, 3.0, 7.0])
-        rep = bound_report(ps, assign_coverage(ps, [0, 1, 2]))
+        rep = bound_report(assign_coverage(ps, [0, 1, 2]))
         assert rep.delta == 0.0
         assert rep.max_radial == 0.0
         assert rep.classical_bound_value == rep.hoeffding
@@ -241,7 +230,7 @@ class TestBoundReport:
 
     def test_to_dict_translates_ids(self):
         ps = PointSet(np.array([[0.0], [1.0], [5.0]]), np.array([10, 20, 30]))
-        rep = bound_report(ps, assign_coverage(ps, [0, 2]))
+        rep = bound_report(assign_coverage(ps, [0, 2]))
         d = rep.to_dict(ids=ps.ids)
         assert set(d["radial"]) == {"10", "30"}
         assert d["params"]["confidence"] == 0.05
@@ -276,7 +265,7 @@ class TestBruteForce:
             for _ in range(5):
                 sel = rng.permutation(n)[:b]
                 cov = assign_coverage(ps, sel)
-                assert best <= classical_radius(cov, ps) + 1e-12
+                assert best <= classical_radius(cov) + 1e-12
 
     def test_size_guards(self):
         big = PointSet.from_features(np.random.default_rng(0).normal(size=(17, 2)))

@@ -10,7 +10,6 @@ from denscore import (
     LabeledPointSet,
     PointSet,
     ValidationError,
-    distance,
     generate,
     load_pointset,
     normalize,
@@ -68,13 +67,6 @@ class TestMetrics:
         assert canonical_metric("euclidean") == "euclidean"
         with pytest.raises(ValidationError):
             canonical_metric("manhattan")
-
-    def test_distance_basics(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-        assert distance([0.0, 0.0], [3.0, 4.0], "squared-euclidean") == 25.0
-        assert distance([1.0, 1.0], [1.0, 1.0]) == 0.0
-        with pytest.raises(ValidationError):
-            distance([0.0], [0.0, 1.0])
 
     def test_pairwise_against_scalar_distance(self):
         rng = np.random.default_rng(42)

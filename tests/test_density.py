@@ -19,6 +19,7 @@ from denscore import (
     MaskedReconstructor,
     PointSet,
     ValidationError,
+    assign_coverage,
     calibrate,
     density_from_error,
     estimator_from_config,
@@ -80,10 +81,10 @@ class TestDensityMap:
 class TestDensityFieldContainer:
     def test_range_enforced(self):
         with pytest.raises(ValidationError):
-            DensityField(np.array([0.0, 1.0]), beta=2.0, tau=1.0, estimator={})
+            DensityField(np.array([0.0, 1.0]), beta=2.0, estimator={})
         with pytest.raises(ValidationError):
-            DensityField(np.array([3.0]), beta=2.0, tau=1.0, estimator={})
-        ok = DensityField(np.array([2.0, 1.0]), beta=2.0, tau=1.0, estimator={})
+            DensityField(np.array([3.0]), beta=2.0, estimator={})
+        ok = DensityField(np.array([2.0, 1.0]), beta=2.0, estimator={})
         assert ok.n == 2
         with pytest.raises(ValueError):
             ok.values[0] = 0.5
@@ -129,58 +130,27 @@ class TestKnnDensity:
         field = knn_density(PointSet.from_features(feats), k_neighbors=5)
         assert field.values[:30].min() > field.values[30:].max()
 
-    def test_torus_grid_is_uniform(self):
-        xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
-        feats = np.column_stack([xs.ravel(), ys.ravel()])
-        ps = PointSet.from_features(feats)
-        field = knn_density(ps, k_neighbors=4, torus_period=5.0)
-        spread = field.values.max() - field.values.min()
-        assert spread <= 1e-9
-        # without the wraparound the corners are visibly thinner
-        edge = knn_density(ps, k_neighbors=4)
-        assert edge.values.max() - edge.values.min() > 1e-3
-
     @pytest.mark.parametrize(
-        "case", ["coincident", "k_is_n_minus_1", "one_dim", "squared", "torus"]
+        "case", ["coincident", "k_is_n_minus_1", "one_dim", "squared"]
     )
     def test_kdtree_edge_cases_match_oracle(self, case):
         rng = np.random.default_rng(31)
         feats = rng.normal(scale=0.5, size=(14, 3))
-        k, metric, period = 3, "euclidean", None
+        k, metric = 3, "euclidean"
         if case == "coincident":
             feats[:6] = feats[0]  # more than k + 1 copies of one point
         elif case == "k_is_n_minus_1":
             k = len(feats) - 1
         elif case == "one_dim":
             feats = feats[:, :1]
-        elif case == "squared":
-            metric = "squared-euclidean"
         else:
-            period = [1.5, 2.0, 0.75]
-            feats = feats - 1.0  # mostly negative, several periods out
+            metric = "squared-euclidean"
         field = knn_density(PointSet.from_features(feats), k, metric,
-                            normalize_errors=False, torus_period=period)
+                            normalize_errors=False)
         rows = [list(map(float, row)) for row in feats]
-        errs = oracles.knn_errors(rows, k, period, metric)
+        errs = oracles.knn_errors(rows, k, metric)
         expected = [DEFAULT_BETA * math.exp(-e / DEFAULT_TAU) for e in errs]
         np.testing.assert_allclose(field.values, expected, rtol=1e-12, atol=0)
-
-    def test_torus_folds_coordinates_rounded_up_to_the_period(self):
-        assert np.mod(-1e-17, 5.0) == 5.0
-        xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
-        feats = np.column_stack([xs.ravel(), ys.ravel()])
-        nudged = np.where(feats == 0.0, -1e-17, feats)
-        ref = knn_density(PointSet.from_features(feats), 4, torus_period=5.0)
-        got = knn_density(PointSet.from_features(nudged), 4, torus_period=5.0)
-        np.testing.assert_array_equal(got.values, ref.values)
-
-    @pytest.mark.parametrize(
-        "period", [[5.0, 5.0, 5.0], [5.0, np.nan], [np.inf, 5.0], 0.0, "five"]
-    )
-    def test_torus_period_validated(self, period):
-        ps = PointSet.from_features(np.arange(8.0).reshape(4, 2))
-        with pytest.raises(ValidationError, match="torus_period"):
-            knn_density(ps, 1, torus_period=period)
 
     def test_k_bounds(self):
         ps = _line([0.0, 1.0, 2.0])
@@ -202,7 +172,6 @@ class TestKernelDensity:
         ps = PointSet.from_features(rng.normal(size=(20, 2)))
         field = kernel_density(ps, bandwidth=1.0)
         assert field.values.max() == DEFAULT_BETA
-        assert field.tau == 1.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(14)
@@ -305,22 +274,15 @@ class TestMaskedReconstruction:
         # interior windows see identical content, so errors shift with it
         assert np.array_equal(e_right[1:5, 1:6], e_left[1:5, 2:7])
 
-    def test_provided_stencil_selects_left_neighbor(self):
-        stencil = np.zeros((3, 3))
-        stencil[1, 0] = 1.0
-        rec = MaskedReconstructor(3, "provided", provided_weights=stencil)
-        ramp = np.arange(5.0)[None, :, None] * np.ones((4, 1, 1))
-        errors = masked_reconstruction_error(FeatureGrid(ramp), rec)
-        assert np.all(errors[:, 0] == 0.0)  # replicate padding: left of col 0 is itself
-        assert np.all(errors[:, 1:] == 1.0)
-
     def test_center_weight_forced_to_zero(self):
-        stencil = np.zeros((3, 3))
-        stencil[1, 1] = 100.0
-        stencil[1, 2] = 1.0
-        rec = MaskedReconstructor(3, "provided", provided_weights=stencil)
-        assert rec.provided_weights[1, 1] == 0.0
-        assert rec.provided_weights[1, 2] == 1.0
+        # a center unlike its constant neighborhood is reconstructed from
+        # the neighbors alone, in both modes
+        values = np.full((3, 3, 1), 0.25)
+        values[1, 1, 0] = 4.0
+        for rec in (MaskedReconstructor(3),
+                    MaskedReconstructor(3, "similarity", temperature=0.5)):
+            errors = masked_reconstruction_error(FeatureGrid(values), rec)
+            assert errors[1, 1] == (4.0 - 0.25) ** 2
 
     def test_similarity_prefers_matching_neighbors(self):
         # stripes: each pixel's horizontal neighbors match it exactly
@@ -341,14 +303,6 @@ class TestMaskedReconstruction:
         uniform = masked_reconstruction_error(grid, MaskedReconstructor(3))
         np.testing.assert_allclose(
             uniform, oracles.masked_reconstruction_error(nested, 3), atol=1e-10)
-
-        stencil = rng.uniform(size=(3, 3))
-        provided = masked_reconstruction_error(
-            grid, MaskedReconstructor(3, "provided", provided_weights=stencil))
-        np.testing.assert_allclose(
-            provided,
-            oracles.masked_reconstruction_error(nested, 3, weights=stencil.tolist()),
-            atol=1e-10)
 
         soft = masked_reconstruction_error(
             grid, MaskedReconstructor(3, "similarity", temperature=0.7))
@@ -377,12 +331,6 @@ class TestMaskedReconstruction:
         with pytest.raises(ValidationError):
             MaskedReconstructor(3, "provided")
         with pytest.raises(ValidationError):
-            MaskedReconstructor(3, "provided", provided_weights=np.zeros((5, 5)))
-        center_only = np.zeros((3, 3))
-        center_only[1, 1] = 1.0
-        with pytest.raises(ValidationError):
-            MaskedReconstructor(3, "provided", provided_weights=center_only)
-        with pytest.raises(ValidationError):
             masked_reconstruction_error(
                 FeatureGrid(np.zeros((2, 2, 1))), MaskedReconstructor(3))
 
@@ -395,6 +343,10 @@ class TestMaskedReconstruction:
         expected = density_from_error(normalize_errors_minmax(errors))
         np.testing.assert_array_equal(field.values, expected)
         assert field.estimator["kind"] == "masked-reconstruction"
+
+
+def _manual_field(values):
+    return DensityField(values, beta=DEFAULT_BETA, estimator={"kind": "manual"})
 
 
 class TestCalibration:
@@ -417,9 +369,8 @@ class TestCalibration:
         rho = np.ones(points.n)
         for kk, s in zip(selected, spreads):
             rho[kk] = 3.0 / (2.0 * s)
-        field = DensityField(rho, beta=DEFAULT_BETA, tau=DEFAULT_TAU,
-                             estimator={"kind": "manual"})
-        rep = calibrate(points, field, selected)
+        field = _manual_field(rho)
+        rep = calibrate(field, assign_coverage(points, selected))
         assert rep.r_squared == pytest.approx(1.0, abs=1e-12)
         assert rep.slope == pytest.approx(1.0, abs=1e-12)
         assert rep.intercept == pytest.approx(0.0, abs=1e-9)
@@ -430,9 +381,8 @@ class TestCalibration:
         rng = np.random.default_rng(6)
         points, selected = self._clustered([1.0, 2.0, 3.5, 5.0, 8.0])
         rho = rng.uniform(0.2, 2.0, size=points.n)
-        field = DensityField(rho, beta=DEFAULT_BETA, tau=DEFAULT_TAU,
-                             estimator={"kind": "manual"})
-        rep = calibrate(points, field, selected)
+        field = _manual_field(rho)
+        rep = calibrate(field, assign_coverage(points, selected))
         x = [p[0] for p in rep.pairs]
         y = [p[1] for p in rep.pairs]
         slope, intercept, r2 = oracles.least_squares_fit(x, y)
@@ -442,9 +392,8 @@ class TestCalibration:
 
     def test_constant_density_is_degenerate(self):
         points, selected = self._clustered([1.0, 2.0, 4.0])
-        field = DensityField(np.full(points.n, 1.5), beta=DEFAULT_BETA,
-                             tau=DEFAULT_TAU, estimator={"kind": "manual"})
-        rep = calibrate(points, field, selected)
+        field = _manual_field(np.full(points.n, 1.5))
+        rep = calibrate(field, assign_coverage(points, selected))
         assert rep.degenerate
         assert rep.slope == 0.0
         assert rep.r_squared == 0.0
@@ -455,9 +404,8 @@ class TestCalibration:
         points, selected = self._clustered([2.0, 2.0, 2.0])
         rho = np.ones(points.n)
         rho[selected] = [0.5, 1.0, 2.0]
-        field = DensityField(rho, beta=DEFAULT_BETA, tau=DEFAULT_TAU,
-                             estimator={"kind": "manual"})
-        rep = calibrate(points, field, selected)
+        field = _manual_field(rho)
+        rep = calibrate(field, assign_coverage(points, selected))
         assert rep.degenerate
         assert rep.r_squared == 1.0
         assert math.isnan(rep.spearman)
@@ -466,9 +414,8 @@ class TestCalibration:
         points, selected = self._clustered([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         rng = np.random.default_rng(9)
         rho = rng.uniform(0.1, 3.0, size=points.n)
-        field = DensityField(rho, beta=DEFAULT_BETA, tau=DEFAULT_TAU,
-                             estimator={"kind": "manual"})
-        rep = calibrate(points, field, selected, num_bins=4)
+        field = _manual_field(rho)
+        rep = calibrate(field, assign_coverage(points, selected), num_bins=4)
         assert rep.bin_counts.sum() == len(selected)
         assert rep.bin_edges.shape == (5,)
         d = rep.to_dict()
@@ -480,24 +427,23 @@ class TestCalibration:
         feats = np.random.default_rng(4).normal(size=(60, 2))
         feats[7] = feats[3]
         points = PointSet.from_features(feats)
-        rep = calibrate(points, knn_density(points, 5), [3, 7, 10, 20, 30, 40])
+        cov = assign_coverage(points, [3, 7, 10, 20, 30, 40])
+        rep = calibrate(knn_density(points, 5), cov)
         assert math.isfinite(rep.r_squared)
         assert math.isfinite(rep.slope)
         assert math.isfinite(rep.spearman)
 
     def test_needs_three_selected(self):
         points, selected = self._clustered([1.0, 2.0])
-        field = DensityField(np.ones(points.n), beta=DEFAULT_BETA,
-                             tau=DEFAULT_TAU, estimator={"kind": "manual"})
+        field = _manual_field(np.ones(points.n))
         with pytest.raises(ValidationError):
-            calibrate(points, field, selected)
+            calibrate(field, assign_coverage(points, selected))
 
     def test_field_must_match_points(self):
         points, selected = self._clustered([1.0, 2.0, 3.0])
-        field = DensityField(np.ones(4), beta=DEFAULT_BETA, tau=DEFAULT_TAU,
-                             estimator={"kind": "manual"})
+        field = _manual_field(np.ones(4))
         with pytest.raises(ValidationError):
-            calibrate(points, field, selected)
+            calibrate(field, assign_coverage(points, selected))
 
 
 class TestEstimatorConfig:

@@ -1,0 +1,123 @@
+"""Invariants the method rests on, checked on generated inputs.
+
+Points sit on a small integer grid (optionally scaled), so duplicate rows
+and equal distances, the tie-breaking cases, are common.  Every test is
+derandomized, so a run is reproducible.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from denscore import (
+    LabeledPointSet,
+    PointSet,
+    assign_coverage,
+    bound_report,
+    density_aware_greedy,
+    k_center_greedy,
+    load_pointset,
+    save_pointset,
+)
+from denscore.coverage import ORDERING_RTOL
+
+SCALES = (1e-3, 1.0, 7.5, 1e3)
+
+
+@st.composite
+def grid_points(draw, min_n=2, max_n=25):
+    n = draw(st.integers(min_n, max_n))
+    dim = draw(st.integers(1, 3))
+    coords = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+        min_size=n, max_size=n,
+    ))
+    scale = draw(st.sampled_from(SCALES))
+    return PointSet.from_features(np.asarray(coords, dtype=np.float64) * scale)
+
+
+@st.composite
+def greedy_runs(draw):
+    """Points, densities (None for k-center), an initial set and a budget
+    up to everything left."""
+    points = draw(grid_points())
+    n = points.n
+    densities = draw(st.none() | st.lists(
+        st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), min_size=n, max_size=n))
+    s0 = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    budget = draw(st.integers(0, n - len(s0)))
+    return points, densities, s0, budget
+
+
+def _stepped(points, densities, s0, budget):
+    """Yield the radii before each pick and the state after it, stepping
+    the greedy one pick at a time from its initial state."""
+
+    def greedy(start, b):
+        if densities is None:
+            return k_center_greedy(points, start, b)
+        return density_aware_greedy(points, np.asarray(densities), start, b)
+
+    state = greedy(s0, 0)
+    for _ in range(budget):
+        before = state.radii
+        state = greedy(state, 1)
+        yield before, state
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(greedy_runs())
+def test_stepping_the_greedy_never_raises_a_radius(run):
+    for before, state in _stepped(*run):
+        assert np.all(state.radii <= before)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(greedy_runs())
+def test_each_pick_is_the_lowest_index_of_the_largest_radius(run):
+    for before, state in _stepped(*run):
+        unselected = np.ones(before.size, dtype=bool)
+        unselected[list(state.selected[:-1])] = False
+        largest = before[unselected].max()
+        expected = int(np.flatnonzero(unselected & (before == largest))[0])
+        assert state.picks[-1] == expected
+        assert state.pick_radii[-1] == largest
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(grid_points(), st.sampled_from(["euclidean", "squared-euclidean"]), st.data())
+def test_worst_area_mean_never_exceeds_the_covering_radius(points, metric, data):
+    selected = data.draw(st.lists(
+        st.integers(0, points.n - 1), min_size=1, unique=True))
+    report = bound_report(assign_coverage(points, selected, metric))
+    assert report.max_radial <= report.delta * (1 + ORDERING_RTOL)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(grid_points(min_n=1), st.floats(1e-6, 1e6), st.booleans(), st.data())
+def test_csv_save_then_load_round_trips_exactly(points, factor, scored, data):
+    n = points.n
+    ids = data.draw(st.lists(
+        st.integers(-2**40, 2**40), min_size=n, max_size=n, unique=True))
+    labels = np.asarray(data.draw(st.lists(
+        st.integers(1, 4), min_size=n, max_size=n)))
+    scores = points.features[:, 0] / factor if scored else None
+    dataset = LabeledPointSet(
+        PointSet(points.features * factor, ids), labels,
+        num_classes=int(labels.max()), scores=scores,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        save_pointset(dataset, path)
+        loaded = load_pointset(path)
+    assert loaded.points.ids.tolist() == ids
+    assert loaded.points.features.tobytes() == dataset.points.features.tobytes()
+    assert loaded.labels.tolist() == labels.tolist()
+    assert loaded.num_classes == dataset.num_classes
+    assert not loaded.labels_defaulted
+    if scored:
+        assert loaded.scores.tobytes() == dataset.scores.tobytes()
+    else:
+        assert loaded.scores is None

@@ -50,11 +50,12 @@ class TestGreedyHandTraces:
         assert len(state.picks) == 2
 
     def test_bootstrap_starts_at_lowest_index(self):
-        state = k_center_greedy(_line([5.0, 0.0, 10.0]), None, 3, keep_history=True)
+        points = _line([5.0, 0.0, 10.0])
+        state = k_center_greedy(points, None, 3)
         assert state.picks == (0, 1, 2)
         assert math.isinf(state.pick_radii[0])
         # no special case: every radius starts at inf and argmax takes index 0
-        assert len(state.history) == 4 and np.all(np.isinf(state.history[0]))
+        assert np.all(np.isinf(k_center_greedy(points, None, 0).radii))
         # coords 0 and 10 are both 25 away (squared) from coord 5: tie
         # resolves to index 1
         assert state.pick_radii.tolist()[1:] == [25.0, 25.0]
@@ -114,11 +115,12 @@ class TestGreedyProperties:
             n = int(rng.integers(6, 30))
             points = PointSet.from_features(rng.normal(size=(n, 2)))
             dens = rng.uniform(0.5, 2.0, size=n)
-            state = density_aware_greedy(points, dens, [0], n - 1,
-                                         keep_history=True)
-            assert len(state.history) == n
-            for before, after in zip(state.history, state.history[1:]):
-                assert np.all(after <= before)
+            state = density_aware_greedy(points, dens, [0], 0)
+            for _ in range(n - 1):
+                before = state.radii
+                state = density_aware_greedy(points, dens, state, 1)
+                assert np.all(state.radii <= before)
+            assert len(state.selected) == n
 
     def test_picks_are_farthest_by_the_oracle_rule(self):
         # replay every k-center pick against a naive nearest-selected scan
@@ -294,7 +296,7 @@ class TestProtocol:
         unit = normalize(ps)
         expected = k_center_greedy(unit, [], 10).selected
         assert res.selected == expected
-        assert res.rounds[-1].bound.delta == bound_report(unit, assign_coverage(unit, expected)).delta
+        assert res.rounds[-1].bound.delta == bound_report(assign_coverage(unit, expected)).delta
         raw = run_rounds(ds, ProtocolConfig(
             budget=5, rounds=2, algorithm="k-center"))
         assert raw.selected != expected
