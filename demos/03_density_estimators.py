@@ -1,14 +1,17 @@
 """Tour of the three density estimators.
 
 All three share the same output convention: a DensityField of values in
-(0, beta] where beta = e^2.4, higher meaning denser. What differs is the
-error signal feeding the exponential map: k-NN distances, kernel averages,
-or masked reconstruction errors on a feature grid.
+(0, BETA] with the fixed BETA = e^2.4, higher meaning denser. What differs
+is the error signal: mean Euclidean k-NN distances and masked reconstruction
+errors on a feature grid, both min-max normalized onto [0, 1] and fed through
+the exponential map, or kernel averages rescaled so the densest point gets
+BETA.
 """
 
 import numpy as np
 
 from denscore import (
+    BETA,
     FeatureGrid,
     GeneratorSpec,
     MaskedReconstructor,
@@ -37,7 +40,7 @@ kern = kernel_density(points, bandwidth=1.0)
 print("mean density by cluster (tight sigma=0.3 vs diffuse sigma=3.0)")
 print(f"  knn    : {knn.values[tight].mean():9.3f} vs {knn.values[diffuse].mean():7.3f}")
 print(f"  kernel : {kern.values[tight].mean():9.3f} vs {kern.values[diffuse].mean():7.3f}")
-print(f"field maximum is always beta = {np.exp(2.4):.4f}")
+print(f"field maximum is always BETA = {BETA:.4f}")
 
 # both estimators agree on who the sparsest point is in this draw
 print(f"\nsparsest point, knn    : index {int(np.argmin(knn.values))}")

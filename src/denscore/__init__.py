@@ -34,7 +34,7 @@ from .data import (
     save_pointset,
 )
 from .density import (
-    DEFAULT_BETA,
+    BETA,
     DEFAULT_TAU,
     CalibrationReport,
     DensityField,
@@ -46,7 +46,6 @@ from .density import (
     kernel_density,
     knn_density,
     masked_reconstruction_error,
-    normalize_errors_minmax,
 )
 from .evaluation import (
     COMPARISON_ESTIMATOR,
@@ -95,7 +94,7 @@ __all__ = [
     "ScoreMap",
     "SelectionState",
     "ValidationError",
-    "DEFAULT_BETA",
+    "BETA",
     "DEFAULT_TAU",
     "assign_coverage",
     "average_radial_distance",
@@ -121,7 +120,6 @@ __all__ = [
     "masked_reconstruction_error",
     "nonuniform_mixture_spec",
     "normalize",
-    "normalize_errors_minmax",
     "pairwise_distances",
     "run_rounds",
     "save_pointset",

@@ -81,9 +81,7 @@ _COMMAND_KEYS = {
     "select": {"dataset", "protocol", "estimator", "bounds", "metric"},
     "evaluate": {"dataset", "selection", "bounds", "metric"},
     "calibrate": {"dataset", "selection", "estimator", "metric", "bins"},
-    "compare": {
-        "generator", "budget", "rounds", "seeds", "estimator", "bounds", "metric",
-    },
+    "compare": {"generator", "budget", "rounds", "seeds", "estimator", "metric"},
 }
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -71,13 +72,15 @@ def config_value(value, kind: type, name: str):
     tuple or bool; a value of the wrong type raises a ValidationError naming
     ``name``.
 
-    Nothing is coerced that would change its meaning: an int takes no bool
-    and no number with a fraction, a number takes no bool, a list takes no
-    string, and a bool only ``True`` or ``False``.
+    Nothing is coerced that would change its meaning: an int or a number
+    takes only a number (no bool, no string), an int no number with a
+    fraction, a list no string, and a bool only ``True`` or ``False``.
     """
     wrong = (
         isinstance(value, bool) != (kind is bool)
-        or (kind is int and isinstance(value, float) and not value.is_integer())
+        or (kind in (int, float) and not isinstance(value, numbers.Real))
+        or (kind is int and not isinstance(value, numbers.Integral)
+            and not float(value).is_integer())
         or (kind is tuple and isinstance(value, str))
     )
     if not wrong:
@@ -94,10 +97,18 @@ def _config_values(values, kind: type, name: str) -> tuple:
 
 
 def check_indices(indices, n: int, name: str) -> np.ndarray:
-    """``indices`` as an int64 array in the given order; an index outside
-    0..n-1 or one given twice raises a ValidationError naming the ``name``
-    set."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+    """``indices`` as an int64 array in the given order; a fractional or
+    boolean index, an index outside 0..n-1 or one given twice raises a
+    ValidationError naming the ``name`` set."""
+    raw = np.asarray(indices).ravel()
+    # an empty list is float64; a whole finite float still names an index
+    if raw.dtype.kind == "f":
+        whole = np.isfinite(raw) & (raw == np.trunc(raw))
+    else:
+        whole = np.full(raw.shape, raw.dtype.kind in "iu")
+    if not whole.all():
+        raise ValidationError(f"{name} index {raw[~whole][0].item()!r} is not an integer")
+    idx = raw.astype(np.int64)
     outside = idx[(idx < 0) | (idx >= n)]
     if outside.size:
         raise ValidationError(f"{name} index {int(outside[0])} out of range (n={n})")

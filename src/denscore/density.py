@@ -1,11 +1,14 @@
 """Density estimation and the calibration of densities against coverage.
 
 Every estimator funnels a per-point "error" (a local sparsity measure) through
-the same map ``d = beta * exp(-err / tau)``, so larger errors mean lower
-densities and an error of zero maps to ``beta`` exactly.  Estimators:
+the same map ``d = BETA * exp(-err / tau)`` with the fixed ``BETA = e^2.4``,
+so larger errors mean lower densities and an error of zero maps to ``BETA``
+exactly.  ``BETA`` scales every density by one factor, so it changes no
+pick.  Estimators:
 
-* ``knn_density`` -- error is the mean distance to the k nearest neighbors,
-* ``kernel_density`` -- Gaussian kernel mean, affinely rescaled into (0, beta],
+* ``knn_density`` -- error is the mean Euclidean distance to the k nearest
+  neighbors,
+* ``kernel_density`` -- Gaussian kernel mean, affinely rescaled into (0, BETA],
 * ``masked_reconstruction_error`` + ``grid_density`` -- a grid point's error
   is how badly its feature is reconstructed from the masked neighborhood
   around it (the center never contributes to its own reconstruction).
@@ -15,12 +18,12 @@ queries it, O(n log n) time for low d, with O(n k) memory; ``kernel_density``
 sums the kernel one block of rows at a time, O(n^2 d) time with O(n) memory
 plus ~1 MiB blocks.  No estimator allocates an n x n matrix.
 
-The kNN and grid errors take one shared step: min-max normalization onto
-[0, 1] over the candidate set by default (``normalize_errors=False`` disables
-it; with all errors equal the normalized error is 0 everywhere), then the
-density map.  Every estimator then ends in one tail, ``_density_field``: it
-lifts densities below 1e-12 to that floor so downstream divisions stay
-finite, counts and logs what it lifted, and builds the `DensityField`.
+The kNN and grid errors take one shared step, ``_field_from_errors``:
+min-max normalization onto [0, 1] over the candidate set (with all errors
+equal the normalized error is 0 everywhere), then the density map.  Every
+estimator then ends in one tail, ``_density_field``: it lifts densities
+below 1e-12 to that floor so downstream divisions stay finite, counts and
+logs what it lifted, and builds the `DensityField`.
 """
 
 from __future__ import annotations
@@ -37,20 +40,18 @@ from .data import (
     FeatureGrid,
     PointSet,
     ValidationError,
-    canonical_metric,
     config_value,
     squared_distance_blocks,
 )
 
 __all__ = [
-    "DEFAULT_BETA",
+    "BETA",
     "DEFAULT_TAU",
     "DENSITY_FLOOR",
     "DensityField",
     "MaskedReconstructor",
     "CalibrationReport",
     "density_from_error",
-    "normalize_errors_minmax",
     "knn_density",
     "kernel_density",
     "masked_reconstruction_error",
@@ -61,34 +62,29 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_BETA = math.exp(2.4)
+BETA = math.exp(2.4)
 DEFAULT_TAU = 0.25
 DENSITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class DensityField:
-    """Per-point densities in (0, beta], plus the map that produced them.
+    """Per-point densities in (0, BETA].
 
-    ``estimator`` is a descriptor dict (kind and parameters).
     ``num_clamped`` counts values lifted to the 1e-12 floor.
     """
 
     values: np.ndarray
-    beta: float
-    estimator: dict
     num_clamped: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size < 1:
             raise ValidationError("density values must be a non-empty 1-d array")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValidationError("beta must be a positive finite number")
         if not np.all(np.isfinite(values)):
             raise ValidationError("densities must be finite")
-        if values.min() <= 0 or values.max() > self.beta * (1 + 1e-12):
-            raise ValidationError("densities must lie in (0, beta]")
+        if values.min() <= 0 or values.max() > BETA * (1 + 1e-12):
+            raise ValidationError("densities must lie in (0, BETA]")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -98,14 +94,12 @@ class DensityField:
         return self.values.shape[0]
 
 
-def density_from_error(err, beta: float = DEFAULT_BETA, tau: float = DEFAULT_TAU):
-    """Map non-negative errors to densities: ``beta * exp(-err / tau)``.
+def density_from_error(err, tau: float = DEFAULT_TAU):
+    """Map non-negative errors to densities: ``BETA * exp(-err / tau)``.
 
     Accepts a scalar or an array; the output has the same shape.  The map is
-    strictly decreasing, equals beta at 0 and beta/e at ``err == tau``.
+    strictly decreasing, equals BETA at 0 and BETA/e at ``err == tau``.
     """
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValidationError("beta must be a positive finite number")
     if not (tau > 0 and math.isfinite(tau)):
         raise ValidationError("tau must be a positive finite number")
     arr = np.asarray(err, dtype=np.float64)
@@ -113,55 +107,37 @@ def density_from_error(err, beta: float = DEFAULT_BETA, tau: float = DEFAULT_TAU
         raise ValidationError("errors must be finite")
     if np.any(arr < 0):
         raise ValidationError("errors must be non-negative")
-    out = beta * np.exp(-arr / tau)
+    out = BETA * np.exp(-arr / tau)
     return float(out) if np.isscalar(err) or arr.ndim == 0 else out
 
 
-def normalize_errors_minmax(errors: np.ndarray) -> np.ndarray:
-    """Min-max rescale onto [0, 1]; an all-equal vector maps to all zeros."""
-    errors = np.asarray(errors, dtype=np.float64)
-    lo = float(errors.min())
-    hi = float(errors.max())
-    if hi == lo:
-        return np.zeros_like(errors)
-    return (errors - lo) / (hi - lo)
-
-
-def _density_field(values: np.ndarray, beta: float, estimator: dict) -> DensityField:
-    """Lift values below the floor to it, count and log them, and wrap the
-    result with its map and descriptor."""
+def _density_field(values: np.ndarray, kind: str) -> DensityField:
+    """Lift values below the floor to it, count them, and log them under
+    the estimator ``kind``."""
     low = values < DENSITY_FLOOR
     clamped = int(np.count_nonzero(low))
     if clamped:
         logger.warning(
             "%s estimator: clamped %d densities to the %g floor",
-            estimator["kind"], clamped, DENSITY_FLOOR,
+            kind, clamped, DENSITY_FLOOR,
         )
         values = np.where(low, DENSITY_FLOOR, values)
-    return DensityField(values, beta, estimator, num_clamped=clamped)
+    return DensityField(values, num_clamped=clamped)
 
 
-def _field_from_errors(
-    errors: np.ndarray, beta: float, tau: float, normalize_errors: bool,
-    estimator: dict,
-) -> DensityField:
-    """Optionally min-max normalize the errors, map them through
-    `density_from_error`, and end in the shared tail."""
-    if normalize_errors:
-        errors = normalize_errors_minmax(errors)
-    estimator = {**estimator, "normalize_errors": bool(normalize_errors)}
-    return _density_field(density_from_error(errors, beta, tau), beta, estimator)
+def _field_from_errors(errors: np.ndarray, tau: float, kind: str) -> DensityField:
+    """Min-max rescale the errors onto [0, 1] (all equal maps to all zeros),
+    map them through `density_from_error`, and end in the shared tail."""
+    lo = float(errors.min())
+    hi = float(errors.max())
+    errors = np.zeros_like(errors) if hi == lo else (errors - lo) / (hi - lo)
+    return _density_field(density_from_error(errors, tau), kind)
 
 
 def knn_density(
-    points: PointSet,
-    k_neighbors: int,
-    metric: str = "euclidean",
-    beta: float = DEFAULT_BETA,
-    tau: float = DEFAULT_TAU,
-    normalize_errors: bool = True,
+    points: PointSet, k_neighbors: int, tau: float = DEFAULT_TAU
 ) -> DensityField:
-    """Density from the mean distance to the k nearest neighbors.
+    """Density from the mean Euclidean distance to the k nearest neighbors.
 
     The point itself is excluded from its neighbor set.  A strictly smaller
     mean neighbor distance always gives a strictly larger density (the error
@@ -170,7 +146,6 @@ def knn_density(
     Neighbors come from a KD-tree: O(n log n) time in low dimension, O(n k)
     memory, and no n x n matrix.
     """
-    metric = canonical_metric(metric)
     k = int(k_neighbors)
     if not (1 <= k < points.n):
         raise ValidationError(f"k_neighbors must lie in 1..n-1 (got {k})")
@@ -178,25 +153,15 @@ def knn_density(
     # The point's own zero distance is always among its k + 1 smallest, so
     # dropping the first column is exact even when points repeat.
     nearest = cKDTree(features).query(features, k=k + 1)[0][:, 1:]
-    if metric == "squared-euclidean":
-        nearest = nearest**2
-    return _field_from_errors(
-        np.mean(nearest, axis=1), beta, tau, normalize_errors,
-        {"kind": "knn", "k_neighbors": k, "metric": metric},
-    )
+    return _field_from_errors(np.mean(nearest, axis=1), tau, "knn")
 
 
-def kernel_density(
-    points: PointSet,
-    bandwidth: float,
-    beta: float = DEFAULT_BETA,
-) -> DensityField:
-    """Gaussian-kernel density, affinely rescaled into (0, beta].
+def kernel_density(points: PointSet, bandwidth: float) -> DensityField:
+    """Gaussian-kernel density, affinely rescaled into (0, BETA].
 
     The raw value is ``k_t = mean over j != t of exp(-||x_t - x_j||^2 /
-    (2 h^2))`` and the field is ``beta * k_t / max_j k_j``, so the ordering
-    matches the raw kernel density and the maximum maps to beta exactly;
-    the bandwidth is in the estimator descriptor.
+    (2 h^2))`` and the field is ``BETA * k_t / max_j k_j``, so the ordering
+    matches the raw kernel density and the maximum maps to BETA exactly.
 
     Rows are summed one block of `squared_distance_blocks` at a time:
     O(n^2 d) time, O(n) memory plus ~1 MiB blocks, and bit-identical to
@@ -205,8 +170,6 @@ def kernel_density(
     bandwidth = float(bandwidth)
     if not (bandwidth > 0 and math.isfinite(bandwidth)):
         raise ValidationError("bandwidth must be a positive finite number")
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValidationError("beta must be a positive finite number")
     if points.n < 2:
         raise ValidationError("kernel density needs at least two points")
     features = points.features
@@ -218,10 +181,7 @@ def kernel_density(
         kernel[rows, rows + start] = 0.0
         raw[start:stop] = np.sum(kernel, axis=1)
     raw /= n - 1
-    return _density_field(
-        beta * raw / float(raw.max()), beta,
-        {"kind": "kernel", "bandwidth": bandwidth},
-    )
+    return _density_field(BETA * raw / float(raw.max()), "kernel")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,19 +253,13 @@ def masked_reconstruction_error(
 
 
 def grid_density(
-    grid: FeatureGrid,
-    rec: MaskedReconstructor,
-    beta: float = DEFAULT_BETA,
-    tau: float = DEFAULT_TAU,
-    normalize_errors: bool = True,
+    grid: FeatureGrid, rec: MaskedReconstructor, tau: float = DEFAULT_TAU
 ) -> DensityField:
     """Density field over the row-major flattened grid, from masked
     reconstruction errors."""
     return _field_from_errors(
-        masked_reconstruction_error(grid, rec).ravel(), beta, tau,
-        normalize_errors,
-        {"kind": "masked-reconstruction", "kernel_size": rec.kernel_size,
-         "weight_mode": rec.weight_mode},
+        masked_reconstruction_error(grid, rec).ravel(), tau,
+        "masked-reconstruction",
     )
 
 
@@ -433,8 +387,8 @@ def calibrate(
 
 
 _ESTIMATOR_KEYS = {
-    "knn": {"kind", "k_neighbors", "metric", "beta", "tau", "normalize_errors"},
-    "kernel": {"kind", "bandwidth", "beta"},
+    "knn": {"kind", "k_neighbors", "tau"},
+    "kernel": {"kind", "bandwidth"},
 }
 
 
@@ -464,24 +418,17 @@ def estimator_from_config(config: dict):
         if "k_neighbors" not in config:
             raise ValidationError("estimator.k_neighbors is required for kind 'knn'")
         k = config_value(config["k_neighbors"], int, "estimator.k_neighbors")
-        metric = config.get("metric", "euclidean")
-        beta = config_value(config.get("beta", DEFAULT_BETA), float, "estimator.beta")
         tau = config_value(config.get("tau", DEFAULT_TAU), float, "estimator.tau")
-        norm = config_value(
-            config.get("normalize_errors", True), bool, "estimator.normalize_errors"
-        )
 
-        def estimate(points: PointSet, k=k) -> DensityField:
-            k_eff = min(k, points.n - 1)
-            return knn_density(points, k_eff, metric, beta, tau, norm)
+        def estimate(points: PointSet) -> DensityField:
+            return knn_density(points, min(k, points.n - 1), tau)
 
         return estimate
     if "bandwidth" not in config:
         raise ValidationError("estimator.bandwidth is required for kind 'kernel'")
     bandwidth = config_value(config["bandwidth"], float, "estimator.bandwidth")
-    beta = config_value(config.get("beta", DEFAULT_BETA), float, "estimator.beta")
 
     def estimate(points: PointSet) -> DensityField:
-        return kernel_density(points, bandwidth, beta)
+        return kernel_density(points, bandwidth)
 
     return estimate

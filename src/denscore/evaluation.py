@@ -35,6 +35,7 @@ from .data import (
     LabeledPointSet,
     PointSet,
     ValidationError,
+    _config_values,
     canonical_metric,
     generate,
     nearest_selected,
@@ -65,7 +66,6 @@ __all__ = [
 COMPARISON_ESTIMATOR = {
     "kind": "knn",
     "k_neighbors": 10,
-    "normalize_errors": True,
     "tau": 2.0,
 }
 
@@ -191,7 +191,7 @@ def compare_algorithms(
     filtering, and are measured on covering radius, worst mean radial
     distance, and core-set loss.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds = _config_values(seeds, int, "seeds")
     if not seeds:
         raise ValidationError("at least one seed is required")
     metric = canonical_metric(metric)

@@ -464,8 +464,6 @@ def run_rounds(
         if config.estimator is not None
         else None
     )
-    if config.algorithm == "density-aware" and estimate is None:
-        raise ValidationError("density-aware selection requires an estimator")
 
     selected = check_indices(config.initial, points.n, "initial").tolist()
     rounds: list[RoundResult] = []

@@ -89,12 +89,12 @@ def kernel_density(features, bandwidth, beta):
     return [beta * v / top for v in raw]
 
 
-def knn_errors(features, k, metric="euclidean"):
-    """Mean distance to the k nearest neighbors, self excluded."""
+def knn_errors(features, k):
+    """Mean Euclidean distance to the k nearest neighbors, self excluded."""
     n = len(features)
     out = []
     for t in range(n):
-        ds = [dist(features[t], features[j], metric) for j in range(n) if j != t]
+        ds = [euclidean(features[t], features[j]) for j in range(n) if j != t]
         ds.sort()
         out.append(sum(ds[:k]) / k)
     return out

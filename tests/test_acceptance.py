@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from denscore import (
+    BETA,
     COMPARISON_ESTIMATOR,
     FeatureGrid,
     GeneratorSpec,
@@ -145,12 +146,7 @@ def test_criterion_04_calibration_on_same_family():
     for seed in range(1, 11):
         data = generate(nonuniform_mixture_spec().with_seed(seed))
         state = k_center_greedy(data.points, None, 30)
-        field = knn_density(
-            data.points,
-            est["k_neighbors"],
-            tau=est["tau"],
-            normalize_errors=est["normalize_errors"],
-        )
+        field = knn_density(data.points, est["k_neighbors"], tau=est["tau"])
         rep = calibrate(field, assign_coverage(data.points, state.selected))
         r2s.append(rep.r_squared)
         rhos.append(rep.spearman)
@@ -222,7 +218,7 @@ def test_criterion_07_radii_never_increase():
 def test_criterion_08_density_map_pointwise():
     beta = math.exp(2.4)
     at_zero = float(density_from_error(0.0))
-    at_tau = float(density_from_error(0.25, beta=beta, tau=0.25))
+    at_tau = float(density_from_error(0.25, tau=0.25))
     err_zero = abs(at_zero - beta)
     err_tau = abs(at_tau - beta / math.e)
     ok = err_zero <= 1e-12 and err_tau <= 1e-12
@@ -277,9 +273,10 @@ def test_criterion_09_oracle_equivalence():
         features = rng.normal(size=(n, dim))
         bandwidth = float(rng.uniform(0.3, 2.0))
         beta = float(rng.uniform(0.5, 12.0))
-        ours = kernel_density(PointSet.from_features(features), bandwidth, beta)
+        ours = kernel_density(PointSet.from_features(features), bandwidth)
         theirs = oracles.kernel_density(features, bandwidth, beta)
-        worst = max(worst, float(np.max(np.abs(ours.values - theirs))))
+        scaled = ours.values * (beta / BETA)
+        worst = max(worst, float(np.max(np.abs(scaled - theirs))))
 
     for _ in range(20):  # masked neighborhood reconstruction
         h = int(rng.integers(3, 9))

@@ -403,6 +403,13 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert "seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [5, {"bogus": 1}])
+    def test_bounds_section_rejected(self, tmp_path, capsys, bounds):
+        # nothing compare reports depends on the bound parameters
+        cfg = self.compare_config(tmp_path, bounds=bounds)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert "bounds" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_runtime_failure_maps_to_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -449,7 +456,12 @@ class TestExitCodes:
         ("generate", "generator.counts", [2.7]),
         ("select", "bounds.num_classes", 2.5),
         ("select", "protocol.normalize_features", "no"),
-        ("select", "estimator.normalize_errors", "false"),
+        # numeric strings: an int or a number takes only a JSON number
+        ("select", "protocol.budget", "10"),
+        ("select", "bounds.confidence", "0.1"),
+        ("compare", "seeds", ["x"]),
+        ("compare", "seeds", [1.5]),
+        ("compare", "seeds", [True]),
     ])
     def test_value_of_wrong_type_names_its_field(
         self, tmp_path, capsys, command, path, value

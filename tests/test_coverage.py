@@ -92,6 +92,9 @@ class TestAssignment:
             assign_coverage(ps, [0, 2])
         with pytest.raises(ValidationError):
             assign_coverage(ps, [1, 1])
+        for selected in ([0.5], [True], [0, 1.5]):
+            with pytest.raises(ValidationError, match="selected index"):
+                assign_coverage(ps, selected)
 
     def test_metric_does_not_change_assignment(self):
         rng = np.random.default_rng(5)

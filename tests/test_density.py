@@ -12,7 +12,7 @@ import pytest
 import denscore
 
 from denscore import (
-    DEFAULT_BETA,
+    BETA,
     DEFAULT_TAU,
     DensityField,
     FeatureGrid,
@@ -27,7 +27,6 @@ from denscore import (
     kernel_density,
     knn_density,
     masked_reconstruction_error,
-    normalize_errors_minmax,
 )
 from denscore.data import block_rows
 
@@ -39,21 +38,25 @@ def _line(coords):
     return PointSet.from_features(arr)
 
 
+def _minmax(errors):
+    """Errors min-max rescaled onto [0, 1]; all equal maps to all zeros."""
+    errors = np.asarray(errors, dtype=np.float64)
+    lo, hi = errors.min(), errors.max()
+    return np.zeros_like(errors) if hi == lo else (errors - lo) / (hi - lo)
+
+
 class TestDensityMap:
     def test_pinned_values(self):
         beta = math.exp(2.4)
         assert abs(density_from_error(0.0) - beta) <= 1e-12 * beta
         expected = beta / math.e
         assert abs(density_from_error(0.25) - expected) <= 1e-12 * expected
+        assert density_from_error(2.0, tau=2.0) == pytest.approx(expected, rel=1e-15)
 
     def test_strictly_decreasing(self):
         errs = np.linspace(0.0, 3.0, 50)
         vals = density_from_error(errs)
         assert np.all(np.diff(vals) < 0)
-
-    def test_custom_beta_tau(self):
-        assert density_from_error(2.0, beta=5.0, tau=2.0) == pytest.approx(
-            5.0 / math.e, rel=1e-15)
 
     def test_scalar_in_scalar_out(self):
         out = density_from_error(0.5)
@@ -67,24 +70,25 @@ class TestDensityMap:
         with pytest.raises(ValidationError):
             density_from_error(np.nan)
         with pytest.raises(ValidationError):
-            density_from_error(1.0, beta=0.0)
-        with pytest.raises(ValidationError):
             density_from_error(1.0, tau=-1.0)
 
     def test_minmax_normalization(self):
-        out = normalize_errors_minmax(np.array([2.0, 4.0, 6.0]))
-        assert out.tolist() == [0.0, 0.5, 1.0]
-        flat = normalize_errors_minmax(np.array([3.0, 3.0, 3.0]))
-        assert flat.tolist() == [0.0, 0.0, 0.0]
+        # 1-nn distances 2, 2, 4, 6 normalize to 0, 0, 0.5, 1
+        out = knn_density(_line([0.0, 2.0, 6.0, 12.0]), k_neighbors=1).values
+        expected = [density_from_error(e) for e in (0.0, 0.0, 0.5, 1.0)]
+        assert out.tolist() == expected
+        # all errors equal normalize to zero, the largest density
+        flat = knn_density(_line([0.0, 3.0, 6.0]), k_neighbors=1).values
+        assert flat.tolist() == [BETA] * 3
 
 
 class TestDensityFieldContainer:
     def test_range_enforced(self):
         with pytest.raises(ValidationError):
-            DensityField(np.array([0.0, 1.0]), beta=2.0, estimator={})
+            DensityField(np.array([0.0, 1.0]))
         with pytest.raises(ValidationError):
-            DensityField(np.array([3.0]), beta=2.0, estimator={})
-        ok = DensityField(np.array([2.0, 1.0]), beta=2.0, estimator={})
+            DensityField(np.array([2.0 * BETA]))
+        ok = DensityField(np.array([BETA, 1.0]))
         assert ok.n == 2
         with pytest.raises(ValueError):
             ok.values[0] = 0.5
@@ -93,24 +97,23 @@ class TestDensityFieldContainer:
 class TestKnnDensity:
     def test_collinear_ordering(self):
         field = knn_density(_line([0.0, 1.0, 3.0]), k_neighbors=1)
-        beta = DEFAULT_BETA
+        beta = BETA
         # mean 1-nn distances are 1, 1, 2 -> normalized 0, 0, 1
         assert field.values[0] == pytest.approx(beta, rel=1e-15)
         assert field.values[1] == pytest.approx(beta, rel=1e-15)
         assert field.values[2] == pytest.approx(beta * math.exp(-4.0), rel=1e-12)
 
-    def test_unnormalized_matches_oracle(self):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             n = int(rng.integers(5, 25))
             dim = int(rng.integers(1, 4))
             feats = rng.normal(size=(n, dim))
             k = int(rng.integers(1, n))
-            field = knn_density(PointSet.from_features(feats), k,
-                                normalize_errors=False)
+            field = knn_density(PointSet.from_features(feats), k)
             rows = [list(map(float, row)) for row in feats]
-            errs = oracles.knn_errors(rows, k)
-            expected = [DEFAULT_BETA * math.exp(-e / DEFAULT_TAU) for e in errs]
+            errs = _minmax(oracles.knn_errors(rows, k))
+            expected = [BETA * math.exp(-e / DEFAULT_TAU) for e in errs]
             np.testing.assert_allclose(field.values, expected, atol=1e-10)
 
     def test_cluster_and_outlier(self):
@@ -119,7 +122,7 @@ class TestKnnDensity:
         field = knn_density(ps, k_neighbors=2)
         assert field.values[0] == field.values[1] == field.values[2]
         assert field.values[3] < field.values[0]
-        assert field.values[0] == pytest.approx(DEFAULT_BETA, rel=1e-15)
+        assert field.values[0] == pytest.approx(BETA, rel=1e-15)
 
     def test_denser_means_larger(self):
         rng = np.random.default_rng(21)
@@ -130,26 +133,21 @@ class TestKnnDensity:
         field = knn_density(PointSet.from_features(feats), k_neighbors=5)
         assert field.values[:30].min() > field.values[30:].max()
 
-    @pytest.mark.parametrize(
-        "case", ["coincident", "k_is_n_minus_1", "one_dim", "squared"]
-    )
+    @pytest.mark.parametrize("case", ["coincident", "k_is_n_minus_1", "one_dim"])
     def test_kdtree_edge_cases_match_oracle(self, case):
         rng = np.random.default_rng(31)
         feats = rng.normal(scale=0.5, size=(14, 3))
-        k, metric = 3, "euclidean"
+        k = 3
         if case == "coincident":
             feats[:6] = feats[0]  # more than k + 1 copies of one point
         elif case == "k_is_n_minus_1":
             k = len(feats) - 1
-        elif case == "one_dim":
-            feats = feats[:, :1]
         else:
-            metric = "squared-euclidean"
-        field = knn_density(PointSet.from_features(feats), k, metric,
-                            normalize_errors=False)
+            feats = feats[:, :1]
+        field = knn_density(PointSet.from_features(feats), k)
         rows = [list(map(float, row)) for row in feats]
-        errs = oracles.knn_errors(rows, k, metric)
-        expected = [DEFAULT_BETA * math.exp(-e / DEFAULT_TAU) for e in errs]
+        errs = _minmax(oracles.knn_errors(rows, k))
+        expected = [BETA * math.exp(-e / DEFAULT_TAU) for e in errs]
         np.testing.assert_allclose(field.values, expected, rtol=1e-12, atol=0)
 
     def test_k_bounds(self):
@@ -159,19 +157,13 @@ class TestKnnDensity:
         with pytest.raises(ValidationError):
             knn_density(ps, 3)
 
-    def test_descriptor_recorded(self):
-        field = knn_density(_line([0.0, 1.0, 4.0]), 2, normalize_errors=False)
-        assert field.estimator["kind"] == "knn"
-        assert field.estimator["k_neighbors"] == 2
-        assert field.estimator["normalize_errors"] is False
-
 
 class TestKernelDensity:
     def test_max_is_beta_exactly(self):
         rng = np.random.default_rng(3)
         ps = PointSet.from_features(rng.normal(size=(20, 2)))
         field = kernel_density(ps, bandwidth=1.0)
-        assert field.values.max() == DEFAULT_BETA
+        assert field.values.max() == BETA
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(14)
@@ -181,7 +173,7 @@ class TestKernelDensity:
             h = float(rng.uniform(0.3, 2.0))
             field = kernel_density(PointSet.from_features(feats), h)
             rows = [list(map(float, row)) for row in feats]
-            expected = oracles.kernel_density(rows, h, DEFAULT_BETA)
+            expected = oracles.kernel_density(rows, h, BETA)
             np.testing.assert_allclose(field.values, expected, atol=1e-10)
 
     def test_blocks_match_dense_formula(self):
@@ -193,7 +185,7 @@ class TestKernelDensity:
         kernel = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * h**2))
         np.fill_diagonal(kernel, 0.0)
         raw = np.sum(kernel, axis=1) / (len(feats) - 1)
-        expected = DEFAULT_BETA * raw / float(raw.max())
+        expected = BETA * raw / float(raw.max())
         field = kernel_density(PointSet.from_features(feats), h)
         assert np.array_equal(field.values, expected)
 
@@ -340,13 +332,12 @@ class TestMaskedReconstruction:
         rec = MaskedReconstructor(3)
         field = grid_density(FeatureGrid(values), rec)
         errors = masked_reconstruction_error(FeatureGrid(values), rec).ravel()
-        expected = density_from_error(normalize_errors_minmax(errors))
+        expected = density_from_error(_minmax(errors))
         np.testing.assert_array_equal(field.values, expected)
-        assert field.estimator["kind"] == "masked-reconstruction"
 
 
 def _manual_field(values):
-    return DensityField(values, beta=DEFAULT_BETA, estimator={"kind": "manual"})
+    return DensityField(values)
 
 
 class TestCalibration:
@@ -456,7 +447,8 @@ class TestEstimatorConfig:
     def test_knn_clamps_to_small_pools(self):
         est = estimator_from_config({"kind": "knn", "k_neighbors": 50})
         field = est(_line([0.0, 1.0, 2.0]))
-        assert field.estimator["k_neighbors"] == 2
+        direct = knn_density(_line([0.0, 1.0, 2.0]), 2)
+        np.testing.assert_array_equal(field.values, direct.values)
 
     def test_kernel_builder(self):
         est = estimator_from_config({"kind": "kernel", "bandwidth": 0.8})
@@ -470,6 +462,11 @@ class TestEstimatorConfig:
         with pytest.raises(ValidationError, match="bandwidth"):
             estimator_from_config({"kind": "knn", "k_neighbors": 3,
                                    "bandwidth": 1.0})
+        for field in ("beta", "metric", "normalize_errors"):
+            with pytest.raises(ValidationError, match=field):
+                estimator_from_config({"kind": "knn", "k_neighbors": 3, field: 1})
+        with pytest.raises(ValidationError, match="beta"):
+            estimator_from_config({"kind": "kernel", "bandwidth": 1.0, "beta": 1})
         with pytest.raises(ValidationError, match="k_neighbors"):
             estimator_from_config({"kind": "knn"})
         with pytest.raises(ValidationError, match="bandwidth"):

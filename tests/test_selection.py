@@ -155,6 +155,12 @@ class TestGreedyProperties:
             density_aware_greedy(points, np.ones(2), [0], 1)
         with pytest.raises(ValidationError):
             density_aware_greedy(points, np.array([1.0, 0.0, 1.0]), [0], 1)
+        for s0 in ([1.5], [True], [0, 2.7], [float("nan")]):
+            with pytest.raises(ValidationError, match="initial index"):
+                k_center_greedy(points, s0, 1)
+            with pytest.raises(ValidationError, match="initial index"):
+                density_aware_greedy(points, np.ones(3), s0, 1)
+        assert k_center_greedy(points, [1.0], 1).selected == (1, 0)
 
     def test_accepts_density_field(self):
         points = _line([0.0, 1.0, 2.0, 8.0])
