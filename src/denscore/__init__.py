@@ -14,10 +14,8 @@ from .coverage import (
     BoundReport,
     CoverageAssignment,
     assign_coverage,
-    average_radial_distance,
     all_radial_distances,
     bound_report,
-    brute_force_k_center,
     classical_radius,
     hoeffding_term,
 )
@@ -30,7 +28,6 @@ from .data import (
     generate,
     load_pointset,
     normalize,
-    pairwise_distances,
     save_pointset,
 )
 from .density import (
@@ -55,7 +52,6 @@ from .evaluation import (
     core_set_loss,
     nonuniform_mixture_spec,
     uniform_box_spec,
-    verify_bound_ordering,
 )
 from .rng import PortableRng
 from .selection import (
@@ -97,10 +93,8 @@ __all__ = [
     "BETA",
     "DEFAULT_TAU",
     "assign_coverage",
-    "average_radial_distance",
     "all_radial_distances",
     "bound_report",
-    "brute_force_k_center",
     "calibrate",
     "classical_radius",
     "compare_algorithms",
@@ -120,10 +114,8 @@ __all__ = [
     "masked_reconstruction_error",
     "nonuniform_mixture_spec",
     "normalize",
-    "pairwise_distances",
     "run_rounds",
     "save_pointset",
     "uncertainty_select",
     "uniform_box_spec",
-    "verify_bound_ordering",
 ]

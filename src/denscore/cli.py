@@ -66,10 +66,7 @@ EXIT_WARNINGS = 3
 
 OUTPUT_DIR_ENV = "DENSCORE_OUT"
 
-_GENERATOR_KEYS = {
-    "kind", "seed", "means", "sigmas", "counts", "dim",
-    "grid_shape", "grid_spacing",
-}
+_GENERATOR_KEYS = {"kind", "seed", "means", "sigmas", "counts"}
 _PROTOCOL_KEYS = {
     "budget", "rounds", "alpha", "algorithm", "seed", "initial",
     "normalize_features",

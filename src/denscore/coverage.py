@@ -10,7 +10,10 @@ Two scalar summaries of that partition drive the bound reports:
   distance of the worst coverage area), which never exceeds ``delta``.
 
 Both feed a Hoeffding-style deviation term to produce the classical and the
-tightened bound values.
+tightened bound values.  The per-area means are computed in one place,
+`all_radial_distances`.  The exhaustive k-center optimum that checks the
+greedy's factor-2 guarantee is a test oracle (``tests/oracles.py``), not
+part of the package.
 
 Cost for n points, |s| selected, dimension d: the assignment takes
 O(n * |s| * d) time and O(n) memory plus one block of distances (see
@@ -23,7 +26,6 @@ O(n * |s| * d) per run, not per round.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,10 +35,9 @@ from .data import (
     PointSet,
     ValidationError,
     canonical_metric,
-    check_indices,
+    check_index_set,
     config_value,
     nearest_selected,
-    pairwise_distances,
 )
 
 __all__ = [
@@ -45,18 +46,13 @@ __all__ = [
     "BoundReport",
     "assign_coverage",
     "classical_radius",
-    "average_radial_distance",
     "all_radial_distances",
     "hoeffding_term",
     "bound_report",
-    "brute_force_k_center",
 ]
 
 # Slack for asserting the exact mean-vs-max ordering in floating point.
 ORDERING_RTOL = 1e-12
-
-_BRUTE_FORCE_MAX_N = 16
-_BRUTE_FORCE_MAX_B = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +79,6 @@ class CoverageAssignment:
         return self.pi.shape[0]
 
 
-def _check_selected(selected, n: int) -> np.ndarray:
-    """The selected indices sorted: non-empty, in range, none repeated."""
-    sel = np.sort(check_indices(selected, n, "selected"))
-    if sel.size == 0:
-        raise ValidationError("selected set must be non-empty")
-    return sel
-
-
 def assign_coverage(
     points: PointSet,
     selected,
@@ -109,7 +97,7 @@ def assign_coverage(
     assignment is bit-identical to one assigned from scratch.
     """
     metric = canonical_metric(metric)
-    sel = _check_selected(selected, points.n)
+    sel = check_index_set(selected, points.n, "selected")
     if previous is None:
         held = np.empty(0, dtype=np.int64)
         pi, sq = np.full(points.n, -1, dtype=np.int64), np.full(points.n, np.inf)
@@ -141,22 +129,13 @@ def classical_radius(cov: CoverageAssignment) -> float:
     return float(np.max(cov.distances))
 
 
-def average_radial_distance(cov: CoverageAssignment, k: int) -> float:
-    """Mean distance from the members of coverage area k to point k.
+def all_radial_distances(cov: CoverageAssignment) -> dict[int, float]:
+    """Mean distance from the members of every coverage area to its
+    selected point, keyed by that index.
 
     The mean counts the selected point's own zero distance.  An empty area
     has mean 0 by convention.
     """
-    k = int(k)
-    if k not in cov.selected:
-        raise ValidationError(f"point {k} is not in the selected set")
-    vals = cov.distances[cov.pi == k]
-    return float(np.mean(vals)) if vals.size else 0.0
-
-
-def all_radial_distances(cov: CoverageAssignment) -> dict[int, float]:
-    """Average radial distance of every coverage area, keyed by index
-    (0 for an empty area, as in `average_radial_distance`)."""
     pos = np.searchsorted(cov.selected, cov.pi)
     counts = np.bincount(pos, minlength=cov.selected.size)
     sums = np.bincount(pos, weights=cov.distances, minlength=cov.selected.size)
@@ -173,7 +152,7 @@ def hoeffding_term(loss_bound: float, confidence: float, n: int) -> float:
     """
     loss_bound = float(loss_bound)
     confidence = float(confidence)
-    n = int(n)
+    n = config_value(n, int, "n")
     if not (loss_bound > 0 and math.isfinite(loss_bound)):
         raise ValidationError("loss_bound must be a positive finite number")
     if not (0.0 < confidence <= 1.0):
@@ -291,38 +270,3 @@ def bound_report(
         num_selected=int(cov.selected.size),
         params=params,
     )
-
-
-def brute_force_k_center(
-    points: PointSet, b: int, metric: str = "euclidean"
-) -> tuple[tuple[int, ...], float]:
-    """Exhaustively minimize the covering radius over all size-b subsets.
-
-    Only for oracle-scale instances (n <= 16, b <= 5).  Ties resolve to the
-    lexicographically smallest subset because candidates are enumerated in
-    lexicographic order and replaced only on strict improvement.
-    """
-    metric = canonical_metric(metric)
-    n = points.n
-    b = int(b)
-    if n > _BRUTE_FORCE_MAX_N:
-        raise ValidationError(
-            f"instance too large for exhaustive search (n={n} > {_BRUTE_FORCE_MAX_N})"
-        )
-    if not (1 <= b <= n):
-        raise ValidationError(f"b must lie in 1..n (got {b})")
-    if b > _BRUTE_FORCE_MAX_B:
-        raise ValidationError(
-            f"instance too large for exhaustive search (b={b} > {_BRUTE_FORCE_MAX_B})"
-        )
-    sq = pairwise_distances(points.features, points.features, "squared-euclidean")
-    best_subset: tuple[int, ...] | None = None
-    best_sq = math.inf
-    for subset in itertools.combinations(range(n), b):
-        cols = np.asarray(subset, dtype=np.int64)
-        radius_sq = float(np.max(np.min(sq[:, cols], axis=1)))
-        if radius_sq < best_sq:
-            best_sq = radius_sq
-            best_subset = subset
-    value = best_sq if metric == "squared-euclidean" else math.sqrt(best_sq)
-    return best_subset, float(value)

@@ -1,4 +1,5 @@
-"""Core data containers, synthetic generators, and CSV I/O.
+"""Core data containers, synthetic generators (a Gaussian mixture and a
+uniform box), row-blocked squared distances, and CSV I/O.
 
 Conventions shared across the package:
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "FeatureGrid",
     "GeneratorSpec",
     "canonical_metric",
-    "pairwise_distances",
     "squared_distance_blocks",
     "nearest_selected",
     "generate",
@@ -39,7 +39,7 @@ __all__ = [
     "save_pointset",
 ]
 
-GENERATOR_KINDS = ("gaussian-mixture", "uniform-box", "grid-blobs")
+GENERATOR_KINDS = ("gaussian-mixture", "uniform-box")
 
 _METRIC_ALIASES = {
     "euclidean": "euclidean",
@@ -116,6 +116,14 @@ def check_indices(indices, n: int, name: str) -> np.ndarray:
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
         raise ValidationError(f"{name} set contains duplicate index {int(repeated[0])}")
+    return idx
+
+
+def check_index_set(indices, n: int, name: str) -> np.ndarray:
+    """`check_indices` sorted ascending; an empty set also raises."""
+    idx = np.sort(check_indices(indices, n, name))
+    if idx.size == 0:
+        raise ValidationError(f"{name} set must be non-empty")
     return idx
 
 
@@ -225,23 +233,6 @@ class FeatureGrid:
             raise ValidationError("grid values must be finite")
         object.__setattr__(self, "values", _readonly(values))
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
-    def flatten(self) -> PointSet:
-        """Row-major flattening of the grid into a PointSet."""
-        h, w, c = self.values.shape
-        return PointSet.from_features(self.values.reshape(h * w, c))
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -253,11 +244,7 @@ class GeneratorSpec:
         1-based component index, points stacked in component order.
         ``uniform-box`` -- axis-aligned uniform boxes; ``means`` are the box
         centers and ``sigmas`` the half-widths; every label is 1.
-        ``grid-blobs`` -- isotropic Gaussian blobs centred on a
-        ``grid_shape`` lattice with ``grid_spacing`` in the first two
-        coordinates (zeros elsewhere); labels are the 1-based blob index
-        in row-major order.  ``means`` is ignored; ``sigmas``/``counts``
-        are scalars or one value per blob.
+    The dimension ``dim`` is the length of the component means.
     """
 
     kind: str
@@ -265,38 +252,23 @@ class GeneratorSpec:
     means: tuple[tuple[float, ...], ...] = ()
     sigmas: tuple[float, ...] = ()
     counts: tuple[int, ...] = ()
-    dim: int | None = None
-    grid_shape: tuple[int, int] | None = None
-    grid_spacing: float | None = None
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValidationError(
-                f"kind: unknown generator kind {self.kind!r}; "
-                f"expected one of {GENERATOR_KINDS}"
+                f"kind must be one of {GENERATOR_KINDS} (got {self.kind!r})"
             )
         object.__setattr__(self, "seed", config_value(self.seed, int, "seed"))
-        if self.dim is not None:
-            object.__setattr__(self, "dim", config_value(self.dim, int, "dim"))
         for name, kind in (("sigmas", float), ("counts", int)):
             object.__setattr__(self, name, _config_values(getattr(self, name), kind, name))
-        if self.kind == "grid-blobs":
-            self._validate_grid()
-        else:
-            self._validate_components()
-
-    def _validate_components(self):
         given = config_value(self.means, tuple, "means")
         means = tuple(_config_values(row, float, "means") for row in given)
         if not means:
             raise ValidationError("means: at least one component is required")
-        dim = len(means[0])
-        if dim < 1:
+        if len(means[0]) < 1:
             raise ValidationError("means: component mean must have >= 1 coordinate")
-        if any(len(row) != dim for row in means):
+        if any(len(row) != len(means[0]) for row in means):
             raise ValidationError("means: all component means must share a dimension")
-        if self.dim is not None and self.dim != dim:
-            raise ValidationError("dim: inconsistent with means")
         if len(self.sigmas) != len(means):
             raise ValidationError("sigmas: need one value per component")
         if len(self.counts) != len(means):
@@ -308,54 +280,13 @@ class GeneratorSpec:
         if not all(math.isfinite(x) for row in means for x in row):
             raise ValidationError("means: must be finite")
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "dim", dim)
 
-    def _validate_grid(self):
-        if self.grid_shape is None or self.grid_spacing is None:
-            raise ValidationError(
-                "grid_shape/grid_spacing: required for kind 'grid-blobs'"
-            )
-        shape = _config_values(self.grid_shape, int, "grid_shape")
-        if len(shape) != 2 or min(shape) < 1:
-            raise ValidationError("grid_shape: need two entries, each >= 1")
-        rows, cols = shape
-        spacing = config_value(self.grid_spacing, float, "grid_spacing")
-        if not (spacing > 0 and math.isfinite(spacing)):
-            raise ValidationError("grid_spacing: must be a positive finite number")
-        dim = 2 if self.dim is None else self.dim
-        if dim < 2:
-            raise ValidationError("dim: grid-blobs needs dim >= 2")
-        blobs = rows * cols
-        sigmas = self.sigmas or (1.0,)
-        counts = self.counts or (1,)
-        if len(sigmas) == 1:
-            sigmas = sigmas * blobs
-        if len(counts) == 1:
-            counts = counts * blobs
-        if len(sigmas) != blobs:
-            raise ValidationError("sigmas: need one value (or one per blob)")
-        if len(counts) != blobs:
-            raise ValidationError("counts: need one value (or one per blob)")
-        if any(s <= 0 for s in sigmas):
-            raise ValidationError("sigmas: must be strictly positive")
-        if any(c < 1 for c in counts):
-            raise ValidationError("counts: must be >= 1")
-        centers = []
-        for r in range(rows):
-            for c in range(cols):
-                center = [0.0] * dim
-                center[0] = r * spacing
-                center[1] = c * spacing
-                centers.append(tuple(center))
-        object.__setattr__(self, "grid_shape", (rows, cols))
-        object.__setattr__(self, "grid_spacing", spacing)
-        object.__setattr__(self, "means", tuple(centers))
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "dim", dim)
+    @property
+    def dim(self) -> int:
+        return len(self.means[0])
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "seed": self.seed,
             "means": [list(row) for row in self.means],
@@ -363,10 +294,6 @@ class GeneratorSpec:
             "counts": list(self.counts),
             "dim": self.dim,
         }
-        if self.kind == "grid-blobs":
-            out["grid_shape"] = list(self.grid_shape)
-            out["grid_spacing"] = self.grid_spacing
-        return out
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
@@ -436,26 +363,6 @@ def squared_distance_blocks(
         stop = min(start + chunk, a.shape[0])
         diff = a[start:stop, None, :] - b[None, :, :]
         yield start, stop, np.sum(diff * diff, axis=-1)
-
-
-def pairwise_distances(
-    a: np.ndarray,
-    b: np.ndarray,
-    metric: str = "euclidean",
-    chunk: int | None = None,
-) -> np.ndarray:
-    """Dense (len(a), len(b)) distance matrix filled from
-    `squared_distance_blocks`: O(len(a) * len(b) * dim) time, memory the
-    output plus one block."""
-    metric = canonical_metric(metric)
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for start, stop, sq in squared_distance_blocks(a, b, chunk):
-        out[start:stop] = sq
-    if metric == "euclidean":
-        np.sqrt(out, out=out)
-    return out
 
 
 def nearest_selected(

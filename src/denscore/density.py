@@ -146,7 +146,7 @@ def knn_density(
     Neighbors come from a KD-tree: O(n log n) time in low dimension, O(n k)
     memory, and no n x n matrix.
     """
-    k = int(k_neighbors)
+    k = config_value(k_neighbors, int, "k_neighbors")
     if not (1 <= k < points.n):
         raise ValidationError(f"k_neighbors must lie in 1..n-1 (got {k})")
     features = points.features
@@ -200,7 +200,7 @@ class MaskedReconstructor:
     temperature: float = 1.0
 
     def __post_init__(self):
-        k = int(self.kernel_size)
+        k = config_value(self.kernel_size, int, "kernel_size")
         if k < 3 or k % 2 == 0:
             raise ValidationError("kernel_size must be an odd integer >= 3")
         object.__setattr__(self, "kernel_size", k)
@@ -319,9 +319,9 @@ def calibrate(
     """
     if densities.n != cov.n:
         raise ValidationError("density field does not match the assignment")
-    if int(num_bins) < 1:
+    num_bins = config_value(num_bins, int, "num_bins")
+    if num_bins < 1:
         raise ValidationError("num_bins must be >= 1")
-    num_bins = int(num_bins)
     if cov.selected.size < 3:
         raise ValidationError(
             f"calibration needs at least 3 selected points (got {cov.selected.size})"

@@ -1,5 +1,5 @@
 """Evaluation harness: plug-in learner, core-set loss, algorithm comparison,
-and the mean-vs-max bound-ordering check.
+and the stock benchmark generators.
 
 The core-set loss of a selected set s is
 
@@ -12,6 +12,10 @@ its own nearest neighbor), so the value reduces to the plain error rate of
 the 1-NN classifier over the dataset; both sums are still computed
 explicitly.  The 1-NN prediction of every point is the label of its owner
 in the coverage assignment of s, so the loss reads that assignment.
+
+The randomized check that the worst per-area mean never exceeds the
+covering radius is a test oracle (``tests/oracles.py``); `bound_report`
+asserts the same ordering on every report it builds.
 """
 
 from __future__ import annotations
@@ -22,34 +26,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import (
-    ORDERING_RTOL,
-    CoverageAssignment,
-    _check_selected,
-    all_radial_distances,
-    assign_coverage,
-    classical_radius,
-)
+from .coverage import CoverageAssignment
 from .data import (
     GeneratorSpec,
     LabeledPointSet,
-    PointSet,
     ValidationError,
     _config_values,
     canonical_metric,
+    check_index_set,
     generate,
     nearest_selected,
 )
-from .rng import PortableRng
 from .selection import ProtocolConfig, run_rounds
 
 __all__ = [
     "PluginLearner",
     "ComparisonReport",
-    "BoundOrderingReport",
     "core_set_loss",
     "compare_algorithms",
-    "verify_bound_ordering",
     "nonuniform_mixture_spec",
     "uniform_box_spec",
     "COMPARISON_ESTIMATOR",
@@ -89,7 +83,7 @@ class PluginLearner:
 
     @classmethod
     def fit(cls, data: LabeledPointSet, selected) -> "PluginLearner":
-        sel = _check_selected(selected, data.n)
+        sel = check_index_set(selected, data.n, "selected")
         return cls(
             fitted_indices=sel,
             fitted_features=data.points.features[sel],
@@ -238,51 +232,6 @@ def compare_algorithms(
         estimator=estimator,
         dataset=spec.to_dict(),
     )
-
-
-@dataclass(frozen=True)
-class BoundOrderingReport:
-    """Outcome of randomized mean-vs-max ordering trials."""
-
-    trials: int
-    violations: int
-    min_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "min_gap": self.min_gap,
-        }
-
-
-def verify_bound_ordering(
-    points: PointSet, trials: int, seed: int = 0, metric: str = "euclidean"
-) -> BoundOrderingReport:
-    """Sample random selected subsets and check max mean radial distance
-    never exceeds the covering radius (tolerance 1e-12 * delta).
-
-    Returns the violation count and the smallest observed gap
-    (delta - max_radial) across trials.
-    """
-    trials = int(trials)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    rng = PortableRng(seed)
-    n = points.n
-    violations = 0
-    min_gap = math.inf
-    for _ in range(trials):
-        size = 1 + int(rng.uniforms(1)[0] * n)
-        size = min(size, n)
-        subset = rng.permutation(n)[:size]
-        cov = assign_coverage(points, subset, metric)
-        delta = classical_radius(cov)
-        max_radial = max(all_radial_distances(cov).values())
-        if max_radial > delta + ORDERING_RTOL * delta:
-            violations += 1
-        min_gap = min(min_gap, delta - max_radial)
-    return BoundOrderingReport(trials=trials, violations=violations, min_gap=min_gap)
 
 
 def nonuniform_mixture_spec(

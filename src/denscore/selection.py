@@ -38,7 +38,9 @@ from .data import (
     LabeledPointSet,
     PointSet,
     ValidationError,
+    _config_values,
     canonical_metric,
+    check_index_set,
     check_indices,
     config_value,
     normalize,
@@ -92,11 +94,11 @@ class SelectionState:
 def _greedy_select(
     features: np.ndarray,
     s0,
-    budget: int,
+    b: int,
     densities: np.ndarray | None,
 ) -> SelectionState:
     n = features.shape[0]
-    budget = int(budget)
+    b = config_value(b, int, "b")
     resume = isinstance(s0, SelectionState)
     if resume and s0.radii.shape != (n,):
         raise ValidationError(
@@ -106,11 +108,11 @@ def _greedy_select(
         selected = list(s0.selected)
     else:
         selected = check_indices(() if s0 is None else s0, n, "initial").tolist()
-    if budget < 0:
-        raise ValidationError("budget must be non-negative")
-    if budget > n - len(selected):
+    if b < 0:
+        raise ValidationError("b must be non-negative")
+    if b > n - len(selected):
         raise ValidationError(
-            f"budget {budget} exceeds available candidates ({n - len(selected)})"
+            f"b={b} exceeds available candidates ({n - len(selected)})"
         )
     unselected = np.ones(n, dtype=bool)
     unselected[selected] = False
@@ -130,7 +132,7 @@ def _greedy_select(
 
     picks: list[int] = []
     pick_radii: list[float] = []
-    for _ in range(budget):
+    for _ in range(b):
         u = int(np.argmax(np.where(unselected, radii, -np.inf)))
         pick_radii.append(float(radii[u]))
         selected.append(u)
@@ -245,15 +247,11 @@ class ScoreMap:
         return self.values
 
 
-def _check_candidates(candidates, n: int) -> np.ndarray:
+def _candidate_pool(candidates, n: int) -> np.ndarray:
+    """Every index when ``candidates`` is None, else the checked set sorted."""
     if candidates is None:
         return np.arange(n, dtype=np.int64)
-    cand = np.unique(np.asarray(candidates, dtype=np.int64))
-    if cand.size == 0:
-        raise ValidationError("candidate set must be non-empty")
-    if cand.min() < 0 or cand.max() >= n:
-        raise ValidationError("candidate index out of range")
-    return cand
+    return check_index_set(candidates, n, "candidates")
 
 
 def filter_candidates(
@@ -267,7 +265,7 @@ def filter_candidates(
     alpha = float(alpha)
     if not (alpha * float(b) >= 1.0):
         raise ValidationError(f"alpha*b must be >= 1 (got {alpha * float(b)!r})")
-    pool = _check_candidates(candidates, scores.n)
+    pool = _candidate_pool(candidates, scores.n)
     s = scores.scalar_scores()[pool]
     m = min(int(math.ceil(alpha * float(b))), pool.size)
     order = np.argsort(-s, kind="stable")  # stable: ties keep lowest index
@@ -285,8 +283,8 @@ def uncertainty_select(
     replacement).  The probability-based strategies require a probability
     ScoreMap.  Ties resolve to the lowest index.
     """
-    b = int(b)
-    pool = _check_candidates(candidates, scores.n)
+    b = config_value(b, int, "b")
+    pool = _candidate_pool(candidates, scores.n)
     if not (1 <= b <= pool.size):
         raise ValidationError(f"b must lie in 1..pool size (got {b}, pool {pool.size})")
     if strategy == "random":
@@ -359,10 +357,7 @@ class ProtocolConfig:
             )
         object.__setattr__(self, "metric", canonical_metric(self.metric))
         object.__setattr__(self, "seed", config_value(self.seed, int, "seed"))
-        initial = config_value(self.initial, tuple, "initial")
-        object.__setattr__(
-            self, "initial", tuple(config_value(i, int, "initial") for i in initial)
-        )
+        object.__setattr__(self, "initial", _config_values(self.initial, int, "initial"))
         object.__setattr__(
             self, "normalize_features",
             config_value(self.normalize_features, bool, "normalize_features"),

@@ -1,11 +1,28 @@
 """Independent naive re-implementations used as oracles.
 
-Everything here is written with explicit Python loops and scalar math on
-purpose: the library computes the same quantities with vectorized numpy, so
-agreement between the two is a meaningful check, not a tautology.
+Everything down to `splitmix64_stream` is written with explicit Python loops
+and scalar math on purpose: the library computes the same quantities with
+vectorized numpy, so agreement between the two is a meaningful check, not a
+tautology.
+
+The last two references answer questions the library never asks at run
+time: `brute_force_k_center` is the exact optimum the greedy's factor-2
+guarantee is measured against (acceptance criterion 2), and
+`verify_bound_ordering` samples random selected sets to check that the worst
+per-area radial mean never exceeds the covering radius (criterion 1).
 """
 
+import itertools
 import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from denscore import PointSet, PortableRng, ValidationError, coverage
+from denscore.data import canonical_metric
+
+_BRUTE_FORCE_MAX_N = 16
+_BRUTE_FORCE_MAX_B = 5
 
 
 def euclidean(a, b):
@@ -39,15 +56,12 @@ def classical_radius(features, selected, metric="euclidean"):
     return worst
 
 
-def average_radial_distance(features, selected, k, metric="euclidean",
-                            include_self=True):
+def average_radial_distance(features, selected, k, metric="euclidean"):
     """Mean distance from the points assigned to k (nearest-selected,
-    ties to lowest index) to k itself."""
+    ties to lowest index, k itself included) to k itself."""
     values = []
     for t in range(len(features)):
         if nearest_selected(features, selected, t, metric) == k:
-            if not include_self and t == k:
-                continue
             values.append(dist(features[t], features[k], metric))
     if not values:
         return 0.0
@@ -168,3 +182,85 @@ def splitmix64_stream(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def brute_force_k_center(
+    points: PointSet, b: int, metric: str = "euclidean"
+) -> tuple[tuple[int, ...], float]:
+    """Exhaustively minimize the covering radius over all size-b subsets.
+
+    Only for oracle-scale instances (n <= 16, b <= 5).  Ties resolve to the
+    lexicographically smallest subset because candidates are enumerated in
+    lexicographic order and replaced only on strict improvement.
+    """
+    metric = canonical_metric(metric)
+    n = points.n
+    b = int(b)
+    if n > _BRUTE_FORCE_MAX_N:
+        raise ValidationError(
+            f"instance too large for exhaustive search (n={n} > {_BRUTE_FORCE_MAX_N})"
+        )
+    if not (1 <= b <= n):
+        raise ValidationError(f"b must lie in 1..n (got {b})")
+    if b > _BRUTE_FORCE_MAX_B:
+        raise ValidationError(
+            f"instance too large for exhaustive search (b={b} > {_BRUTE_FORCE_MAX_B})"
+        )
+    diff = points.features[:, None, :] - points.features[None, :, :]
+    sq = np.sum(diff * diff, axis=-1)
+    best_subset: tuple[int, ...] | None = None
+    best_sq = math.inf
+    for subset in itertools.combinations(range(n), b):
+        cols = np.asarray(subset, dtype=np.int64)
+        radius_sq = float(np.max(np.min(sq[:, cols], axis=1)))
+        if radius_sq < best_sq:
+            best_sq = radius_sq
+            best_subset = subset
+    value = best_sq if metric == "squared-euclidean" else math.sqrt(best_sq)
+    return best_subset, float(value)
+
+
+@dataclass(frozen=True)
+class BoundOrderingReport:
+    """Outcome of randomized mean-vs-max ordering trials."""
+
+    trials: int
+    violations: int
+    min_gap: float
+
+    def to_dict(self) -> dict:
+        return {
+            "trials": self.trials,
+            "violations": self.violations,
+            "min_gap": self.min_gap,
+        }
+
+
+def verify_bound_ordering(
+    points: PointSet, trials: int, seed: int = 0, metric: str = "euclidean"
+) -> BoundOrderingReport:
+    """Sample random selected subsets and check max mean radial distance
+    never exceeds the covering radius (tolerance 1e-12 * delta).
+
+    Returns the violation count and the smallest observed gap
+    (delta - max_radial) across trials.
+    """
+    trials = int(trials)
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    rng = PortableRng(seed)
+    n = points.n
+    violations = 0
+    min_gap = math.inf
+    for _ in range(trials):
+        size = 1 + int(rng.uniforms(1)[0] * n)
+        size = min(size, n)
+        subset = rng.permutation(n)[:size]
+        # the library's summaries: this harness checks their ordering
+        cov = coverage.assign_coverage(points, subset, metric)
+        delta = coverage.classical_radius(cov)
+        max_radial = max(coverage.all_radial_distances(cov).values())
+        if max_radial > delta + coverage.ORDERING_RTOL * delta:
+            violations += 1
+        min_gap = min(min_gap, delta - max_radial)
+    return BoundOrderingReport(trials=trials, violations=violations, min_gap=min_gap)

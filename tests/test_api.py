@@ -1,0 +1,74 @@
+"""The public surface: every exported name resolves, and every count
+rejects a fractional value instead of truncating it."""
+
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import denscore
+from denscore import (
+    DensityField,
+    MaskedReconstructor,
+    PointSet,
+    ProtocolConfig,
+    ScoreMap,
+    ValidationError,
+    assign_coverage,
+    calibrate,
+    density_aware_greedy,
+    hoeffding_term,
+    k_center_greedy,
+    knn_density,
+    uncertainty_select,
+)
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(denscore.__path__))
+
+
+@pytest.mark.parametrize(
+    "module", ["denscore"] + [f"denscore.{m}" for m in SUBMODULES])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
+
+
+POINTS = PointSet.from_features(np.arange(12, dtype=np.float64).reshape(6, 2))
+FIELD = DensityField(np.linspace(1.0, 2.0, 6))
+COVERAGE = assign_coverage(POINTS, [0, 2, 4])
+SCORES = ScoreMap(np.linspace(0.0, 1.0, 6), "scores")
+
+# (call, parameter name); each call passes one count as a fraction
+FRACTIONAL_COUNTS = {
+    "knn_density": (lambda v: knn_density(POINTS, v), "k_neighbors"),
+    "MaskedReconstructor": (lambda v: MaskedReconstructor(v), "kernel_size"),
+    "k_center_greedy": (lambda v: k_center_greedy(POINTS, None, v), "b"),
+    "density_aware_greedy": (
+        lambda v: density_aware_greedy(POINTS, FIELD, None, v), "b"),
+    "uncertainty_select": (
+        lambda v: uncertainty_select(SCORES, v, "random"), "b"),
+    "hoeffding_term": (lambda v: hoeffding_term(1.0, 0.5, v), "n"),
+    "calibrate": (lambda v: calibrate(FIELD, COVERAGE, num_bins=v), "num_bins"),
+    "ProtocolConfig.initial": (
+        lambda v: ProtocolConfig(budget=2, algorithm="k-center", initial=(v,)),
+        "initial"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTIONAL_COUNTS))
+def test_fractional_count_names_its_parameter(case):
+    call, name = FRACTIONAL_COUNTS[case]
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        call(2.7)
+    # a whole float and a numpy integer still name a count
+    call(3.0)
+    call(np.int64(3))
+
+
+def test_whole_counts_match_their_int():
+    assert np.array_equal(knn_density(POINTS, 3.0).values,
+                          knn_density(POINTS, 3).values)
+    assert k_center_greedy(POINTS, None, np.int64(2)).picks == (0, 5)
+    assert MaskedReconstructor(np.int64(3)).kernel_size == 3

@@ -86,6 +86,13 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert "sigma" in capsys.readouterr().err
 
+    def test_dim_is_not_a_generator_field(self, tmp_path, capsys):
+        # the dimension is the length of the means, never configured
+        generator = dict(MIXTURE_GENERATOR, dim=2)
+        cfg = write_config(tmp_path / "gen.json", {"generator": generator})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert "'dim'" in capsys.readouterr().err
+
     def test_invalid_json_reports_config_error(self, tmp_path, capsys):
         bad = tmp_path / "gen.json"
         bad.write_text("{not json")
@@ -380,6 +387,7 @@ class TestCompare:
         assert {r["algorithm"] for r in payload["rows"]} == {
             "k-center", "density-aware",
         }
+        assert payload["dataset"]["dim"] == 2
         csv_text = (tmp_path / "comparison.csv").read_text().splitlines()
         assert csv_text[0] == "seed,algorithm,delta,max_radial,loss,runtime_ms"
         assert len(csv_text) == 1 + 2 * 3
@@ -446,8 +454,8 @@ class TestExitCodes:
         ("select", "estimator.k_neighbors", "ten"),
         ("generate", "generator.seed", "x"),
         ("generate", "generator.counts", ["ten"]),
-        ("generate", "generator.grid_shape", [2, "x"]),
-        ("generate", "generator.grid_spacing", "wide"),
+        ("generate", "generator.kind", "grid-blobs"),
+        ("generate", "generator.sigmas", ["wide"]),
         ("compare", "generator.means", [[0.0, 0.0], ["x", 0.0]]),
         # values a bare int(), tuple() or bool() would coerce silently
         ("select", "protocol.budget", 2.7),
@@ -474,10 +482,7 @@ class TestExitCodes:
                 "bounds": {"confidence": 0.05},
             },
             "compare": {"generator": dict(MIXTURE_GENERATOR), "budget": 5, "seeds": [1]},
-            "generate": {"generator": {
-                "kind": "grid-blobs", "seed": 3, "grid_shape": [2, 2],
-                "grid_spacing": 5.0, "counts": [10],
-            }},
+            "generate": {"generator": dict(MIXTURE_GENERATOR)},
         }[command]
         *sections, field = path.split(".")
         target = payload

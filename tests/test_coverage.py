@@ -14,9 +14,7 @@ from denscore import (
     PointSet,
     ValidationError,
     assign_coverage,
-    average_radial_distance,
     bound_report,
-    brute_force_k_center,
     classical_radius,
     hoeffding_term,
 )
@@ -112,14 +110,9 @@ class TestRadii:
         cov = assign_coverage(ps, [0, 3])
         assert cov.pi.tolist() == [0, 0, 0, 3]
         assert classical_radius(cov) == 2.0
-        assert average_radial_distance(cov, 0) == pytest.approx(1.0, abs=1e-15)
-        assert average_radial_distance(cov, 3) == 0.0
-
-    def test_non_selected_query_rejected(self):
-        ps = _line([0.0, 1.0])
-        cov = assign_coverage(ps, [0])
-        with pytest.raises(ValidationError):
-            average_radial_distance(cov, 1)
+        radial = all_radial_distances(cov)
+        assert radial[0] == pytest.approx(1.0, abs=1e-15)
+        assert radial[3] == 0.0
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(123)
@@ -135,10 +128,11 @@ class TestRadii:
             rows = [list(map(float, feats[i])) for i in range(n)]
             assert classical_radius(cov) == pytest.approx(
                 oracles.classical_radius(rows, selected, metric), abs=1e-10)
+            radial = all_radial_distances(cov)
+            assert list(radial) == selected
             for k in selected:
                 expected = oracles.average_radial_distance(rows, selected, k, metric)
-                assert average_radial_distance(cov, k) == pytest.approx(
-                    expected, abs=1e-10)
+                assert radial[k] == pytest.approx(expected, abs=1e-10)
 
     def test_mean_never_exceeds_max(self):
         rng = np.random.default_rng(77)
@@ -242,20 +236,20 @@ class TestBoundReport:
 class TestBruteForce:
     def test_three_point_tie_is_lexicographic(self):
         ps = _line([0.0, 1.0, 10.0])
-        subset, radius = brute_force_k_center(ps, 2)
+        subset, radius = oracles.brute_force_k_center(ps, 2)
         assert subset == (0, 2)
         assert radius == 1.0
 
     def test_full_budget_covers_exactly(self):
         ps = _line([0.0, 2.0, 5.0, 9.0])
-        subset, radius = brute_force_k_center(ps, 4)
+        subset, radius = oracles.brute_force_k_center(ps, 4)
         assert subset == (0, 1, 2, 3)
         assert radius == 0.0
 
     def test_squared_metric_squares_the_radius(self):
         ps = _line([0.0, 1.0, 10.0])
-        _, r_euc = brute_force_k_center(ps, 2, "euclidean")
-        _, r_sq = brute_force_k_center(ps, 2, "squared-euclidean")
+        _, r_euc = oracles.brute_force_k_center(ps, 2, "euclidean")
+        _, r_sq = oracles.brute_force_k_center(ps, 2, "squared-euclidean")
         assert r_sq == pytest.approx(r_euc**2, abs=1e-12)
 
     def test_optimum_beats_random_subsets(self):
@@ -264,7 +258,7 @@ class TestBruteForce:
             n = int(rng.integers(6, 13))
             ps = PointSet.from_features(rng.normal(size=(n, 2)))
             b = int(rng.integers(1, 5))
-            _, best = brute_force_k_center(ps, b)
+            _, best = oracles.brute_force_k_center(ps, b)
             for _ in range(5):
                 sel = rng.permutation(n)[:b]
                 cov = assign_coverage(ps, sel)
@@ -273,9 +267,9 @@ class TestBruteForce:
     def test_size_guards(self):
         big = PointSet.from_features(np.random.default_rng(0).normal(size=(17, 2)))
         with pytest.raises(ValidationError):
-            brute_force_k_center(big, 2)
+            oracles.brute_force_k_center(big, 2)
         small = _line([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         with pytest.raises(ValidationError):
-            brute_force_k_center(small, 6)
+            oracles.brute_force_k_center(small, 6)
         with pytest.raises(ValidationError):
-            brute_force_k_center(small, 0)
+            oracles.brute_force_k_center(small, 0)

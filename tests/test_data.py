@@ -1,6 +1,5 @@
 """Containers, generators, metrics, and CSV round-trips."""
 
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from denscore import (
     generate,
     load_pointset,
     normalize,
-    pairwise_distances,
     save_pointset,
 )
 from denscore.data import (
@@ -21,6 +19,7 @@ from denscore.data import (
     block_rows,
     canonical_metric,
     nearest_selected,
+    squared_distance_blocks,
 )
 
 from oracles import dist as oracle_dist
@@ -55,10 +54,22 @@ class TestContainers:
     def test_feature_grid_shape_checks(self):
         with pytest.raises(ValidationError):
             FeatureGrid(np.zeros((4, 4)))
+        with pytest.raises(ValidationError):
+            FeatureGrid(np.zeros((4, 0, 3)))
         grid = FeatureGrid(np.zeros((4, 5, 3)))
-        assert (grid.height, grid.width, grid.channels) == (4, 5, 3)
-        flat = grid.flatten()
-        assert flat.n == 20 and flat.dim == 3
+        assert grid.values.shape == (4, 5, 3)
+        with pytest.raises(ValueError):
+            grid.values[0, 0, 0] = 1.0
+
+
+def _blocks_matrix(a, b, chunk=None):
+    """The full squared-distance matrix, checking that the blocks tile the
+    rows of ``a`` in order."""
+    blocks = list(squared_distance_blocks(a, b, chunk))
+    starts = [start for start, _, _ in blocks]
+    stops = [stop for _, stop, _ in blocks]
+    assert starts == [0] + stops[:-1] and stops[-1] == len(a)
+    return np.vstack([sq for _, _, sq in blocks])
 
 
 class TestMetrics:
@@ -72,22 +83,23 @@ class TestMetrics:
         rng = np.random.default_rng(42)
         a = rng.normal(size=(17, 5))
         b = rng.normal(size=(9, 5))
-        for metric in ("euclidean", "squared-euclidean"):
-            mat = pairwise_distances(a, b, metric)
-            for i in range(17):
-                for j in range(9):
-                    expected = oracle_dist(a[i], b[j], metric)
-                    assert mat[i, j] == pytest.approx(expected, abs=1e-12)
+        mat = _blocks_matrix(a, b, chunk=4)
+        for i in range(17):
+            for j in range(9):
+                expected = oracle_dist(a[i], b[j], "squared-euclidean")
+                assert mat[i, j] == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            next(squared_distance_blocks(a, b[:, :4]))
 
     def test_pairwise_chunking_is_invisible(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(300, 3))
-        full = pairwise_distances(a, a, chunk=256)
-        tiny = pairwise_distances(a, a, chunk=11)
+        full = _blocks_matrix(a, a, chunk=256)
+        tiny = _blocks_matrix(a, a, chunk=11)
         assert np.array_equal(full, tiny)
         # the default block rule splits these 300 rows too
         assert block_rows(300, 3) < 300
-        assert np.array_equal(full, pairwise_distances(a, a))
+        assert np.array_equal(full, _blocks_matrix(a, a))
 
     @pytest.mark.parametrize("rows, centres, dim", [
         (40, 7, 3),     # random
@@ -169,16 +181,14 @@ class TestGenerate:
         hi = np.array([1.0, -2.0, 0.5]) + 2.0
         assert np.all(ds.points.features >= lo) and np.all(ds.points.features <= hi)
 
-    def test_grid_blobs_layout_and_labels(self):
-        spec = GeneratorSpec(
-            kind="grid-blobs", seed=11, grid_shape=(2, 3), grid_spacing=10.0,
-            sigmas=(0.01,), counts=(4,), dim=2,
-        )
-        ds = generate(spec)
-        assert ds.n == 24 and ds.num_classes == 6
-        # blob 5 (row 1, col 1, 1-based label 5) sits near (10, 10)
-        blob = ds.points.features[ds.labels == 5]
-        assert np.allclose(blob.mean(axis=0), [10.0, 10.0], atol=0.1)
+    def test_dim_is_the_length_of_the_means(self):
+        spec = GeneratorSpec(kind="uniform-box", seed=1, means=((0.0, 1.0, 2.0),),
+                             sigmas=(1.0,), counts=(4,))
+        assert spec.dim == 3 == generate(spec).dim
+        assert spec.to_dict()["dim"] == 3
+        with pytest.raises(TypeError):
+            GeneratorSpec(kind="uniform-box", seed=1, means=((0.0,),),
+                          sigmas=(1.0,), counts=(4,), dim=1)
 
     def test_validation_names_offending_field(self):
         with pytest.raises(ValidationError, match="sigmas"):
@@ -194,8 +204,9 @@ class TestGenerate:
             GeneratorSpec(kind="gaussian-mixture", seed=0,
                           means=((0.0,), (1.0, 2.0)), sigmas=(1.0, 1.0),
                           counts=(5, 5))
-        with pytest.raises(ValidationError, match="grid_shape|grid_spacing"):
-            GeneratorSpec(kind="grid-blobs", seed=0)
+        with pytest.raises(ValidationError, match="kind"):
+            GeneratorSpec(kind="grid-blobs", seed=0, means=((0.0,),),
+                          sigmas=(1.0,), counts=(5,))
 
 
 class TestNormalize:

@@ -15,7 +15,6 @@ from denscore import (
     core_set_loss,
     nonuniform_mixture_spec,
     uniform_box_spec,
-    verify_bound_ordering,
 )
 
 import oracles
@@ -112,7 +111,7 @@ class TestBoundOrdering:
     def test_random_subsets_never_violate(self):
         rng = np.random.default_rng(61)
         points = PointSet.from_features(rng.normal(size=(60, 3)))
-        report = verify_bound_ordering(points, trials=50, seed=9)
+        report = oracles.verify_bound_ordering(points, trials=50, seed=9)
         assert report.trials == 50
         assert report.violations == 0
         assert report.min_gap >= -1e-12
@@ -120,15 +119,15 @@ class TestBoundOrdering:
     def test_report_is_deterministic(self):
         rng = np.random.default_rng(62)
         points = PointSet.from_features(rng.normal(size=(30, 2)))
-        a = verify_bound_ordering(points, trials=20, seed=3)
-        b = verify_bound_ordering(points, trials=20, seed=3)
+        a = oracles.verify_bound_ordering(points, trials=20, seed=3)
+        b = oracles.verify_bound_ordering(points, trials=20, seed=3)
         assert a.min_gap == b.min_gap
         assert a.to_dict() == b.to_dict()
 
     def test_trials_must_be_positive(self):
         points = PointSet.from_features(np.zeros((3, 1)) + np.arange(3)[:, None])
         with pytest.raises(ValidationError):
-            verify_bound_ordering(points, trials=0)
+            oracles.verify_bound_ordering(points, trials=0)
 
 
 class TestStockSpecs:

@@ -218,7 +218,21 @@ class TestFilterAndBaselines:
         sm = ScoreMap(self.PROBS, "probabilities")
         assert filter_candidates(sm, alpha=50.0, b=2).tolist() == [0, 1, 2, 3]
         assert filter_candidates(sm, alpha=2.0, b=1,
-                                 candidates=[1, 2]).tolist() == [1, 2]
+                                 candidates=[2, 1]).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("candidates, message", [
+        ([1.5, 2.2], "candidates index 1.5 is not an integer"),
+        ([True, False], "candidates index True is not an integer"),
+        ([1, 2, 1], "duplicate index 1"),
+        ([0, 4], "out of range"),
+        ([], "candidates set must be non-empty"),
+    ])
+    def test_candidates_are_checked_indices(self, candidates, message):
+        sm = ScoreMap(self.PROBS, "probabilities")
+        with pytest.raises(ValidationError, match=message):
+            filter_candidates(sm, alpha=2.0, b=1, candidates=candidates)
+        with pytest.raises(ValidationError, match=message):
+            uncertainty_select(sm, 1, "random", candidates=candidates)
 
     def test_filter_requires_alpha_b_at_least_one(self):
         sm = ScoreMap(self.PROBS, "probabilities")
