@@ -15,13 +15,18 @@ tightened bound values.  The per-area means are computed in one place,
 greedy's factor-2 guarantee is a test oracle (``tests/oracles.py``), not
 part of the package.
 
-Cost for n points, |s| selected, dimension d: the assignment takes
-O(n * |s| * d) time and O(n) memory plus one block of distances (see
-`data.nearest_selected`); every summary then reads only the assignment,
-O(n) from its distances.  An assignment extended by new selected points
-measures only those points, so a multi-round protocol that carries one
-assignment measures each selected point against the n points once:
-O(n * |s| * d) per run, not per round.
+Cost for n points, |s| selected, dimension d: each new selected point k
+costs O(|s| * d + n) to find the points it may take, plus O(d) per such
+point to measure it.  A point t can only move to k if d(t, k) <= d(t, pi_t),
+and then d(pi_t, k) <= 2 d(t, pi_t) by the triangle inequality, so k is
+measured only against the points whose owner lies that close to it.  Taken
+in pick order, a greedy's picks shrink every owner distance and most points
+are never measured: at worst (high d, where the bound prunes nothing) this
+is the O(n * |s| * d) of measuring every pair.  Memory is O(n).  Every
+summary then reads only the assignment, O(n) from its distances.  An
+assignment extended by new selected points measures only those points, so
+a multi-round protocol that carries one assignment measures each selected
+point once per run, not per round.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from .data import (
     ValidationError,
     canonical_metric,
     check_index_set,
+    check_indices,
     config_value,
-    nearest_selected,
+    squared_distances_to,
 )
 
 __all__ = [
@@ -53,6 +59,10 @@ __all__ = [
 
 # Slack for asserting the exact mean-vs-max ordering in floating point.
 ORDERING_RTOL = 1e-12
+
+# The triangle bound d^2(pi_t, k) <= 4 d^2(t, pi_t), widened so that
+# rounding in either side never drops a point k can take.
+_TRIANGLE = 4.0 * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,36 +102,59 @@ def assign_coverage(
 
     ``previous``, an assignment of the same points to a subset of
     ``selected``, is extended: only the selected points it lacks are
-    measured.  Without it the empty assignment (owner -1 at squared
-    distance inf) is extended, so there is one path, and an extended
-    assignment is bit-identical to one assigned from scratch.
+    measured, in the order ``selected`` lists them (pick order prunes
+    best; see the module docstring).  Without it the empty assignment
+    (owner -1 at squared distance inf) is extended, so there is one path,
+    and an extended assignment is bit-identical to one assigned from
+    scratch, whatever the order.
     """
     metric = canonical_metric(metric)
-    sel = check_index_set(selected, points.n, "selected")
+    order = check_indices(selected, points.n, "selected")
+    sel = check_index_set(order, points.n, "selected")
     if previous is None:
         held = np.empty(0, dtype=np.int64)
         pi, sq = np.full(points.n, -1, dtype=np.int64), np.full(points.n, np.inf)
     else:
         if previous.n != points.n:
             raise ValidationError("previous assignment does not match point set")
-        held, pi, sq = previous.selected, previous.pi, previous.sq_distances
-    new = np.setdiff1d(sel, held, assume_unique=True)
+        held = previous.selected
+        pi, sq = previous.pi.copy(), previous.sq_distances.copy()
+    new = order[~np.isin(order, held)]
     if new.size != sel.size - held.size:
         raise ValidationError(
             "selected set must contain the previous assignment's selected set"
         )
-    if new.size:
-        position, new_sq = nearest_selected(points.features, points.features[new])
-        new_pi = new[position]
-        # a new owner takes a point it is strictly nearer to, or as near
-        # and of lower index: the scratch argmin's tie rule
-        take = (new_sq < sq) | ((new_sq == sq) & (new_pi < pi))
-        pi = np.where(take, new_pi, pi)
-        sq = np.where(take, new_sq, sq)
+    owners = points.features[sel]
+    # read only at owners, and at pi = -1 (its last entry, finite), where
+    # sq = inf makes the point a candidate whatever the entry holds
+    to_owner = np.zeros(points.n)
+    for k in new.tolist():
+        to_owner[sel] = squared_distances_to(owners, points.features[k])
+        _claim(points.features, k, to_owner, pi, sq)
     distances = sq if metric == "squared-euclidean" else np.sqrt(sq)
     for arr in (sel, pi, sq, distances):
         arr.setflags(write=False)
     return CoverageAssignment(sel, pi, sq, distances, metric)
+
+
+def _claim(
+    features: np.ndarray, k: int, to_owner: np.ndarray, pi: np.ndarray, sq: np.ndarray
+) -> None:
+    """Hand the new selected point k, in place, every point it is strictly
+    nearer to than to its owner, or as near and of lower index (the scratch
+    argmin's tie rule).
+
+    ``to_owner[j]`` is the squared distance from k to every owner j.  Only
+    points whose owner lies within the triangle bound of k are measured;
+    an unowned point (owner -1, squared distance inf) always is.
+    """
+    rows = np.flatnonzero(to_owner[pi] <= _TRIANGLE * sq)
+    new_sq = squared_distances_to(features[rows], features[k])
+    old_sq = sq[rows]
+    take = (new_sq < old_sq) | ((new_sq == old_sq) & (k < pi[rows]))
+    rows = rows[take]
+    pi[rows] = k
+    sq[rows] = new_sq[take]
 
 
 def classical_radius(cov: CoverageAssignment) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -32,6 +33,7 @@ __all__ = [
     "GeneratorSpec",
     "canonical_metric",
     "squared_distance_blocks",
+    "squared_distances_to",
     "nearest_selected",
     "generate",
     "normalize",
@@ -365,6 +367,17 @@ def squared_distance_blocks(
         yield start, stop, np.sum(diff * diff, axis=-1)
 
 
+def squared_distances_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distance from every row of ``a`` to the point ``x``.
+
+    The same explicit-difference arithmetic as `squared_distance_blocks`,
+    entry for entry, and independent of which rows ``a`` holds.
+    """
+    diff = a - x
+    diff *= diff
+    return np.sum(diff, axis=1)
+
+
 def nearest_selected(
     a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +448,9 @@ def load_pointset(path) -> LabeledPointSet:
             raise ValidationError(f"{path}: line 1: empty file") from None
         header = [h.strip() for h in header]
         cols = _parse_header(header, path)
-        ids, feats, labels, scores = [], [], [], []
+        ids, labels, scores = [], [], []
+        # one flat buffer of every row's features, not one list per row
+        feats = array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -445,24 +460,25 @@ def load_pointset(path) -> LabeledPointSet:
                 )
             try:
                 ids.append(int(row[cols['id']]))
-                feats.append([float(row[j]) for j in cols['features']])
+                values = [float(row[j]) for j in cols['features']]
                 if cols['label'] is not None:
                     labels.append(int(row[cols['label']]))
                 if cols['score'] is not None:
                     scores.append(float(row[cols['score']]))
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in feats[-1]):
+            if not all(math.isfinite(v) for v in values):
                 raise ValidationError(
                     f"{path}: line {lineno}: non-finite feature value"
                 )
+            feats.extend(values)
     if not ids:
         raise ValidationError(f"{path}: line 2: no data rows")
     id_arr = np.asarray(ids, dtype=np.int64)
     if len(np.unique(id_arr)) != len(id_arr):
         dup = int(id_arr[_first_duplicate(id_arr)])
         raise ValidationError(f"{path}: duplicate id {dup}")
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = np.frombuffer(feats, dtype=np.float64).reshape(len(ids), -1)
     labels_defaulted = cols['label'] is None
     if labels_defaulted:
         label_arr = np.ones(len(id_arr), dtype=np.int64)

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .coverage import CoverageAssignment, all_radial_distances
 from .data import (
@@ -150,6 +149,10 @@ def knn_density(
     if not (1 <= k < points.n):
         raise ValidationError(f"k_neighbors must lie in 1..n-1 (got {k})")
     features = points.features
+    # Imported here, as in the greedy, so that commands that estimate no
+    # density and run no greedy never load scipy.spatial.
+    from scipy.spatial import cKDTree
+
     # The point's own zero distance is always among its k + 1 smallest, so
     # dropping the first column is exact even when points repeat.
     nearest = cKDTree(features).query(features, k=k + 1)[0][:, 1:]

@@ -34,6 +34,7 @@ from .data import (
     _config_values,
     canonical_metric,
     check_index_set,
+    config_value,
     generate,
     nearest_selected,
 )
@@ -252,6 +253,8 @@ def nonuniform_mixture_spec(
     two values.  Counts keep their proportions when ``n`` changes; cluster
     directions repeat when ``dim`` is too small to give each its own axis.
     """
+    n = config_value(n, int, "n")
+    dim = config_value(dim, int, "dim")
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     if n < 20:
@@ -302,10 +305,12 @@ def uniform_box_spec(
     n: int = 1000, dim: int = 4, seed: int = 0, half_width: float = 1.0
 ) -> GeneratorSpec:
     """Uniform control dataset: one axis-aligned box centred at the origin."""
+    n = config_value(n, int, "n")
+    dim = config_value(dim, int, "dim")
     return GeneratorSpec(
         kind="uniform-box",
         seed=seed,
         means=(tuple([0.0] * dim),),
         sigmas=(float(half_width),),
-        counts=(int(n),),
+        counts=(n,),
     )

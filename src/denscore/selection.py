@@ -13,6 +13,11 @@ d == 1 (no rescale), so the two differ only in how strongly an existing pick
 low-density pick almost nothing, which is what steers extra budget into
 sparse areas.
 
+Each pick u lowers r only inside the ball of radius sqrt(r_u * d_u) around
+u, since r_u is the largest r; the greedy queries that ball in a KD-tree of
+the points and measures only its members, with the same arithmetic, so the
+radii are the same as when every point is measured.
+
 All ties (equal r, equal scores) resolve to the lowest index.  Every r
 starts at inf, so with an empty initial set the rule itself makes the first
 pick the lowest-index candidate, with radius-at-pick inf; no case is special.
@@ -44,6 +49,7 @@ from .data import (
     check_indices,
     config_value,
     normalize,
+    squared_distances_to,
 )
 from .density import DensityField, estimator_from_config
 from .rng import PortableRng, derive_seed
@@ -117,28 +123,41 @@ def _greedy_select(
     unselected = np.ones(n, dtype=bool)
     unselected[selected] = False
     radii = s0.radii.copy() if resume else np.full(n, np.inf)
+    # Imported here, its only use besides knn_density, so that commands
+    # running no greedy never load scipy.spatial.
+    from scipy.spatial import cKDTree
 
-    def cover(k: int) -> None:
-        """Lower every radius to its (rescaled) squared distance to k."""
-        diff = features - features[k]
-        dist_sq = np.sum(diff * diff, axis=1)
+    tree = cKDTree(features)
+
+    def cover(k: int, reach: float) -> None:
+        """Lower every radius to its (rescaled) squared distance to k,
+        measuring only the points within Euclidean distance ``reach`` of k
+        (every point when ``reach`` is inf)."""
+        rows = slice(None)
+        if not math.isinf(reach):
+            rows = np.asarray(tree.query_ball_point(features[k], reach), dtype=np.intp)
+        dist_sq = squared_distances_to(features[rows], features[k])
         if densities is not None:
             dist_sq = dist_sq / densities[k]
-        np.minimum(radii, dist_sq, out=radii)
+        radii[rows] = np.minimum(radii[rows], dist_sq)
 
     if not resume:
         for k in selected:
-            cover(k)
+            cover(k, math.inf)
 
     picks: list[int] = []
     pick_radii: list[float] = []
     for _ in range(b):
         u = int(np.argmax(np.where(unselected, radii, -np.inf)))
-        pick_radii.append(float(radii[u]))
+        r_u = float(radii[u])
+        pick_radii.append(r_u)
         selected.append(u)
         picks.append(u)
         unselected[u] = False
-        cover(u)
+        # Every radius is at most r_u, so u lowers r_t only where
+        # d^2(t, u) / dens_u < r_u; the widening absorbs rounding.
+        scale = 1.0 if densities is None else float(densities[u])
+        cover(u, math.sqrt(r_u * scale) * (1.0 + 1e-9))
 
     return SelectionState(
         selected=tuple(selected),
@@ -255,19 +274,20 @@ def _candidate_pool(candidates, n: int) -> np.ndarray:
 
 
 def filter_candidates(
-    scores: ScoreMap, alpha: float, b, candidates=None
+    scores: ScoreMap, alpha: float, b: int, candidates=None
 ) -> np.ndarray:
     """Indices of the top ``min(ceil(alpha*b), pool size)`` scores.
 
     ``candidates`` restricts the pool (default: everyone).  Ties resolve to
     the lowest index; the result is sorted ascending.
     """
+    b = config_value(b, int, "b")
     alpha = float(alpha)
-    if not (alpha * float(b) >= 1.0):
-        raise ValidationError(f"alpha*b must be >= 1 (got {alpha * float(b)!r})")
+    if not (alpha * b >= 1.0):
+        raise ValidationError(f"alpha*b must be >= 1 (got {alpha * b!r})")
     pool = _candidate_pool(candidates, scores.n)
     s = scores.scalar_scores()[pool]
-    m = min(int(math.ceil(alpha * float(b))), pool.size)
+    m = min(int(math.ceil(alpha * b)), pool.size)
     order = np.argsort(-s, kind="stable")  # stable: ties keep lowest index
     return np.sort(pool[order[:m]])
 

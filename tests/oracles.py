@@ -5,6 +5,11 @@ and scalar math on purpose: the library computes the same quantities with
 vectorized numpy, so agreement between the two is a meaningful check, not a
 tautology.
 
+`dense_greedy` and `dense_coverage` are the greedy and the coverage
+assignment without pruning: every pick, and every selected point, is
+measured against every point.  They use the package's explicit-difference
+arithmetic on purpose, so the pruned versions must match them bit for bit.
+
 The last two references answer questions the library never asks at run
 time: `brute_force_k_center` is the exact optimum the greedy's factor-2
 guarantee is measured against (acceptance criterion 2), and
@@ -182,6 +187,48 @@ def splitmix64_stream(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def _dense_squared(features, k):
+    diff = features - features[k]
+    return np.sum(diff * diff, axis=1)
+
+
+def dense_greedy(features, densities, s0, b):
+    """The greedy measuring every point at every pick: ``(picks,
+    pick_radii, radii)``.  ``densities`` None is k-center; ties to the
+    lowest index."""
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    radii = np.full(n, np.inf)
+    unselected = np.ones(n, dtype=bool)
+    picks, pick_radii = [], []
+
+    def cover(k):
+        sq = _dense_squared(features, k)
+        if densities is not None:
+            sq = sq / densities[k]
+        np.minimum(radii, sq, out=radii)
+        unselected[k] = False
+
+    for k in s0:
+        cover(k)
+    for _ in range(b):
+        u = int(np.argmax(np.where(unselected, radii, -np.inf)))
+        picks.append(u)
+        pick_radii.append(float(radii[u]))
+        cover(u)
+    return picks, pick_radii, radii
+
+
+def dense_coverage(features, selected):
+    """Owner and squared distance of every point, measuring it against every
+    selected point: the least squared distance, ties to the lowest index."""
+    features = np.asarray(features, dtype=np.float64)
+    sel = sorted(selected)
+    sq = np.stack([_dense_squared(features, k) for k in sel], axis=1)
+    position = np.argmin(sq, axis=1)  # first of equal minima: lowest index
+    return np.asarray(sel)[position], sq[np.arange(len(features)), position]
 
 
 def brute_force_k_center(

@@ -18,10 +18,13 @@ from denscore import (
     assign_coverage,
     calibrate,
     density_aware_greedy,
+    filter_candidates,
     hoeffding_term,
     k_center_greedy,
     knn_density,
+    nonuniform_mixture_spec,
     uncertainty_select,
+    uniform_box_spec,
 )
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(denscore.__path__))
@@ -54,6 +57,11 @@ FRACTIONAL_COUNTS = {
     "ProtocolConfig.initial": (
         lambda v: ProtocolConfig(budget=2, algorithm="k-center", initial=(v,)),
         "initial"),
+    "filter_candidates": (lambda v: filter_candidates(SCORES, 1.0, v), "b"),
+    "uniform_box_spec": (lambda v: uniform_box_spec(n=v), "n"),
+    # the mixture needs n >= 20
+    "nonuniform_mixture_spec": (
+        lambda v: nonuniform_mixture_spec(n=20 + v), "n"),
 }
 
 

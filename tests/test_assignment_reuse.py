@@ -116,27 +116,31 @@ def test_learner_matches_owners_on_conflicting_duplicates():
 
 
 def test_run_rounds_measures_each_selected_point_once():
+    # coverage measures a new selected point k in one `_claim(..., k, ...)`
     ds = _grid_dataset(np.random.default_rng(6), 200, 3)
     calls = []
-    with _recording(coverage, "nearest_selected", calls):
+    with _recording(coverage, "_claim", calls):
         result = run_rounds(ds, ProtocolConfig(
             budget=5, rounds=4, algorithm="k-center", initial=(3, 8)))
     assert len(result.rounds) == 4
-    assert sum(len(args[1]) for args, _ in calls) == len(result.selected) == 22
+    assert [args[1] for args, _ in calls] == list(result.selected)
+    assert len(result.selected) == 22
 
 
 def test_evaluate_assigns_once(tmp_path):
     ds = _grid_dataset(np.random.default_rng(7), 120, 2)
     save_pointset(ds, tmp_path / "dataset.csv")
-    (tmp_path / "selection.csv").write_text("id\n3\n40\n77\n")
+    (tmp_path / "selection.csv").write_text("id\n40\n3\n77\n")
     cfg = tmp_path / "evaluate.json"
     cfg.write_text(json.dumps({
         "dataset": str(tmp_path / "dataset.csv"),
         "selection": str(tmp_path / "selection.csv"),
     }))
-    calls = []
-    with _recording(coverage, "nearest_selected", calls), \
-            _recording(evaluation, "nearest_selected", calls):
+    claimed, predicted = [], []
+    with _recording(coverage, "_claim", claimed), \
+            _recording(evaluation, "nearest_selected", predicted):
         code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_OK
-    assert [len(args[1]) for args, _ in calls] == [3]
+    # one assignment, measuring each selected point once in file order
+    assert [args[1] for args, _ in claimed] == [40, 3, 77]
+    assert predicted == []

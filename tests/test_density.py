@@ -225,7 +225,10 @@ class TestDensityCost:
 
     def test_import_leaves_scipy_stats_unloaded(self):
         src = os.path.dirname(os.path.dirname(denscore.__file__))
-        code = "import sys, denscore; sys.exit('scipy.stats' in sys.modules)"
+        # scipy.spatial and scipy.special are imported by the code that
+        # needs them, so that evaluate and generate never pay for them
+        code = ("import sys, denscore; sys.exit(any(m in sys.modules for m in "
+                "('scipy.stats', 'scipy.spatial', 'scipy.special')))")
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
         assert done.returncode == 0

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from denscore import (
     LabeledPointSet,
     PointSet,
@@ -27,9 +28,9 @@ SCALES = (1e-3, 1.0, 7.5, 1e3)
 
 
 @st.composite
-def grid_points(draw, min_n=2, max_n=25):
+def grid_points(draw, min_n=2, max_n=25, max_dim=3):
     n = draw(st.integers(min_n, max_n))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, max_dim))
     coords = draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
         min_size=n, max_size=n,
@@ -39,10 +40,10 @@ def grid_points(draw, min_n=2, max_n=25):
 
 
 @st.composite
-def greedy_runs(draw):
+def greedy_runs(draw, max_dim=3):
     """Points, densities (None for k-center), an initial set and a budget
     up to everything left."""
-    points = draw(grid_points())
+    points = draw(grid_points(max_dim=max_dim))
     n = points.n
     densities = draw(st.none() | st.lists(
         st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), min_size=n, max_size=n))
@@ -121,3 +122,41 @@ def test_csv_save_then_load_round_trips_exactly(points, factor, scored, data):
         assert loaded.scores.tobytes() == dataset.scores.tobytes()
     else:
         assert loaded.scores is None
+
+
+# Up to 10 coordinates, so that numpy's unrolled sums (8 and more terms)
+# are covered too; the pruned steps must still match the dense ones exactly.
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(greedy_runs(max_dim=10), st.data())
+def test_pruned_greedy_equals_the_dense_greedy(run, data):
+    points, densities, s0, budget = run
+    if densities is not None:
+        densities = np.asarray(densities)
+    first = data.draw(st.integers(0, budget))
+
+    def greedy(start, b):
+        if densities is None:
+            return k_center_greedy(points, start, b)
+        return density_aware_greedy(points, densities, start, b)
+
+    state = greedy(greedy(s0, first), budget - first)  # resumed midway
+    picks, pick_radii, radii = oracles.dense_greedy(
+        points.features, densities, s0, budget)
+    assert list(state.picks) == picks[first:]
+    assert state.pick_radii.tolist() == pick_radii[first:]
+    assert np.array_equal(state.radii, radii)
+    assert state.selected == tuple(s0) + tuple(picks)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(grid_points(max_dim=10), st.data())
+def test_pruned_coverage_equals_the_dense_assignment(points, data):
+    # selected points in any order, assigned from scratch or extended
+    selected = data.draw(st.lists(
+        st.integers(0, points.n - 1), min_size=1, unique=True))
+    held = data.draw(st.integers(0, len(selected) - 1))
+    previous = assign_coverage(points, selected[:held]) if held else None
+    cov = assign_coverage(points, selected, previous=previous)
+    pi, sq = oracles.dense_coverage(points.features, selected)
+    assert np.array_equal(cov.pi, pi)
+    assert np.array_equal(cov.sq_distances, sq)
