@@ -17,10 +17,14 @@ part of the package.
 
 Cost for n points, |s| selected, dimension d: each new selected point k
 costs O(|s| * d + n) to find the points it may take, plus O(d) per such
-point to measure it.  A point t can only move to k if d(t, k) <= d(t, pi_t),
-and then d(pi_t, k) <= 2 d(t, pi_t) by the triangle inequality, so k is
-measured only against the points whose owner lies that close to it.  Taken
-in pick order, a greedy's picks shrink every owner distance and most points
+point to measure it.  `_claim` is that step, for this assignment and for
+the greedy (``selection``), whose r_t divides the squared distance by the
+density of the selected endpoint (1 here).  A point t can only move to k
+if d(t, k) <= sqrt(r_t dens_k), and its owner o lies at d(t, o) =
+sqrt(r_t dens_o), so d(o, k) <= sqrt(r_t) (sqrt(dens_o) + sqrt(dens_k)) by
+the triangle inequality: k is measured only against the points whose owner
+lies that close to it (d(o, k) <= 2 d(t, o) without densities).  Taken in
+pick order, a greedy's picks shrink every owner distance and most points
 are never measured: at worst (high d, where the bound prunes nothing) this
 is the O(n * |s| * d) of measuring every pair.  Memory is O(n).  Every
 summary then reads only the assignment, O(n) from its distances.  An
@@ -60,9 +64,9 @@ __all__ = [
 # Slack for asserting the exact mean-vs-max ordering in floating point.
 ORDERING_RTOL = 1e-12
 
-# The triangle bound d^2(pi_t, k) <= 4 d^2(t, pi_t), widened so that
-# rounding in either side never drops a point k can take.
-_TRIANGLE = 4.0 * (1.0 + 1e-9)
+# Widens the triangle bound of `_claim` so that rounding in either side
+# never drops a point k can take.
+_WIDEN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,13 +128,9 @@ def assign_coverage(
         raise ValidationError(
             "selected set must contain the previous assignment's selected set"
         )
-    owners = points.features[sel]
-    # read only at owners, and at pi = -1 (its last entry, finite), where
-    # sq = inf makes the point a candidate whatever the entry holds
     to_owner = np.zeros(points.n)
     for k in new.tolist():
-        to_owner[sel] = squared_distances_to(owners, points.features[k])
-        _claim(points.features, k, to_owner, pi, sq)
+        _claim(points.features, k, sel, to_owner, pi, sq)
     distances = sq if metric == "squared-euclidean" else np.sqrt(sq)
     for arr in (sel, pi, sq, distances):
         arr.setflags(write=False)
@@ -138,18 +138,33 @@ def assign_coverage(
 
 
 def _claim(
-    features: np.ndarray, k: int, to_owner: np.ndarray, pi: np.ndarray, sq: np.ndarray
+    features: np.ndarray, k: int, held: np.ndarray, to_owner: np.ndarray,
+    pi: np.ndarray, sq: np.ndarray, densities: np.ndarray | None = None,
 ) -> None:
     """Hand the new selected point k, in place, every point it is strictly
     nearer to than to its owner, or as near and of lower index (the scratch
     argmin's tie rule).
 
-    ``to_owner[j]`` is the squared distance from k to every owner j.  Only
-    points whose owner lies within the triangle bound of k are measured;
-    an unowned point (owner -1, squared distance inf) always is.
+    Nearness is the squared distance, divided by k's density when
+    ``densities`` is given (the greedy's r).  ``sq`` holds every point's
+    nearness to its owner ``pi``; an unowned point has owner -1 and
+    nearness inf.  ``held`` lists the selected points, the only owners, and
+    ``to_owner``, a reusable buffer of len(features), is overwritten there
+    with d^2(o, k) / (sqrt(dens_o) + sqrt(dens_k))^2.  Only the points t
+    whose owner o has that ratio within sq_t pass the triangle bound
+    (module docstring) and are measured; an unowned point always is.
     """
-    rows = np.flatnonzero(to_owner[pi] <= _TRIANGLE * sq)
+    root_k = 1.0 if densities is None else math.sqrt(densities[k])
+    root_held = 1.0 if densities is None else np.sqrt(densities[held])
+    to_owner[held] = (
+        squared_distances_to(features[held], features[k]) / (root_held + root_k) ** 2
+    )
+    # read only at owners, and at pi = -1 (its last entry, finite), where
+    # sq = inf makes the point a candidate whatever the entry holds
+    rows = np.flatnonzero(to_owner[pi] <= _WIDEN * sq)
     new_sq = squared_distances_to(features[rows], features[k])
+    if densities is not None:
+        new_sq /= densities[k]
     old_sq = sq[rows]
     take = (new_sq < old_sq) | ((new_sq == old_sq) & (k < pi[rows]))
     rows = rows[take]

@@ -34,7 +34,6 @@ __all__ = [
     "canonical_metric",
     "squared_distance_blocks",
     "squared_distances_to",
-    "nearest_selected",
     "generate",
     "normalize",
     "load_pointset",
@@ -376,24 +375,6 @@ def squared_distances_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     diff = a - x
     diff *= diff
     return np.sum(diff, axis=1)
-
-
-def nearest_selected(
-    a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position of the nearest row of ``b`` for every row of ``a`` (ties to
-    the lowest position), and the squared distance to it.
-
-    O(len(a) * len(b) * dim) time; O(len(a)) memory plus one block of
-    `squared_distance_blocks`, never the len(a) x len(b) matrix.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    position = np.empty(a.shape[0], dtype=np.intp)
-    sq_min = np.empty(a.shape[0], dtype=np.float64)
-    for start, stop, sq in squared_distance_blocks(a, b):
-        np.argmin(sq, axis=1, out=position[start:stop])
-        np.min(sq, axis=1, out=sq_min[start:stop])
-    return position, sq_min
 
 
 def normalize(points: PointSet) -> PointSet:

@@ -149,8 +149,8 @@ def knn_density(
     if not (1 <= k < points.n):
         raise ValidationError(f"k_neighbors must lie in 1..n-1 (got {k})")
     features = points.features
-    # Imported here, as in the greedy, so that commands that estimate no
-    # density and run no greedy never load scipy.spatial.
+    # Imported here, its only use, so that commands that estimate no kNN
+    # density never load scipy.spatial.
     from scipy.spatial import cKDTree
 
     # The point's own zero distance is always among its k + 1 smallest, so
@@ -168,23 +168,36 @@ def kernel_density(points: PointSet, bandwidth: float) -> DensityField:
 
     Rows are summed one block of `squared_distance_blocks` at a time:
     O(n^2 d) time, O(n) memory plus ~1 MiB blocks, and bit-identical to
-    summing the full n x n kernel matrix row by row.
+    summing the full n x n kernel matrix row by row.  A bandwidth for which
+    2 h^2 is not a positive finite float, or every k_t underflows to 0,
+    raises a ValidationError naming it.
     """
     bandwidth = float(bandwidth)
-    if not (bandwidth > 0 and math.isfinite(bandwidth)):
-        raise ValidationError("bandwidth must be a positive finite number")
+    # bandwidth**2 raises OverflowError from about 1.34e154 on
+    scale = 2.0 * bandwidth**2 if abs(bandwidth) < 1e154 else math.inf
+    if not (bandwidth > 0 and 0.0 < scale < math.inf):
+        raise ValidationError(
+            "bandwidth must be a positive number with 2 * bandwidth**2 a positive "
+            f"finite float (got {bandwidth!r})"
+        )
     if points.n < 2:
         raise ValidationError("kernel density needs at least two points")
     features = points.features
     n = points.n
     raw = np.empty(n, dtype=np.float64)
-    for start, stop, sq in squared_distance_blocks(features, features):
-        kernel = np.exp(-sq / (2.0 * bandwidth**2))
-        rows = np.arange(stop - start)
-        kernel[rows, rows + start] = 0.0
-        raw[start:stop] = np.sum(kernel, axis=1)
+    with np.errstate(over="ignore"):  # sq / scale overflows only where exp is 0
+        for start, stop, sq in squared_distance_blocks(features, features):
+            kernel = np.exp(-sq / scale)
+            rows = np.arange(stop - start)
+            kernel[rows, rows + start] = 0.0
+            raw[start:stop] = np.sum(kernel, axis=1)
     raw /= n - 1
-    return _density_field(BETA * raw / float(raw.max()), "kernel")
+    top = float(raw.max())
+    if top == 0.0:
+        raise ValidationError(
+            f"bandwidth {bandwidth!r} is too small: every kernel term underflows to 0"
+        )
+    return _density_field(BETA * raw / top, "kernel")
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,17 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageAssignment
+from .coverage import CoverageAssignment, assign_coverage
 from .data import (
     GeneratorSpec,
     LabeledPointSet,
+    PointSet,
     ValidationError,
     _config_values,
     canonical_metric,
     check_index_set,
     config_value,
     generate,
-    nearest_selected,
 )
 from .selection import ProtocolConfig, run_rounds
 
@@ -74,8 +74,9 @@ class PluginLearner:
     wins).  Every fitted point therefore predicts its own label except in
     the degenerate case of coordinate duplicates with conflicting labels.
     Plain and squared Euclidean distance give the same nearest point, so the
-    learner takes no metric.  On the points it was fitted from it predicts
-    ``labels[assign_coverage(points, selected).pi]``.
+    learner takes no metric.  ``predict`` is `assign_coverage` of the
+    fitted points stacked above the queries, so on the points it was
+    fitted from it predicts ``labels[assign_coverage(points, selected).pi]``.
     """
 
     fitted_indices: np.ndarray
@@ -92,8 +93,11 @@ class PluginLearner:
         )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        position, _ = nearest_selected(features, self.fitted_features)
-        return self.fitted_labels[position]
+        # a fitted position is a selected index: ties go to the lowest
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        m = self.fitted_indices.size
+        stacked = PointSet.from_features(np.vstack([self.fitted_features, features]))
+        return self.fitted_labels[assign_coverage(stacked, np.arange(m)).pi[m:]]
 
 
 def core_set_loss(data: LabeledPointSet, cov: CoverageAssignment) -> float:

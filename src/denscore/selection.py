@@ -13,10 +13,12 @@ d == 1 (no rescale), so the two differ only in how strongly an existing pick
 low-density pick almost nothing, which is what steers extra budget into
 sparse areas.
 
-Each pick u lowers r only inside the ball of radius sqrt(r_u * d_u) around
-u, since r_u is the largest r; the greedy queries that ball in a KD-tree of
-the points and measures only its members, with the same arithmetic, so the
-radii are the same as when every point is measured.
+Each selected point's measuring step is coverage's `_claim`, the one the
+coverage assignment uses: the greedy tracks the owner of every r_t (the
+selected point it comes from) and measures a new point k only against the
+points whose owner lies within the triangle bound of k, scaled by the
+densities of both.  The bound prunes the covers of an initial set too, and
+the radii are the same as when every point is measured.
 
 All ties (equal r, equal scores) resolve to the lowest index.  Every r
 starts at inf, so with an empty initial set the rule itself makes the first
@@ -36,6 +38,7 @@ from .coverage import (
     BoundParams,
     BoundReport,
     CoverageAssignment,
+    _claim,
     assign_coverage,
     bound_report,
 )
@@ -49,7 +52,6 @@ from .data import (
     check_indices,
     config_value,
     normalize,
-    squared_distances_to,
 )
 from .density import DensityField, estimator_from_config
 from .rng import PortableRng, derive_seed
@@ -80,21 +82,24 @@ class SelectionState:
     picks: the indices added by this run, in pick order.
     radii: final r_t for every candidate (0 for selected points, whose
         nearest selected point is themselves).
+    owners: for every candidate, the selected point its r_t comes from
+        (ties to the lowest index), so that a resumed run prunes as this
+        one did.
     pick_radii: r at the moment of each pick, aligned with ``picks``.
     """
 
     selected: tuple[int, ...]
     picks: tuple[int, ...]
     radii: np.ndarray
+    owners: np.ndarray
     pick_radii: np.ndarray
 
     def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=np.float64).copy()
-        radii.setflags(write=False)
-        object.__setattr__(self, "radii", radii)
-        pick_radii = np.asarray(self.pick_radii, dtype=np.float64).copy()
-        pick_radii.setflags(write=False)
-        object.__setattr__(self, "pick_radii", pick_radii)
+        for name, kind in (("radii", np.float64), ("owners", np.int64),
+                           ("pick_radii", np.float64)):
+            value = np.asarray(getattr(self, name), dtype=kind).copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def _greedy_select(
@@ -112,8 +117,10 @@ def _greedy_select(
         )
     if resume:
         selected = list(s0.selected)
+        radii, owners = s0.radii.copy(), s0.owners.copy()
     else:
         selected = check_indices(() if s0 is None else s0, n, "initial").tolist()
+        radii, owners = np.full(n, np.inf), np.full(n, -1, dtype=np.int64)
     if b < 0:
         raise ValidationError("b must be non-negative")
     if b > n - len(selected):
@@ -122,48 +129,24 @@ def _greedy_select(
         )
     unselected = np.ones(n, dtype=bool)
     unselected[selected] = False
-    radii = s0.radii.copy() if resume else np.full(n, np.inf)
-    # Imported here, its only use besides knn_density, so that commands
-    # running no greedy never load scipy.spatial.
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(features)
-
-    def cover(k: int, reach: float) -> None:
-        """Lower every radius to its (rescaled) squared distance to k,
-        measuring only the points within Euclidean distance ``reach`` of k
-        (every point when ``reach`` is inf)."""
-        rows = slice(None)
-        if not math.isinf(reach):
-            rows = np.asarray(tree.query_ball_point(features[k], reach), dtype=np.intp)
-        dist_sq = squared_distances_to(features[rows], features[k])
-        if densities is not None:
-            dist_sq = dist_sq / densities[k]
-        radii[rows] = np.minimum(radii[rows], dist_sq)
-
-    if not resume:
-        for k in selected:
-            cover(k, math.inf)
-
-    picks: list[int] = []
-    pick_radii: list[float] = []
-    for _ in range(b):
-        u = int(np.argmax(np.where(unselected, radii, -np.inf)))
-        r_u = float(radii[u])
-        pick_radii.append(r_u)
-        selected.append(u)
-        picks.append(u)
-        unselected[u] = False
-        # Every radius is at most r_u, so u lowers r_t only where
-        # d^2(t, u) / dens_u < r_u; the widening absorbs rounding.
-        scale = 1.0 if densities is None else float(densities[u])
-        cover(u, math.sqrt(r_u * scale) * (1.0 + 1e-9))
+    # the selected points in order, the only owners
+    m = len(selected)
+    order = np.array(selected + [-1] * b, dtype=np.int64)
+    to_owner = np.zeros(n)
+    pick_radii = np.empty(b)
+    # claim the initial set (a resumed state holds its claims), then each pick
+    for j in range(m if resume else 0, m + b):
+        if j >= m:
+            u = int(np.argmax(np.where(unselected, radii, -np.inf)))
+            pick_radii[j - m], order[j], unselected[u] = radii[u], u, False
+        _claim(features, int(order[j]), order[: j + 1], to_owner, owners, radii, densities)
 
     return SelectionState(
-        selected=tuple(selected),
-        picks=tuple(picks),
+        selected=tuple(order.tolist()),
+        picks=tuple(order[m:].tolist()),
         radii=radii,
-        pick_radii=np.asarray(pick_radii, dtype=np.float64),
+        owners=owners,
+        pick_radii=pick_radii,
     )
 
 

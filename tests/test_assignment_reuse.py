@@ -116,7 +116,9 @@ def test_learner_matches_owners_on_conflicting_duplicates():
 
 
 def test_run_rounds_measures_each_selected_point_once():
-    # coverage measures a new selected point k in one `_claim(..., k, ...)`
+    # coverage measures a new selected point k in one `_claim(..., k, ...)`;
+    # the greedy's own claims go through the name `selection._claim`, which
+    # this does not patch
     ds = _grid_dataset(np.random.default_rng(6), 200, 3)
     calls = []
     with _recording(coverage, "_claim", calls):
@@ -138,7 +140,7 @@ def test_evaluate_assigns_once(tmp_path):
     }))
     claimed, predicted = [], []
     with _recording(coverage, "_claim", claimed), \
-            _recording(evaluation, "nearest_selected", predicted):
+            _recording(evaluation.PluginLearner, "predict", predicted):
         code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_OK
     # one assignment, measuring each selected point once in file order

@@ -6,11 +6,15 @@ tests compare bytes after stripping the wall-clock metadata fields.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import denscore
 from denscore import LabeledPointSet, PointSet, load_pointset, save_pointset
 from denscore.cli import (
     EXIT_INVALID,
@@ -215,6 +219,27 @@ class TestSelect:
         assert (f"strategy {algorithm!r} requires class probabilities"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("bandwidth, code", [
+        (1e300, EXIT_INVALID),    # bandwidth**2 overflows
+        (1.5e154, EXIT_INVALID),  # so does 2 * bandwidth**2
+        (1e-6, EXIT_INVALID),     # every term between distinct points underflows
+        (1e-160, EXIT_INVALID),   # sq / (2 * bandwidth**2) overflows: every term is 0
+        (1e-170, EXIT_INVALID),   # 2 * bandwidth**2 underflows to 0
+        (1.0, EXIT_OK),
+    ])
+    def test_kernel_bandwidth_extremes_name_the_bandwidth(
+        self, tmp_path, capsys, bandwidth, code
+    ):
+        dataset = run_generate(tmp_path)
+        cfg = self.select_config(
+            tmp_path, dataset,
+            protocol={"algorithm": "density-aware"},
+            estimator={"kind": "kernel", "bandwidth": bandwidth},
+        )
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert ("bandwidth" in err) == (code == EXIT_INVALID), err
+
     def test_density_aware_with_estimator_runs(self, tmp_path):
         dataset = run_generate(tmp_path)
         cfg = self.select_config(
@@ -333,6 +358,25 @@ class TestEvaluate:
         euc = json.loads((tmp_path / "euc" / "evaluation.json").read_text())
         sq = json.loads((tmp_path / "sq" / "evaluation.json").read_text())
         assert sq["delta"] == pytest.approx(euc["delta"] ** 2, rel=1e-12)
+
+    def test_k_center_commands_leave_scipy_spatial_unloaded(self, tmp_path):
+        # only the kNN density loads scipy.spatial; the greedy, the coverage
+        # assignment and the 1-NN loss share one kernel that needs no tree
+        dataset, selection = self.prepare(tmp_path)
+        select_cfg = str(tmp_path / "select.json")
+        evaluate_cfg = write_config(tmp_path / "eval.json", {
+            "dataset": str(dataset),
+            "selection": str(selection),
+        })
+        argvs = [[command, "--config", cfg, "--out", str(tmp_path)]
+                 for command, cfg in (("select", select_cfg), ("evaluate", evaluate_cfg))]
+        src = os.path.dirname(os.path.dirname(denscore.__file__))
+        code = ("import sys; from denscore.cli import main; "
+                f"codes = [main(argv) for argv in {argvs!r}]; "
+                "sys.exit(codes != [0, 0] or 'scipy.spatial' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert done.returncode == 0
 
 
 class TestCalibrate:

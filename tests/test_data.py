@@ -18,12 +18,10 @@ from denscore.data import (
     FeatureGrid,
     block_rows,
     canonical_metric,
-    nearest_selected,
     squared_distance_blocks,
 )
 
 from oracles import dist as oracle_dist
-from oracles import nearest_selected as oracle_nearest
 
 
 class TestContainers:
@@ -100,33 +98,6 @@ class TestMetrics:
         # the default block rule splits these 300 rows too
         assert block_rows(300, 3) < 300
         assert np.array_equal(full, _blocks_matrix(a, a))
-
-    @pytest.mark.parametrize("rows, centres, dim", [
-        (40, 7, 3),     # random
-        (25, 4, 1),     # d = 1
-        (30, 1, 2),     # a single centre
-        (100, 300, 16),  # 100 rows is not a multiple of the block size
-    ])
-    def test_nearest_selected_against_oracle(self, rows, centres, dim):
-        rng = np.random.default_rng(rows + centres + dim)
-        b = rng.normal(size=(centres, dim))
-        if centres > 2:
-            b[-1] = b[1]  # duplicate centre: ties go to the lower position
-        a = np.vstack([rng.normal(size=(rows - 2, dim)), b[-1:], b[:1]])
-        if centres == 300:
-            assert rows % block_rows(centres, dim) != 0
-            assert block_rows(centres, dim) < rows
-        position, sq = nearest_selected(a, b)
-        table = [list(map(float, r)) for r in np.vstack([b, a])]
-        for i in range(rows):
-            t = centres + i
-            expected = oracle_nearest(
-                table, range(centres), t, "squared-euclidean")
-            assert position[i] == expected
-            assert sq[i] == pytest.approx(
-                oracle_dist(a[i], b[expected], "squared-euclidean"), abs=1e-12)
-        if centres > 2:
-            assert centres - 1 not in position.tolist()
 
 
 class TestGenerate:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from denscore import (
+    BETA,
     LabeledPointSet,
     PointSet,
     assign_coverage,
@@ -23,8 +24,13 @@ from denscore import (
     save_pointset,
 )
 from denscore.coverage import ORDERING_RTOL
+from denscore.density import DENSITY_FLOOR
 
 SCALES = (1e-3, 1.0, 7.5, 1e3)
+# Every density a field can hold, from the floor up to BETA: equal values
+# (ties) are common, and sqrt-density ratios reach about 3e6.
+DENSITIES = (st.sampled_from([DENSITY_FLOOR, 1e-9, 2.0**-10, 0.25, 1.0, 4.0, BETA])
+             | st.floats(DENSITY_FLOOR, BETA))
 
 
 @st.composite
@@ -45,8 +51,7 @@ def greedy_runs(draw, max_dim=3):
     up to everything left."""
     points = draw(grid_points(max_dim=max_dim))
     n = points.n
-    densities = draw(st.none() | st.lists(
-        st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), min_size=n, max_size=n))
+    densities = draw(st.none() | st.lists(DENSITIES, min_size=n, max_size=n))
     s0 = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     budget = draw(st.integers(0, n - len(s0)))
     return points, densities, s0, budget
@@ -160,3 +165,28 @@ def test_pruned_coverage_equals_the_dense_assignment(points, data):
     pi, sq = oracles.dense_coverage(points.features, selected)
     assert np.array_equal(cov.pi, pi)
     assert np.array_equal(cov.sq_distances, sq)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(greedy_runs(), st.integers(-20, 20))
+def test_rescaling_every_density_changes_no_pick(run, j):
+    points, densities, s0, budget = run
+    densities = np.ones(points.n) if densities is None else np.asarray(densities)
+    # c = 2**j rescales every d^2 / dens exactly, so even the radii agree
+    c = 2.0**j
+    state = density_aware_greedy(points, densities, s0, budget)
+    scaled = density_aware_greedy(points, densities * c, s0, budget)
+    assert scaled.picks == state.picks
+    assert np.array_equal(scaled.pick_radii * c, state.pick_radii)
+    assert np.array_equal(scaled.radii * c, state.radii)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(greedy_runs(), st.floats(DENSITY_FLOOR, BETA))
+def test_constant_density_gives_the_k_center_picks(run, c):
+    points, _, s0, budget = run
+    kcenter = k_center_greedy(points, s0, budget)
+    constant = density_aware_greedy(points, np.full(points.n, c), s0, budget)
+    assert constant.picks == kcenter.picks
+    # division by one c is monotone, so it commutes with every minimum
+    assert np.array_equal(constant.radii, kcenter.radii / c)
