@@ -31,7 +31,7 @@ params = BoundParams(
     lambda_l=1.0, lambda_eta=1.0, loss_bound=1.0,
     num_classes=dataset.num_classes, confidence=0.05,
 )
-coverage = assign_coverage(dataset.points, state.selected, "euclidean")
+coverage = assign_coverage(dataset.points, state.selected)
 report = bound_report(coverage, params)
 
 print(f"n={report.n} selected={report.num_selected}")
@@ -60,6 +60,6 @@ print("\nbudget sweep (delta / max mean radial):")
 coverage = None
 for budget in (4, 8, 16, 32):
     st = k_center_greedy(dataset.points, None, budget)
-    coverage = assign_coverage(dataset.points, st.selected, "euclidean", coverage)
+    coverage = assign_coverage(dataset.points, st.selected, previous=coverage)
     rep = bound_report(coverage, params)
     print(f"  b={budget:2d}: {rep.delta:.4f} / {rep.max_radial:.4f}")

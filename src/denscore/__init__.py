@@ -27,7 +27,6 @@ from .data import (
     ValidationError,
     generate,
     load_pointset,
-    normalize,
     save_pointset,
 )
 from .density import (
@@ -113,7 +112,6 @@ __all__ = [
     "margin_score",
     "masked_reconstruction_error",
     "nonuniform_mixture_spec",
-    "normalize",
     "run_rounds",
     "save_pointset",
     "uncertainty_select",

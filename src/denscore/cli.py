@@ -3,18 +3,19 @@
 Subcommands::
 
     denscore generate  --config cfg.json [--out DIR] [--seed N]
-    denscore select    --config cfg.json [--out DIR] [--seed N] [--metric M]
-    denscore evaluate  --config cfg.json [--out DIR] [--metric M]
-    denscore calibrate --config cfg.json [--out DIR] [--metric M]
-    denscore compare   --config cfg.json [--out DIR] [--metric M]
+    denscore select    --config cfg.json [--out DIR] [--seed N]
+    denscore evaluate  --config cfg.json [--out DIR]
+    denscore calibrate --config cfg.json [--out DIR]
+    denscore compare   --config cfg.json [--out DIR]
 
 Configs are JSON with command-specific sections (unknown fields are
-rejected); the flags override the corresponding config values, and a command
-rejects a flag it does not read.  The output directory defaults to the
-DENSCORE_OUT environment variable, then to the current directory.  All
-randomness flows from explicit seeds, so a rerun with an identical config
-writes byte-identical data artifacts; the only fields that differ are
-wall-clock metadata (``timestamp``, ``runtime_ms``).
+rejected); ``--seed`` overrides the config's seed, and a command rejects a
+flag it does not read.  Every distance is Euclidean on the features as given
+(see ``coverage``); no config key or flag chooses another.  The output
+directory defaults to the DENSCORE_OUT environment variable, then to the
+current directory.  All randomness flows from explicit seeds, so a rerun
+with an identical config writes byte-identical data artifacts; the only
+fields that differ are wall-clock metadata (``timestamp``, ``runtime_ms``).
 
 ``select`` runs the greedy algorithms and the ``random`` baseline.  The
 ``entropy``, ``sconf`` and ``margin`` baselines need class probabilities,
@@ -47,7 +48,6 @@ from .data import (
     GeneratorSpec,
     LabeledPointSet,
     ValidationError,
-    canonical_metric,
     config_value,
     generate,
     load_pointset,
@@ -67,18 +67,15 @@ EXIT_WARNINGS = 3
 OUTPUT_DIR_ENV = "DENSCORE_OUT"
 
 _GENERATOR_KEYS = {"kind", "seed", "means", "sigmas", "counts"}
-_PROTOCOL_KEYS = {
-    "budget", "rounds", "alpha", "algorithm", "seed", "initial",
-    "normalize_features",
-}
+_PROTOCOL_KEYS = {"budget", "rounds", "alpha", "algorithm", "seed", "initial"}
 _BOUNDS_KEYS = {"lambda_l", "lambda_eta", "loss_bound", "num_classes", "confidence"}
 
 _COMMAND_KEYS = {
     "generate": {"generator", "output"},
-    "select": {"dataset", "protocol", "estimator", "bounds", "metric"},
-    "evaluate": {"dataset", "selection", "bounds", "metric"},
-    "calibrate": {"dataset", "selection", "estimator", "metric", "bins"},
-    "compare": {"generator", "budget", "rounds", "seeds", "estimator", "metric"},
+    "select": {"dataset", "protocol", "estimator", "bounds"},
+    "evaluate": {"dataset", "selection", "bounds"},
+    "calibrate": {"dataset", "selection", "estimator", "bins"},
+    "compare": {"generator", "budget", "rounds", "seeds", "estimator"},
 }
 
 
@@ -289,13 +286,7 @@ def cmd_select(args) -> int:
     protocol_section = dict(cfg.section("protocol", _PROTOCOL_KEYS))
     if args.seed is not None:
         protocol_section["seed"] = args.seed
-    metric = args.metric or cfg.raw.get("metric", "euclidean")
-    estimator = cfg.raw.get("estimator")
-    config = ProtocolConfig(
-        metric=metric,
-        estimator=estimator,
-        **protocol_section,
-    )
+    config = ProtocolConfig(estimator=cfg.raw.get("estimator"), **protocol_section)
     # config.initial holds dataset ids, as the summary records them; the
     # protocol takes row positions
     initial = _ids_to_positions(
@@ -348,10 +339,8 @@ def cmd_evaluate(args) -> int:
     selection_path = cfg.require("selection")
     ids = _load_selection_ids(selection_path)
     positions = _ids_to_positions(dataset, ids, selection_path)
-    metric = args.metric or cfg.raw.get("metric", "euclidean")
-    metric = canonical_metric(metric)
     bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
-    cov = assign_coverage(dataset.points, positions, metric)
+    cov = assign_coverage(dataset.points, positions)
     report = bound_report(cov, bounds)
     loss = core_set_loss(dataset, cov)
     payload = report.to_dict(ids=dataset.points.ids)
@@ -373,12 +362,11 @@ def cmd_calibrate(args) -> int:
     selection_path = cfg.require("selection")
     ids = _load_selection_ids(selection_path)
     positions = _ids_to_positions(dataset, ids, selection_path)
-    metric = args.metric or cfg.raw.get("metric", "euclidean")
     estimator = cfg.require("estimator")
     estimate = estimator_from_config(estimator)
     densities = estimate(dataset.points)
     bins = config_value(cfg.raw.get("bins", 10), int, "bins")
-    cov = assign_coverage(dataset.points, positions, metric)
+    cov = assign_coverage(dataset.points, positions)
     report = calibrate(densities, cov, bins)
     payload = report.to_dict()
     payload["estimator"] = dict(estimator)
@@ -402,9 +390,8 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"{cfg.path}: 'seeds' must be a non-empty list")
     budget = config_value(cfg.require("budget"), int, "budget")
     rounds = config_value(cfg.raw.get("rounds", 1), int, "rounds")
-    metric = args.metric or cfg.raw.get("metric", "euclidean")
     estimator = cfg.raw.get("estimator")
-    report = compare_algorithms(spec, budget, rounds, seeds, estimator, metric)
+    report = compare_algorithms(spec, budget, rounds, seeds, estimator)
     payload = report.to_dict()
     payload["metadata"] = _metadata(cfg, list(report.seeds))
     out = _out_dir(args)
@@ -449,12 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Each command gets only the overrides it reads.
-    for name, help_text, seed, metric in (
-        ("generate", "draw a synthetic dataset and write it as CSV", True, False),
-        ("select", "run the multi-round selection protocol on a dataset", True, True),
-        ("evaluate", "bound report and core-set loss for a stored selection", False, True),
-        ("calibrate", "regress coverage radii on inverse density", False, True),
-        ("compare", "k-center vs density-aware over a seed list", False, True),
+    for name, help_text, seed in (
+        ("generate", "draw a synthetic dataset and write it as CSV", True),
+        ("select", "run the multi-round selection protocol on a dataset", True),
+        ("evaluate", "bound report and core-set loss for a stored selection", False),
+        ("calibrate", "regress coverage radii on inverse density", False),
+        ("compare", "k-center vs density-aware over a seed list", False),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
@@ -462,13 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"(default ${OUTPUT_DIR_ENV} or '.')")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
-        if metric:
-            p.add_argument(
-                "--metric",
-                choices=["euclidean", "squared", "squared-euclidean"],
-                default=None,
-                help="override distance metric",
-            )
     return parser
 
 

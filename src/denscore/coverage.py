@@ -15,6 +15,11 @@ tightened bound values.  The per-area means are computed in one place,
 greedy's factor-2 guarantee is a test oracle (``tests/oracles.py``), not
 part of the package.
 
+Every distance is Euclidean, on the features as given.  The bound assumes
+losses Lipschitz in a metric, and the pruning below rests on the triangle
+inequality; squared Euclidean distance is not a metric, so it is only what
+the steps compare, and every reported distance is its root.
+
 Cost for n points, |s| selected, dimension d: each new selected point k
 costs O(|s| * d + n) to find the points it may take, plus O(d) per such
 point to measure it.  `_claim` is that step, for this assignment and for
@@ -43,7 +48,6 @@ import numpy as np
 from .data import (
     PointSet,
     ValidationError,
-    canonical_metric,
     check_index_set,
     check_indices,
     config_value,
@@ -78,15 +82,15 @@ class CoverageAssignment:
         point whose coordinates duplicate a lower selected index lands in
         that index's area and leaves its own area empty.
     sq_distances: for every point, its squared distance to ``pi`` (what an
-        extension compares, whatever the metric).
-    distances: for every point, its distance to ``pi`` under ``metric``.
+        extension compares).
+    distances: for every point, its Euclidean distance to ``pi``, the root
+        of ``sq_distances``.
     """
 
     selected: np.ndarray
     pi: np.ndarray
     sq_distances: np.ndarray
     distances: np.ndarray
-    metric: str
 
     @property
     def n(self) -> int:
@@ -94,15 +98,10 @@ class CoverageAssignment:
 
 
 def assign_coverage(
-    points: PointSet,
-    selected,
-    metric: str = "euclidean",
-    previous: CoverageAssignment | None = None,
+    points: PointSet, selected, *, previous: CoverageAssignment | None = None
 ) -> CoverageAssignment:
-    """Assign every point to its nearest selected point.
-
-    Ties resolve to the lowest selected index; squared and plain Euclidean
-    give the same assignment, and the metric sets ``distances``.
+    """Assign every point to its nearest selected point in Euclidean
+    distance, ties to the lowest selected index.
 
     ``previous``, an assignment of the same points to a subset of
     ``selected``, is extended: only the selected points it lacks are
@@ -112,7 +111,6 @@ def assign_coverage(
     and an extended assignment is bit-identical to one assigned from
     scratch, whatever the order.
     """
-    metric = canonical_metric(metric)
     order = check_indices(selected, points.n, "selected")
     sel = check_index_set(order, points.n, "selected")
     if previous is None:
@@ -131,10 +129,10 @@ def assign_coverage(
     to_owner = np.zeros(points.n)
     for k in new.tolist():
         _claim(points.features, k, sel, to_owner, pi, sq)
-    distances = sq if metric == "squared-euclidean" else np.sqrt(sq)
+    distances = np.sqrt(sq)
     for arr in (sel, pi, sq, distances):
         arr.setflags(write=False)
-    return CoverageAssignment(sel, pi, sq, distances, metric)
+    return CoverageAssignment(sel, pi, sq, distances)
 
 
 def _claim(
@@ -153,18 +151,32 @@ def _claim(
     with d^2(o, k) / (sqrt(dens_o) + sqrt(dens_k))^2.  Only the points t
     whose owner o has that ratio within sq_t pass the triangle bound
     (module docstring) and are measured; an unowned point always is.
+
+    A squared distance, or its quotient by a density, that overflows
+    float64 raises a ValidationError before anything is handed over (an
+    inf nearness would tie and fall back to index order).  Measuring every
+    selected point against every point would overflow too: it measures the
+    owners o, and the ratio is at most d^2(o, k) / dens_k up to rounding.
     """
     root_k = 1.0 if densities is None else math.sqrt(densities[k])
     root_held = 1.0 if densities is None else np.sqrt(densities[held])
-    to_owner[held] = (
-        squared_distances_to(features[held], features[k]) / (root_held + root_k) ** 2
-    )
-    # read only at owners, and at pi = -1 (its last entry, finite), where
-    # sq = inf makes the point a candidate whatever the entry holds
-    rows = np.flatnonzero(to_owner[pi] <= _WIDEN * sq)
-    new_sq = squared_distances_to(features[rows], features[k])
-    if densities is not None:
-        new_sq /= densities[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (
+            squared_distances_to(features[held], features[k]) / (root_held + root_k) ** 2
+        )
+        to_owner[held] = ratio
+        # read only at owners, and at pi = -1 (its last entry, finite), where
+        # sq = inf makes the point a candidate whatever the entry holds
+        rows = np.flatnonzero(to_owner[pi] <= _WIDEN * sq)
+        new_sq = squared_distances_to(features[rows], features[k])
+        if densities is not None:
+            new_sq /= densities[k]
+    if not (np.isfinite(ratio).all() and np.isfinite(new_sq).all()):
+        raise ValidationError(
+            f"a squared distance to selected point {k}, or its quotient by a "
+            "density, overflows float64; rescale the features, or every density "
+            "(rescaling every density by one factor changes no pick)"
+        )
     old_sq = sq[rows]
     take = (new_sq < old_sq) | ((new_sq == old_sq) & (k < pi[rows]))
     rows = rows[take]
@@ -198,8 +210,8 @@ def hoeffding_term(loss_bound: float, confidence: float, n: int) -> float:
     is the failure probability, n >= 1 the sample count.  Monotone
     decreasing in n and in gamma; exactly 0 at gamma = 1.
     """
-    loss_bound = float(loss_bound)
-    confidence = float(confidence)
+    loss_bound = config_value(loss_bound, float, "loss_bound")
+    confidence = config_value(confidence, float, "confidence")
     n = config_value(n, int, "n")
     if not (loss_bound > 0 and math.isfinite(loss_bound)):
         raise ValidationError("loss_bound must be a positive finite number")
@@ -261,7 +273,6 @@ class BoundReport:
     hoeffding: float
     classical_bound_value: float
     tight_bound_value: float
-    metric: str
     n: int
     num_selected: int
     params: BoundParams
@@ -277,7 +288,6 @@ class BoundReport:
             "hoeffding": self.hoeffding,
             "classical_bound_value": self.classical_bound_value,
             "tight_bound_value": self.tight_bound_value,
-            "metric": self.metric,
             "n": self.n,
             "num_selected": self.num_selected,
             "params": self.params.to_dict(),
@@ -288,8 +298,8 @@ def bound_report(
     cov: CoverageAssignment, params: BoundParams | None = None
 ) -> BoundReport:
     """Compute delta, per-area radial means, and both bound values from the
-    assignment ``cov`` (its metric is the report's, and its point count the
-    deviation term's sample count).
+    assignment ``cov`` (its point count is the deviation term's sample
+    count).
 
     The mean-vs-max ordering (max_radial <= delta) is asserted before the
     report is returned; a violation would be an internal error, not bad
@@ -313,7 +323,6 @@ def bound_report(
         hoeffding=eps,
         classical_bound_value=delta * coef + eps,
         tight_bound_value=float(max_radial) * coef + eps,
-        metric=cov.metric,
         n=cov.n,
         num_selected=int(cov.selected.size),
         params=params,

@@ -8,8 +8,8 @@ Conventions shared across the package:
 * points are addressed by positional index 0..n-1 in every algorithm; the
   ``ids`` column only matters at the file boundary,
 * labels are integers in 1..num_classes,
-* metrics are ``"euclidean"`` or ``"squared-euclidean"`` (``"squared"`` is
-  accepted as an alias).
+* distances are Euclidean on the features as given: every algorithm
+  compares squared distances, and every reported distance is their root.
 """
 
 from __future__ import annotations
@@ -31,54 +31,33 @@ __all__ = [
     "LabeledPointSet",
     "FeatureGrid",
     "GeneratorSpec",
-    "canonical_metric",
     "squared_distance_blocks",
     "squared_distances_to",
     "generate",
-    "normalize",
     "load_pointset",
     "save_pointset",
 ]
 
 GENERATOR_KINDS = ("gaussian-mixture", "uniform-box")
 
-_METRIC_ALIASES = {
-    "euclidean": "euclidean",
-    "squared-euclidean": "squared-euclidean",
-    "squared": "squared-euclidean",
-}
-
-
 class ValidationError(ValueError):
     """An input violates a documented precondition."""
 
 
-def canonical_metric(metric: str) -> str:
-    try:
-        return _METRIC_ALIASES[metric]
-    except KeyError:
-        raise ValidationError(
-            f"unknown metric {metric!r}; expected one of "
-            "'euclidean', 'squared-euclidean' (alias 'squared')"
-        ) from None
-
-
-_KIND_NAMES = {
-    int: "an integer", float: "a number", tuple: "a list", bool: "true or false",
-}
+_KIND_NAMES = {int: "an integer", float: "a number", tuple: "a list"}
 
 
 def config_value(value, kind: type, name: str):
-    """``kind(value)`` for a configured value, ``kind`` being int, float,
-    tuple or bool; a value of the wrong type raises a ValidationError naming
+    """``kind(value)`` for a configured value, ``kind`` being int, float or
+    tuple; a value of the wrong type raises a ValidationError naming
     ``name``.
 
     Nothing is coerced that would change its meaning: an int or a number
     takes only a number (no bool, no string), an int no number with a
-    fraction, a list no string, and a bool only ``True`` or ``False``.
+    fraction, and a list no string and no bool.
     """
     wrong = (
-        isinstance(value, bool) != (kind is bool)
+        isinstance(value, bool)
         or (kind in (int, float) and not isinstance(value, numbers.Real))
         or (kind is int and not isinstance(value, numbers.Integral)
             and not float(value).is_integer())
@@ -375,20 +354,6 @@ def squared_distances_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     diff = a - x
     diff *= diff
     return np.sum(diff, axis=1)
-
-
-def normalize(points: PointSet) -> PointSet:
-    """Project every feature vector onto the unit sphere.
-
-    Zero-norm rows cannot be normalized; the error names the offending id.
-    """
-    norms = np.sqrt(np.sum(points.features**2, axis=1))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValidationError(
-            f"cannot normalize zero-norm feature vector (id {int(points.ids[zero[0]])})"
-        )
-    return PointSet(points.features / norms[:, None], points.ids)
 
 
 def _format_value(x: float) -> str:

@@ -99,6 +99,7 @@ def density_from_error(err, tau: float = DEFAULT_TAU):
     Accepts a scalar or an array; the output has the same shape.  The map is
     strictly decreasing, equals BETA at 0 and BETA/e at ``err == tau``.
     """
+    tau = config_value(tau, float, "tau")
     if not (tau > 0 and math.isfinite(tau)):
         raise ValidationError("tau must be a positive finite number")
     arr = np.asarray(err, dtype=np.float64)
@@ -172,7 +173,7 @@ def kernel_density(points: PointSet, bandwidth: float) -> DensityField:
     2 h^2 is not a positive finite float, or every k_t underflows to 0,
     raises a ValidationError naming it.
     """
-    bandwidth = float(bandwidth)
+    bandwidth = config_value(bandwidth, float, "bandwidth")
     # bandwidth**2 raises OverflowError from about 1.34e154 on
     scale = 2.0 * bandwidth**2 if abs(bandwidth) < 1e154 else math.inf
     if not (bandwidth > 0 and 0.0 < scale < math.inf):
@@ -220,13 +221,15 @@ class MaskedReconstructor:
         if k < 3 or k % 2 == 0:
             raise ValidationError("kernel_size must be an odd integer >= 3")
         object.__setattr__(self, "kernel_size", k)
+        temperature = config_value(self.temperature, float, "temperature")
+        if not (temperature > 0 and math.isfinite(temperature)):
+            raise ValidationError("temperature must be a positive finite number")
+        object.__setattr__(self, "temperature", temperature)
         if self.weight_mode not in ("uniform", "similarity"):
             raise ValidationError(
                 f"weight_mode must be 'uniform' or 'similarity' "
                 f"(got {self.weight_mode!r})"
             )
-        if not (self.temperature > 0 and math.isfinite(self.temperature)):
-            raise ValidationError("temperature must be a positive finite number")
 
 
 def masked_reconstruction_error(
@@ -298,7 +301,6 @@ class CalibrationReport:
     bin_mean_radial: np.ndarray
     degenerate: bool
     pairs: tuple[tuple[float, float], ...]
-    metric: str
     num_selected: int
 
     def to_dict(self) -> dict:
@@ -317,7 +319,6 @@ class CalibrationReport:
             ],
             "degenerate": self.degenerate,
             "pairs": [[a, b] for a, b in self.pairs],
-            "metric": self.metric,
             "num_selected": self.num_selected,
         }
 
@@ -326,8 +327,7 @@ def calibrate(
     densities: DensityField, cov: CoverageAssignment, num_bins: int = 10
 ) -> CalibrationReport:
     """Regress each selected point's mean radial distance in the assignment
-    ``cov`` (its metric is the report's) on its inverse density and report
-    fit quality.
+    ``cov`` on its inverse density and report fit quality.
 
     Needs at least 3 selected points for a meaningful fit.  With a constant
     regressor (all selected densities equal) the report is degenerate:
@@ -397,7 +397,6 @@ def calibrate(
         bin_mean_radial=means,
         degenerate=degenerate,
         pairs=tuple((float(a), float(b)) for a, b in zip(x, y)),
-        metric=cov.metric,
         num_selected=int(sel.size),
     )
 

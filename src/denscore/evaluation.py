@@ -33,7 +33,6 @@ from .data import (
     PointSet,
     ValidationError,
     _config_values,
-    canonical_metric,
     check_index_set,
     config_value,
     generate,
@@ -73,10 +72,9 @@ class PluginLearner:
     fitted index, so among duplicate coordinates the earliest selected point
     wins).  Every fitted point therefore predicts its own label except in
     the degenerate case of coordinate duplicates with conflicting labels.
-    Plain and squared Euclidean distance give the same nearest point, so the
-    learner takes no metric.  ``predict`` is `assign_coverage` of the
-    fitted points stacked above the queries, so on the points it was
-    fitted from it predicts ``labels[assign_coverage(points, selected).pi]``.
+    ``predict`` is `assign_coverage` of the fitted points stacked above the
+    queries, so on the points it was fitted from it predicts
+    ``labels[assign_coverage(points, selected).pi]``.
     """
 
     fitted_indices: np.ndarray
@@ -126,7 +124,6 @@ class ComparisonReport:
     seeds: tuple[int, ...]
     budget: int
     rounds: int
-    metric: str
     estimator: dict
     dataset: dict
 
@@ -137,7 +134,6 @@ class ComparisonReport:
             "seeds": list(self.seeds),
             "budget": self.budget,
             "rounds": self.rounds,
-            "metric": self.metric,
             "estimator": dict(self.estimator),
             "dataset": dict(self.dataset),
         }
@@ -149,7 +145,6 @@ def _single_run(
     budget: int,
     rounds: int,
     estimator: dict | None,
-    metric: str,
 ) -> dict:
     config = ProtocolConfig(
         budget=budget,
@@ -157,7 +152,6 @@ def _single_run(
         alpha=None,
         algorithm=algorithm,
         estimator=estimator if algorithm == "density-aware" else None,
-        metric=metric,
     )
     start = time.perf_counter()
     result = run_rounds(dataset, config)
@@ -180,7 +174,6 @@ def compare_algorithms(
     rounds: int,
     seeds,
     estimator: dict | None = None,
-    metric: str = "euclidean",
 ) -> ComparisonReport:
     """Run k-center and density-aware selection side by side over seeds.
 
@@ -193,14 +186,13 @@ def compare_algorithms(
     seeds = _config_values(seeds, int, "seeds")
     if not seeds:
         raise ValidationError("at least one seed is required")
-    metric = canonical_metric(metric)
     estimator = dict(estimator) if estimator is not None else dict(COMPARISON_ESTIMATOR)
     rows = []
     per_alg: dict[str, list[dict]] = {"k-center": [], "density-aware": []}
     for seed in seeds:
         dataset = generate(spec.with_seed(seed))
         for algorithm in ("k-center", "density-aware"):
-            row = _single_run(dataset, algorithm, budget, rounds, estimator, metric)
+            row = _single_run(dataset, algorithm, budget, rounds, estimator)
             row["seed"] = seed
             rows.append(row)
             per_alg[algorithm].append(row)
@@ -233,7 +225,6 @@ def compare_algorithms(
         seeds=seeds,
         budget=int(budget),
         rounds=int(rounds),
-        metric=metric,
         estimator=estimator,
         dataset=spec.to_dict(),
     )
@@ -315,6 +306,6 @@ def uniform_box_spec(
         kind="uniform-box",
         seed=seed,
         means=(tuple([0.0] * dim),),
-        sigmas=(float(half_width),),
+        sigmas=(config_value(half_width, float, "half_width"),),
         counts=(n,),
     )

@@ -47,11 +47,9 @@ from .data import (
     PointSet,
     ValidationError,
     _config_values,
-    canonical_metric,
     check_index_set,
     check_indices,
     config_value,
-    normalize,
 )
 from .density import DensityField, estimator_from_config
 from .rng import PortableRng, derive_seed
@@ -265,7 +263,7 @@ def filter_candidates(
     the lowest index; the result is sorted ascending.
     """
     b = config_value(b, int, "b")
-    alpha = float(alpha)
+    alpha = config_value(alpha, float, "alpha")
     if not (alpha * b >= 1.0):
         raise ValidationError(f"alpha*b must be >= 1 (got {alpha * b!r})")
     pool = _candidate_pool(candidates, scores.n)
@@ -287,6 +285,7 @@ def uncertainty_select(
     ScoreMap.  Ties resolve to the lowest index.
     """
     b = config_value(b, int, "b")
+    seed = config_value(seed, int, "seed")
     pool = _candidate_pool(candidates, scores.n)
     if not (1 <= b <= pool.size):
         raise ValidationError(f"b must lie in 1..pool size (got {b}, pool {pool.size})")
@@ -330,10 +329,8 @@ class ProtocolConfig:
     alpha: float | None = None
     algorithm: str = "density-aware"
     estimator: dict | None = None
-    metric: str = "euclidean"
     seed: int = 0
     initial: tuple[int, ...] = ()
-    normalize_features: bool = False
 
     def __post_init__(self):
         rounds = config_value(self.rounds, int, "rounds")
@@ -358,13 +355,8 @@ class ProtocolConfig:
             raise ValidationError(
                 "estimator config is required for the density-aware algorithm"
             )
-        object.__setattr__(self, "metric", canonical_metric(self.metric))
         object.__setattr__(self, "seed", config_value(self.seed, int, "seed"))
         object.__setattr__(self, "initial", _config_values(self.initial, int, "initial"))
-        object.__setattr__(
-            self, "normalize_features",
-            config_value(self.normalize_features, bool, "normalize_features"),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -373,10 +365,8 @@ class ProtocolConfig:
             "alpha": self.alpha,
             "algorithm": self.algorithm,
             "estimator": dict(self.estimator) if self.estimator else None,
-            "metric": self.metric,
             "seed": self.seed,
             "initial": list(self.initial),
-            "normalize_features": self.normalize_features,
         }
 
 
@@ -403,9 +393,8 @@ class RoundResult:
 class ProtocolResult:
     """All rounds of a protocol run.
 
-    ``coverage`` is the final selected set's assignment over the points the
-    protocol ran on (normalized when ``config.normalize_features``), or None
-    when no round ran.
+    ``coverage`` is the final selected set's assignment over the dataset's
+    points, or None when no round ran.
     """
 
     rounds: tuple[RoundResult, ...]
@@ -438,8 +427,6 @@ def run_rounds(
     afterwards).
     """
     points = dataset.points
-    if config.normalize_features:
-        points = normalize(points)
     if scores is None and dataset.scores is not None:
         scores = ScoreMap(dataset.scores, "scores")
     if scores is not None and scores.n != points.n:
@@ -511,7 +498,7 @@ def run_rounds(
             pick_radii = np.full(len(picks), np.nan)
 
         selected.extend(picks)
-        coverage = assign_coverage(points, selected, config.metric, coverage)
+        coverage = assign_coverage(points, selected, previous=coverage)
         bound = bound_report(coverage, bound_params)
         rounds.append(
             RoundResult(

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from denscore import PointSet, PortableRng, ValidationError, coverage
-from denscore.data import canonical_metric
 
 _BRUTE_FORCE_MAX_N = 16
 _BRUTE_FORCE_MAX_B = 5
@@ -38,36 +37,32 @@ def squared(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
-def dist(a, b, metric):
-    return squared(a, b) if metric == "squared-euclidean" else euclidean(a, b)
-
-
-def nearest_selected(features, selected, t, metric="euclidean"):
+def nearest_selected(features, selected, t):
     """Index of the nearest selected point to t, ties to lowest index."""
     best_k, best_d = None, None
     for k in sorted(selected):
-        d = dist(features[t], features[k], metric)
+        d = euclidean(features[t], features[k])
         if best_d is None or d < best_d:
             best_k, best_d = k, d
     return best_k
 
 
-def classical_radius(features, selected, metric="euclidean"):
+def classical_radius(features, selected):
     """Max over points of the distance to the nearest selected point."""
     worst = 0.0
     for t in range(len(features)):
-        d = min(dist(features[t], features[k], metric) for k in selected)
+        d = min(euclidean(features[t], features[k]) for k in selected)
         worst = max(worst, d)
     return worst
 
 
-def average_radial_distance(features, selected, k, metric="euclidean"):
+def average_radial_distance(features, selected, k):
     """Mean distance from the points assigned to k (nearest-selected,
     ties to lowest index, k itself included) to k itself."""
     values = []
     for t in range(len(features)):
-        if nearest_selected(features, selected, t, metric) == k:
-            values.append(dist(features[t], features[k], metric))
+        if nearest_selected(features, selected, t) == k:
+            values.append(euclidean(features[t], features[k]))
     if not values:
         return 0.0
     return sum(values) / len(values)
@@ -231,16 +226,13 @@ def dense_coverage(features, selected):
     return np.asarray(sel)[position], sq[np.arange(len(features)), position]
 
 
-def brute_force_k_center(
-    points: PointSet, b: int, metric: str = "euclidean"
-) -> tuple[tuple[int, ...], float]:
+def brute_force_k_center(points: PointSet, b: int) -> tuple[tuple[int, ...], float]:
     """Exhaustively minimize the covering radius over all size-b subsets.
 
     Only for oracle-scale instances (n <= 16, b <= 5).  Ties resolve to the
     lexicographically smallest subset because candidates are enumerated in
     lexicographic order and replaced only on strict improvement.
     """
-    metric = canonical_metric(metric)
     n = points.n
     b = int(b)
     if n > _BRUTE_FORCE_MAX_N:
@@ -263,8 +255,7 @@ def brute_force_k_center(
         if radius_sq < best_sq:
             best_sq = radius_sq
             best_subset = subset
-    value = best_sq if metric == "squared-euclidean" else math.sqrt(best_sq)
-    return best_subset, float(value)
+    return best_subset, math.sqrt(best_sq)
 
 
 @dataclass(frozen=True)
@@ -284,7 +275,7 @@ class BoundOrderingReport:
 
 
 def verify_bound_ordering(
-    points: PointSet, trials: int, seed: int = 0, metric: str = "euclidean"
+    points: PointSet, trials: int, seed: int = 0
 ) -> BoundOrderingReport:
     """Sample random selected subsets and check max mean radial distance
     never exceeds the covering radius (tolerance 1e-12 * delta).
@@ -304,7 +295,7 @@ def verify_bound_ordering(
         size = min(size, n)
         subset = rng.permutation(n)[:size]
         # the library's summaries: this harness checks their ordering
-        cov = coverage.assign_coverage(points, subset, metric)
+        cov = coverage.assign_coverage(points, subset)
         delta = coverage.classical_radius(cov)
         max_radial = max(coverage.all_radial_distances(cov).values())
         if max_radial > delta + coverage.ORDERING_RTOL * delta:

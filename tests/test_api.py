@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves, and every count
-rejects a fractional value instead of truncating it."""
+"""The public surface: every exported name resolves, every count rejects a
+fractional value instead of truncating it, and every real-valued parameter
+rejects a bool or a string instead of coercing it."""
 
 import importlib
 import pkgutil
@@ -18,9 +19,11 @@ from denscore import (
     assign_coverage,
     calibrate,
     density_aware_greedy,
+    density_from_error,
     filter_candidates,
     hoeffding_term,
     k_center_greedy,
+    kernel_density,
     knn_density,
     nonuniform_mixture_spec,
     uncertainty_select,
@@ -52,6 +55,8 @@ FRACTIONAL_COUNTS = {
         lambda v: density_aware_greedy(POINTS, FIELD, None, v), "b"),
     "uncertainty_select": (
         lambda v: uncertainty_select(SCORES, v, "random"), "b"),
+    "uncertainty_select.seed": (
+        lambda v: uncertainty_select(SCORES, 2, "random", seed=v), "seed"),
     "hoeffding_term": (lambda v: hoeffding_term(1.0, 0.5, v), "n"),
     "calibrate": (lambda v: calibrate(FIELD, COVERAGE, num_bins=v), "num_bins"),
     "ProtocolConfig.initial": (
@@ -80,3 +85,28 @@ def test_whole_counts_match_their_int():
                           knn_density(POINTS, 3).values)
     assert k_center_greedy(POINTS, None, np.int64(2)).picks == (0, 5)
     assert MaskedReconstructor(np.int64(3)).kernel_size == 3
+
+
+# (call, parameter name); each call passes one real-valued parameter
+NON_NUMBERS = {
+    "filter_candidates": (lambda v: filter_candidates(SCORES, v, 2), "alpha"),
+    "kernel_density": (lambda v: kernel_density(POINTS, v), "bandwidth"),
+    "density_from_error": (lambda v: density_from_error(0.5, v), "tau"),
+    "knn_density": (lambda v: knn_density(POINTS, 2, v), "tau"),
+    "MaskedReconstructor": (
+        lambda v: MaskedReconstructor(3, temperature=v), "temperature"),
+    "hoeffding_term.loss_bound": (lambda v: hoeffding_term(v, 0.5, 10), "loss_bound"),
+    "hoeffding_term.confidence": (lambda v: hoeffding_term(1.0, v, 10), "confidence"),
+    "uniform_box_spec": (lambda v: uniform_box_spec(half_width=v), "half_width"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize("case", sorted(NON_NUMBERS))
+def test_non_number_names_its_parameter(case, value):
+    call, name = NON_NUMBERS[case]
+    # a bare float() would run True and "1" as 1.0, or fail untyped
+    with pytest.raises(ValidationError, match=f"{name} must be a number"):
+        call(value)
+    call(1.0)
+    call(np.float64(1.0))

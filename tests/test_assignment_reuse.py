@@ -54,7 +54,6 @@ def protocols(draw):
         estimator=(
             draw(st.sampled_from(ESTIMATORS)) if algorithm == "density-aware" else None
         ),
-        metric=draw(st.sampled_from(["euclidean", "squared-euclidean"])),
         seed=draw(st.integers(0, 100)),
         initial=tuple(draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))),
     )
@@ -88,7 +87,7 @@ def test_carried_assignment_and_reports_equal_scratch(case):
     for cov, rnd in zip(carried, result.rounds):
         selected.extend(rnd.picks)
         assert cov.selected.tolist() == sorted(selected)
-        scratch = assign_coverage(dataset.points, selected, config.metric)
+        scratch = assign_coverage(dataset.points, selected)
         assert np.array_equal(cov.pi, scratch.pi)
         assert np.array_equal(cov.distances, scratch.distances)
         assert (rnd.bound.to_dict()

@@ -50,6 +50,35 @@ def run_generate(tmp_path, name="dataset.csv", seed_flag=None):
     return tmp_path / name
 
 
+def run_with(tmp_path, command, path, value):
+    """Exit code of ``command`` on a valid config with the dotted ``path``
+    set to ``value``."""
+    dataset = str(run_generate(tmp_path))
+    payload = {
+        "select": {
+            "dataset": dataset,
+            "protocol": {"budget": 4, "rounds": 1, "algorithm": "k-center"},
+            "estimator": {"kind": "knn", "k_neighbors": 5},
+            "bounds": {"confidence": 0.05},
+        },
+        # the dataset file has an id column, so it selects every point
+        "evaluate": {"dataset": dataset, "selection": dataset},
+        "calibrate": {
+            "dataset": dataset, "selection": dataset,
+            "estimator": {"kind": "knn", "k_neighbors": 5},
+        },
+        "compare": {"generator": dict(MIXTURE_GENERATOR), "budget": 5, "seeds": [1]},
+        "generate": {"generator": dict(MIXTURE_GENERATOR)},
+    }[command]
+    *sections, field = path.split(".")
+    target = payload
+    for key in sections:
+        target = target[key]
+    target[field] = value
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    return main([command, "--config", cfg, "--out", str(tmp_path)])
+
+
 def strip_volatile(text):
     """Remove wall-clock fields so reruns can be compared byte for byte."""
     text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
@@ -346,19 +375,6 @@ class TestEvaluate:
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert "line 1" in capsys.readouterr().err
 
-    def test_metric_flag_changes_bound_values(self, tmp_path):
-        dataset, selection = self.prepare(tmp_path)
-        base_cfg = write_config(tmp_path / "eval.json", {
-            "dataset": str(dataset),
-            "selection": str(selection),
-        })
-        main(["evaluate", "--config", base_cfg, "--out", str(tmp_path / "euc")])
-        main(["evaluate", "--config", base_cfg, "--out", str(tmp_path / "sq"),
-              "--metric", "squared"])
-        euc = json.loads((tmp_path / "euc" / "evaluation.json").read_text())
-        sq = json.loads((tmp_path / "sq" / "evaluation.json").read_text())
-        assert sq["delta"] == pytest.approx(euc["delta"] ** 2, rel=1e-12)
-
     def test_k_center_commands_leave_scipy_spatial_unloaded(self, tmp_path):
         # only the kNN density loads scipy.spatial; the greedy, the coverage
         # assignment and the 1-NN loss share one kernel that needs no tree
@@ -484,6 +500,11 @@ class TestExitCodes:
         ("evaluate", "--seed", "1"),
         ("calibrate", "--seed", "1"),
         ("compare", "--seed", "1"),
+        # every distance is Euclidean: no command takes a metric
+        ("select", "--metric", "euclidean"),
+        ("evaluate", "--metric", "euclidean"),
+        ("calibrate", "--metric", "euclidean"),
+        ("compare", "--metric", "euclidean"),
     ])
     def test_flag_the_command_ignores_is_rejected(self, command, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -507,7 +528,7 @@ class TestExitCodes:
         ("select", "protocol.rounds", True),
         ("generate", "generator.counts", [2.7]),
         ("select", "bounds.num_classes", 2.5),
-        ("select", "protocol.normalize_features", "no"),
+        ("select", "protocol.alpha", True),
         # numeric strings: an int or a number takes only a JSON number
         ("select", "protocol.budget", "10"),
         ("select", "bounds.confidence", "0.1"),
@@ -518,24 +539,23 @@ class TestExitCodes:
     def test_value_of_wrong_type_names_its_field(
         self, tmp_path, capsys, command, path, value
     ):
-        payload = {
-            "select": {
-                "dataset": str(run_generate(tmp_path)),
-                "protocol": {"budget": 4, "rounds": 1, "algorithm": "k-center"},
-                "estimator": {"kind": "knn", "k_neighbors": 5},
-                "bounds": {"confidence": 0.05},
-            },
-            "compare": {"generator": dict(MIXTURE_GENERATOR), "budget": 5, "seeds": [1]},
-            "generate": {"generator": dict(MIXTURE_GENERATOR)},
-        }[command]
-        *sections, field = path.split(".")
-        target = payload
-        for key in sections:
-            target = target[key]
-        target[field] = value
-        cfg = write_config(tmp_path / "cfg.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert run_with(tmp_path, command, path, value) == EXIT_INVALID
+        field = path.split(".")[-1]
         assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path", [
+        ("select", "metric"),
+        ("evaluate", "metric"),
+        ("calibrate", "metric"),
+        ("compare", "metric"),
+        ("select", "protocol.normalize_features"),
+    ])
+    def test_removed_knob_is_an_unknown_field(self, tmp_path, capsys, command, path):
+        # coverage is Euclidean on the raw features, with no switch for either
+        value = {"metric": "euclidean", "protocol.normalize_features": False}[path]
+        assert run_with(tmp_path, command, path, value) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "unknown" in err and f"'{path.split('.')[-1]}'" in err
 
     def test_unknown_subcommand_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:

@@ -48,11 +48,12 @@ class TestAssignment:
             assign_coverage(ps, [0, 2], previous=prev)
         with pytest.raises(ValidationError, match="does not match"):
             assign_coverage(_line([0.0, 1.0]), [0, 1], previous=prev)
-        # nothing new to measure: only the metric's distances are redone
-        same = assign_coverage(ps, [3, 0], "squared-euclidean", previous=prev)
-        scratch = assign_coverage(ps, [0, 3], "squared-euclidean")
+        # nothing new to measure: the previous assignment comes back
+        same = assign_coverage(ps, [3, 0], previous=prev)
+        scratch = assign_coverage(ps, [0, 3])
         assert same.pi.tolist() == scratch.pi.tolist()
-        assert same.distances.tolist() == scratch.distances.tolist() == [0, 1, 4, 0]
+        assert same.sq_distances.tolist() == scratch.sq_distances.tolist() == [0, 1, 4, 0]
+        assert same.distances.tolist() == scratch.distances.tolist() == [0, 1, 2, 0]
 
     def test_duplicate_selected_point_leaves_empty_area(self):
         # point 1 duplicates point 0, so both land in area 0 and area 1 is
@@ -82,6 +83,12 @@ class TestAssignment:
             tracemalloc.stop()
         assert peak < n * b * 8
 
+    def test_overflowing_distance_raises(self):
+        # finite coordinates whose squared distance is not
+        ps = _line([0.0, 1e155, -1e155])
+        with pytest.raises(ValidationError, match="overflows float64"):
+            assign_coverage(ps, [0])
+
     def test_selected_validation(self):
         ps = _line([0.0, 1.0])
         with pytest.raises(ValidationError):
@@ -93,13 +100,6 @@ class TestAssignment:
         for selected in ([0.5], [True], [0, 1.5]):
             with pytest.raises(ValidationError, match="selected index"):
                 assign_coverage(ps, selected)
-
-    def test_metric_does_not_change_assignment(self):
-        rng = np.random.default_rng(5)
-        ps = PointSet.from_features(rng.normal(size=(40, 2)))
-        a = assign_coverage(ps, [3, 17, 29], "euclidean")
-        b = assign_coverage(ps, [3, 17, 29], "squared-euclidean")
-        assert np.array_equal(a.pi, b.pi)
 
 
 class TestRadii:
@@ -123,15 +123,14 @@ class TestRadii:
             ps = PointSet.from_features(feats)
             b = int(rng.integers(1, min(n, 6) + 1))
             selected = sorted(rng.permutation(n)[:b].tolist())
-            metric = ("euclidean", "squared-euclidean")[trial % 2]
-            cov = assign_coverage(ps, selected, metric)
+            cov = assign_coverage(ps, selected)
             rows = [list(map(float, feats[i])) for i in range(n)]
             assert classical_radius(cov) == pytest.approx(
-                oracles.classical_radius(rows, selected, metric), abs=1e-10)
+                oracles.classical_radius(rows, selected), abs=1e-10)
             radial = all_radial_distances(cov)
             assert list(radial) == selected
             for k in selected:
-                expected = oracles.average_radial_distance(rows, selected, k, metric)
+                expected = oracles.average_radial_distance(rows, selected, k)
                 assert radial[k] == pytest.approx(expected, abs=1e-10)
 
     def test_mean_never_exceeds_max(self):
@@ -245,12 +244,6 @@ class TestBruteForce:
         subset, radius = oracles.brute_force_k_center(ps, 4)
         assert subset == (0, 1, 2, 3)
         assert radius == 0.0
-
-    def test_squared_metric_squares_the_radius(self):
-        ps = _line([0.0, 1.0, 10.0])
-        _, r_euc = oracles.brute_force_k_center(ps, 2, "euclidean")
-        _, r_sq = oracles.brute_force_k_center(ps, 2, "squared-euclidean")
-        assert r_sq == pytest.approx(r_euc**2, abs=1e-12)
 
     def test_optimum_beats_random_subsets(self):
         rng = np.random.default_rng(31)

@@ -1,4 +1,4 @@
-"""Containers, generators, metrics, and CSV round-trips."""
+"""Containers, generators, squared distances, and CSV round-trips."""
 
 
 import numpy as np
@@ -11,17 +11,15 @@ from denscore import (
     ValidationError,
     generate,
     load_pointset,
-    normalize,
     save_pointset,
 )
 from denscore.data import (
     FeatureGrid,
     block_rows,
-    canonical_metric,
     squared_distance_blocks,
 )
 
-from oracles import dist as oracle_dist
+from oracles import squared as oracle_squared
 
 
 class TestContainers:
@@ -71,12 +69,6 @@ def _blocks_matrix(a, b, chunk=None):
 
 
 class TestMetrics:
-    def test_metric_aliases(self):
-        assert canonical_metric("squared") == "squared-euclidean"
-        assert canonical_metric("euclidean") == "euclidean"
-        with pytest.raises(ValidationError):
-            canonical_metric("manhattan")
-
     def test_pairwise_against_scalar_distance(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(17, 5))
@@ -84,7 +76,7 @@ class TestMetrics:
         mat = _blocks_matrix(a, b, chunk=4)
         for i in range(17):
             for j in range(9):
-                expected = oracle_dist(a[i], b[j], "squared-euclidean")
+                expected = oracle_squared(a[i], b[j])
                 assert mat[i, j] == pytest.approx(expected, abs=1e-12)
         with pytest.raises(ValidationError, match="dimension mismatch"):
             next(squared_distance_blocks(a, b[:, :4]))
@@ -178,20 +170,6 @@ class TestGenerate:
         with pytest.raises(ValidationError, match="kind"):
             GeneratorSpec(kind="grid-blobs", seed=0, means=((0.0,),),
                           sigmas=(1.0,), counts=(5,))
-
-
-class TestNormalize:
-    def test_unit_norm_rows(self):
-        ps = PointSet.from_features(np.array([[3.0, 4.0], [0.0, 2.0]]))
-        out = normalize(ps)
-        np.testing.assert_allclose(np.linalg.norm(out.features, axis=1), 1.0,
-                                   rtol=1e-15)
-        np.testing.assert_allclose(out.features[0], [0.6, 0.8], rtol=1e-15)
-
-    def test_zero_row_is_named(self):
-        ps = PointSet(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([10, 20]))
-        with pytest.raises(ValidationError, match="id 20"):
-            normalize(ps)
 
 
 class TestCsvRoundTrip:

@@ -93,11 +93,11 @@ def test_each_pick_is_the_lowest_index_of_the_largest_radius(run):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(grid_points(), st.sampled_from(["euclidean", "squared-euclidean"]), st.data())
-def test_worst_area_mean_never_exceeds_the_covering_radius(points, metric, data):
+@given(grid_points(), st.data())
+def test_worst_area_mean_never_exceeds_the_covering_radius(points, data):
     selected = data.draw(st.lists(
         st.integers(0, points.n - 1), min_size=1, unique=True))
-    report = bound_report(assign_coverage(points, selected, metric))
+    report = bound_report(assign_coverage(points, selected))
     assert report.max_radial <= report.delta * (1 + ORDERING_RTOL)
 
 

@@ -11,14 +11,11 @@ from denscore import (
     ProtocolConfig,
     ScoreMap,
     ValidationError,
-    assign_coverage,
-    bound_report,
     density_aware_greedy,
     filter_candidates,
     k_center_greedy,
     knn_density,
     margin_score,
-    normalize,
     run_rounds,
     uncertainty_select,
 )
@@ -108,6 +105,27 @@ class TestGreedyProperties:
             base = density_aware_greedy(points, dens, [0], b)
             scaled = density_aware_greedy(points, dens * 7.3, [0], b)
             assert scaled.picks == base.picks
+
+    @pytest.mark.parametrize("case", ["subnormal", "normal", "k-center"])
+    def test_overflow_raises_instead_of_collapsing_picks(self, case):
+        # an overflowed d^2 / dens is inf, ties every point and would fall
+        # back to index order: (0, 1, 2, 3, 4, 5)
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(50, 2))
+        dens = rng.uniform(0.5, 2.0, size=50)
+        points = PointSet.from_features(feats)
+        assert density_aware_greedy(points, dens, None, 6).picks == (0, 23, 6, 20, 34, 49)
+        # (dens + 1) / 1.5 lies in [1, 2], so its 1e-306 multiples are normal
+        points, dens = {
+            "subnormal": (points, dens * 1e-310),
+            "normal": (PointSet.from_features(feats * 10), (dens + 1.0) / 1.5 * 1e-306),
+            "k-center": (PointSet.from_features(feats * 1e155), None),
+        }[case]
+        with pytest.raises(ValidationError, match="overflows.*changes no pick"):
+            if dens is None:
+                k_center_greedy(points, None, 6)
+            else:
+                density_aware_greedy(points, dens, None, 6)
 
     def test_radii_never_increase(self):
         rng = np.random.default_rng(300)
@@ -307,30 +325,6 @@ class TestProtocol:
             assert multi.selected == single.selected
             assert len(multi.rounds) == 3 and len(single.rounds) == 1
 
-    def test_normalize_features_selects_on_the_unit_sphere(self):
-        rng = np.random.default_rng(17)
-        ps = PointSet.from_features(rng.normal(size=(300, 4)) + 0.5)
-        ds = LabeledPointSet(ps, rng.integers(1, 3, size=300), num_classes=2)
-        res = run_rounds(ds, ProtocolConfig(
-            budget=5, rounds=2, algorithm="k-center", normalize_features=True))
-        unit = normalize(ps)
-        expected = k_center_greedy(unit, [], 10).selected
-        assert res.selected == expected
-        assert res.rounds[-1].bound.delta == bound_report(assign_coverage(unit, expected)).delta
-        raw = run_rounds(ds, ProtocolConfig(
-            budget=5, rounds=2, algorithm="k-center"))
-        assert raw.selected != expected
-
-    def test_normalize_features_names_a_zero_row(self):
-        feats = np.random.default_rng(3).normal(size=(20, 3))
-        feats[7] = 0.0
-        ps = PointSet(feats, np.arange(100, 120))
-        ds = LabeledPointSet(ps, np.ones(20, dtype=np.int64), num_classes=1)
-        with pytest.raises(ValidationError, match=r"\(id 107\)"):
-            run_rounds(ds, ProtocolConfig(
-                budget=5, rounds=2, algorithm="k-center",
-                normalize_features=True))
-
     def test_round_accounting_and_disjoint_picks(self):
         ds = self._dataset()
         res = run_rounds(ds, ProtocolConfig(
@@ -433,7 +427,8 @@ class TestProtocol:
             ProtocolConfig(budget=2, rounds=1, algorithm="k-center", alpha=1.0)
         with pytest.raises(ValidationError):
             ProtocolConfig(budget=2, rounds=1, algorithm="quantum")
-        with pytest.raises(ValidationError):
+        # no distance but the Euclidean one: the metric is not a field
+        with pytest.raises(TypeError, match="metric"):
             ProtocolConfig(budget=2, rounds=1, algorithm="k-center",
                            metric="cosine")
 
