@@ -17,6 +17,14 @@ current directory.  All randomness flows from explicit seeds, so a rerun
 with an identical config writes byte-identical data artifacts; the only
 fields that differ are wall-clock metadata (``timestamp``, ``runtime_ms``).
 
+Every JSON file is its report's fields (``BoundReport``,
+``CalibrationReport``, ``ComparisonReport``; the summary's ``protocol`` is
+the ``ProtocolConfig``) plus a ``metadata`` block, written by one converter,
+``write_json``: NaN becomes null and +/-inf the strings "inf"/"-inf".  A
+bound report's ``radial`` is keyed by dataset id, and ``comparison.json``'s
+``dataset`` adds the generator's ``dim``.  A config section's keys are its
+dataclass's fields.
+
 ``select`` runs the greedy algorithms and the ``random`` baseline.  The
 ``entropy``, ``sconf`` and ``margin`` baselines need class probabilities,
 and a dataset CSV carries only one scalar ``score`` per point, so ``select``
@@ -36,14 +44,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .coverage import BoundParams, assign_coverage, bound_report
+from .coverage import BoundParams, BoundReport, assign_coverage, bound_report
 from .data import (
     GeneratorSpec,
     LabeledPointSet,
@@ -66,9 +74,11 @@ EXIT_WARNINGS = 3
 
 OUTPUT_DIR_ENV = "DENSCORE_OUT"
 
-_GENERATOR_KEYS = {"kind", "seed", "means", "sigmas", "counts"}
-_PROTOCOL_KEYS = {"budget", "rounds", "alpha", "algorithm", "seed", "initial"}
-_BOUNDS_KEYS = {"lambda_l", "lambda_eta", "loss_bound", "num_classes", "confidence"}
+# a config section's keys are its dataclass's fields; the protocol's
+# estimator is a section of its own
+_GENERATOR_KEYS = {f.name for f in fields(GeneratorSpec)}
+_PROTOCOL_KEYS = {f.name for f in fields(ProtocolConfig)} - {"estimator"}
+_BOUNDS_KEYS = {f.name for f in fields(BoundParams)}
 
 _COMMAND_KEYS = {
     "generate": {"generator", "output"},
@@ -138,35 +148,38 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _sanitize(value):
-    """Make NaN/inf JSON-safe (null / 'inf' strings)."""
+def _to_json(value):
+    """The JSON form of an output value: a dataclass is the mapping of its
+    fields, a tuple or array a list, a numpy scalar a Python number; NaN
+    becomes null and +/-inf the strings "inf"/"-inf"."""
+    if is_dataclass(value):
+        value = _fields(value)
     if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
+        return {k: _to_json(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return None
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        return [_to_json(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
     return value
 
 
-def write_json(payload: dict, path: Path) -> None:
-    text = json.dumps(
-        _sanitize(payload), indent=2, sort_keys=True, default=_json_default
-    )
+def write_json(payload, path: Path) -> None:
+    text = json.dumps(_to_json(payload), indent=2, sort_keys=True)
     path.write_text(text + "\n")
+
+
+def _bound_fields(report: BoundReport, ids: np.ndarray) -> dict:
+    """A bound report's fields with its radial means keyed by dataset id."""
+    radial = {str(int(ids[k])): v for k, v in report.radial.items()}
+    return {**_fields(report), "radial": radial}
 
 
 def _metadata(cfg: ExperimentConfig, seeds) -> dict:
@@ -242,14 +255,16 @@ def _load_selection_ids(path: str) -> list[int]:
 
 def _ids_to_positions(dataset: LabeledPointSet, ids: list[int], source: str):
     lookup = {int(v): i for i, v in enumerate(dataset.points.ids.tolist())}
-    positions = []
+    positions = {}
     for v in ids:
         if v not in lookup:
             raise ValidationError(
                 f"{source}: id {v} does not occur in the dataset (mismatched files?)"
             )
-        positions.append(lookup[v])
-    return positions
+        if v in positions:
+            raise ValidationError(f"{source}: id {v} is listed more than once")
+        positions[v] = lookup[v]
+    return list(positions.values())
 
 
 def _format_radius(value: float) -> str:
@@ -309,17 +324,18 @@ def cmd_select(args) -> int:
                     rnd.round_index, order, int(ids[pick]), _format_radius(radius),
                 ])
         bound_path = out / f"bounds_round_{rnd.round_index:02d}.json"
-        payload = rnd.bound.to_dict(ids=ids)
-        payload["round"] = rnd.round_index
-        payload["partial"] = rnd.partial
-        payload["metadata"] = _metadata(cfg, [config.seed])
-        write_json(payload, bound_path)
+        write_json({
+            **_bound_fields(rnd.bound, ids),
+            "round": rnd.round_index,
+            "partial": rnd.partial,
+            "metadata": _metadata(cfg, [config.seed]),
+        }, bound_path)
 
     summary = {
         "rounds_completed": len(result.rounds),
         "selected_ids": [int(ids[i]) for i in result.selected],
         "exhausted": result.exhausted,
-        "protocol": config.to_dict(),
+        "protocol": config,
         "metadata": _metadata(cfg, [config.seed]),
     }
     write_json(summary, out / "selection_summary.json")
@@ -343,12 +359,13 @@ def cmd_evaluate(args) -> int:
     cov = assign_coverage(dataset.points, positions)
     report = bound_report(cov, bounds)
     loss = core_set_loss(dataset, cov)
-    payload = report.to_dict(ids=dataset.points.ids)
-    payload["core_set_loss"] = loss
-    payload["selection_file"] = str(selection_path)
-    payload["metadata"] = _metadata(cfg, [])
     out = _out_dir(args)
-    write_json(payload, out / "evaluation.json")
+    write_json({
+        **_bound_fields(report, dataset.points.ids),
+        "core_set_loss": loss,
+        "selection_file": str(selection_path),
+        "metadata": _metadata(cfg, []),
+    }, out / "evaluation.json")
     print(
         f"delta={report.delta:.6g} max_radial={report.max_radial:.6g} "
         f"loss={loss:.6g}"
@@ -368,12 +385,13 @@ def cmd_calibrate(args) -> int:
     bins = config_value(cfg.raw.get("bins", 10), int, "bins")
     cov = assign_coverage(dataset.points, positions)
     report = calibrate(densities, cov, bins)
-    payload = report.to_dict()
-    payload["estimator"] = dict(estimator)
-    payload["selection_file"] = str(selection_path)
-    payload["metadata"] = _metadata(cfg, [])
     out = _out_dir(args)
-    write_json(payload, out / "calibration.json")
+    write_json({
+        **_fields(report),
+        "estimator": estimator,
+        "selection_file": str(selection_path),
+        "metadata": _metadata(cfg, []),
+    }, out / "calibration.json")
     print(
         f"r_squared={report.r_squared:.4f} spearman={report.spearman:.4f} "
         f"degenerate={report.degenerate}"
@@ -392,10 +410,13 @@ def cmd_compare(args) -> int:
     rounds = config_value(cfg.raw.get("rounds", 1), int, "rounds")
     estimator = cfg.raw.get("estimator")
     report = compare_algorithms(spec, budget, rounds, seeds, estimator)
-    payload = report.to_dict()
-    payload["metadata"] = _metadata(cfg, list(report.seeds))
     out = _out_dir(args)
-    write_json(payload, out / "comparison.json")
+    write_json({
+        **_fields(report),
+        # the generator's derived dimension is echoed with its fields
+        "dataset": {**_fields(report.dataset), "dim": report.dataset.dim},
+        "metadata": _metadata(cfg, list(report.seeds)),
+    }, out / "comparison.json")
     with open(out / "comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "algorithm", "delta", "max_radial", "loss", "runtime_ms"])

@@ -253,15 +253,6 @@ class BoundParams:
         """lambda_l + lambda_eta * L * C, the radius multiplier."""
         return self.lambda_l + self.lambda_eta * self.loss_bound * self.num_classes
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_l": self.lambda_l,
-            "lambda_eta": self.lambda_eta,
-            "loss_bound": self.loss_bound,
-            "num_classes": self.num_classes,
-            "confidence": self.confidence,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
@@ -276,22 +267,6 @@ class BoundReport:
     n: int
     num_selected: int
     params: BoundParams
-
-    def to_dict(self, ids: np.ndarray | None = None) -> dict:
-        def key(k: int) -> str:
-            return str(int(ids[k]) if ids is not None else k)
-
-        return {
-            "delta": self.delta,
-            "radial": {key(k): v for k, v in self.radial.items()},
-            "max_radial": self.max_radial,
-            "hoeffding": self.hoeffding,
-            "classical_bound_value": self.classical_bound_value,
-            "tight_bound_value": self.tight_bound_value,
-            "n": self.n,
-            "num_selected": self.num_selected,
-            "params": self.params.to_dict(),
-        }
 
 
 def bound_report(

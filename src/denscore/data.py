@@ -265,16 +265,6 @@ class GeneratorSpec:
     def dim(self) -> int:
         return len(self.means[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "means": [list(row) for row in self.means],
-            "sigmas": list(self.sigmas),
-            "counts": list(self.counts),
-            "dim": self.dim,
-        }
-
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
 
@@ -417,6 +407,8 @@ def load_pointset(path) -> LabeledPointSet:
                 raise ValidationError(
                     f"{path}: line {lineno}: non-finite feature value"
                 )
+            if scores and not math.isfinite(scores[-1]):
+                raise ValidationError(f"{path}: line {lineno}: non-finite score")
             feats.extend(values)
     if not ids:
         raise ValidationError(f"{path}: line 2: no data rows")

@@ -303,25 +303,6 @@ class CalibrationReport:
     pairs: tuple[tuple[float, float], ...]
     num_selected: int
 
-    def to_dict(self) -> dict:
-        def opt(x: float):
-            return None if (x != x) else x  # NaN -> null
-
-        return {
-            "r_squared": self.r_squared,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "spearman": opt(self.spearman),
-            "bin_edges": [float(v) for v in self.bin_edges],
-            "bin_counts": [int(v) for v in self.bin_counts],
-            "bin_mean_radial": [
-                None if (v != v) else float(v) for v in self.bin_mean_radial
-            ],
-            "degenerate": self.degenerate,
-            "pairs": [[a, b] for a, b in self.pairs],
-            "num_selected": self.num_selected,
-        }
-
 
 def calibrate(
     densities: DensityField, cov: CoverageAssignment, num_bins: int = 10

@@ -115,7 +115,8 @@ class ComparisonReport:
 
     ``rows`` hold one dict per (seed, algorithm) with delta, max_radial,
     loss, and runtime_ms.  Win rates count the seeds where density-aware is
-    strictly smaller than k-center.  Everything except the wall-clock
+    strictly smaller than k-center.  ``dataset`` is the generator spec the
+    seeds were applied to.  Everything except the wall-clock
     runtime fields is reproducible bit for bit from (spec, seeds, config).
     """
 
@@ -125,18 +126,7 @@ class ComparisonReport:
     budget: int
     rounds: int
     estimator: dict
-    dataset: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "aggregates": dict(self.aggregates),
-            "seeds": list(self.seeds),
-            "budget": self.budget,
-            "rounds": self.rounds,
-            "estimator": dict(self.estimator),
-            "dataset": dict(self.dataset),
-        }
+    dataset: GeneratorSpec
 
 
 def _single_run(
@@ -226,7 +216,7 @@ def compare_algorithms(
         budget=int(budget),
         rounds=int(rounds),
         estimator=estimator,
-        dataset=spec.to_dict(),
+        dataset=spec,
     )
 
 

@@ -21,6 +21,8 @@ reproduces the same stream bit for bit on any platform.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -37,6 +39,17 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int.  A bool or a non-integer raises a
+    TypeError naming ``name`` instead of being truncated to another seed."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer (got {value!r})")
+
+
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * _MIX1
@@ -49,11 +62,12 @@ class PortableRng:
     """Deterministic counter-based random stream (see module docstring).
 
     The instance keeps a draw counter, so successive calls continue the same
-    stream; two instances with the same seed replay identical values.
+    stream; two instances with the same seed replay identical values.  The
+    seed is any integer, numpy's included, taken modulo 2**64.
     """
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _U64_MASK)
+        self._seed = np.uint64(_integer(seed, "seed") & _U64_MASK)
         self._position = 0
 
     def raw(self, count: int) -> np.ndarray:
@@ -91,4 +105,4 @@ class PortableRng:
 
 def derive_seed(seed: int, key: int) -> int:
     """Deterministic per-key seed, used for per-round substreams."""
-    return mix64((int(seed) & _U64_MASK) ^ mix64(int(key) + 1))
+    return mix64((_integer(seed, "seed") & _U64_MASK) ^ mix64(_integer(key, "key") + 1))

@@ -358,17 +358,6 @@ class ProtocolConfig:
         object.__setattr__(self, "seed", config_value(self.seed, int, "seed"))
         object.__setattr__(self, "initial", _config_values(self.initial, int, "initial"))
 
-    def to_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "rounds": self.rounds,
-            "alpha": self.alpha,
-            "algorithm": self.algorithm,
-            "estimator": dict(self.estimator) if self.estimator else None,
-            "seed": self.seed,
-            "initial": list(self.initial),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class RoundResult:

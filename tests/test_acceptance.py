@@ -294,6 +294,10 @@ def test_criterion_09_oracle_equivalence():
 VOLATILE = re.compile(r'"(timestamp|runtime_ms)":\s*("[^"]*"|[0-9.eE+-]+)')
 
 
+def _reject_constant(token):
+    raise AssertionError(f"bare {token} in a written JSON file")
+
+
 def _normalize(path):
     text = path.read_text()
     if path.suffix == ".json":
@@ -356,6 +360,9 @@ def test_criterion_10_cli_reruns_are_byte_identical(tmp_path, capsys, monkeypatc
         for name in first:
             a, b = runs[0] / cmd / name, runs[1] / cmd / name
             compared += 1
+            if a.suffix == ".json":
+                # strict JSON: NaN is null and infinities are strings
+                json.loads(a.read_text(), parse_constant=_reject_constant)
             if a.read_bytes() != b.read_bytes() and _normalize(a) != _normalize(b):
                 differing.append(f"{cmd}/{name}")
     ok = not differing

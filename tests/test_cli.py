@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from denscore.cli import (
     EXIT_RUNTIME,
     EXIT_WARNINGS,
     main,
+    write_json,
 )
 
 MIXTURE_GENERATOR = {
@@ -77,6 +79,18 @@ def run_with(tmp_path, command, path, value):
     target[field] = value
     cfg = write_config(tmp_path / "cfg.json", payload)
     return main([command, "--config", cfg, "--out", str(tmp_path)])
+
+
+def spaced_dataset(tmp_path):
+    """The generated dataset with ids 1000 + 7 * row, so that no id is a row
+    position."""
+    plain = load_pointset(run_generate(tmp_path))
+    target = tmp_path / "spaced.csv"
+    ids = 1000 + 7 * np.arange(plain.n)
+    save_pointset(LabeledPointSet(
+        PointSet(plain.points.features, ids), plain.labels, plain.num_classes,
+    ), target)
+    return target
 
 
 def strip_volatile(text):
@@ -299,20 +313,9 @@ class TestSelect:
         assert a["protocol"]["seed"] == 1
         assert b["protocol"]["seed"] == 2
 
-    def spaced_dataset(self, tmp_path):
-        """The generated dataset with ids 1000 + 7 * row, so that no id is
-        a row position."""
-        plain = load_pointset(run_generate(tmp_path))
-        target = tmp_path / "spaced.csv"
-        ids = 1000 + 7 * np.arange(plain.n)
-        save_pointset(LabeledPointSet(
-            PointSet(plain.points.features, ids), plain.labels, plain.num_classes,
-        ), target)
-        return target
-
     def test_initial_lists_dataset_ids(self, tmp_path):
         cfg = self.select_config(
-            tmp_path, self.spaced_dataset(tmp_path), protocol={"initial": [1007]}
+            tmp_path, spaced_dataset(tmp_path), protocol={"initial": [1007]}
         )
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         summary = json.loads((tmp_path / "selection_summary.json").read_text())
@@ -321,11 +324,20 @@ class TestSelect:
 
     def test_initial_id_missing_from_dataset_rejected(self, tmp_path, capsys):
         cfg = self.select_config(
-            tmp_path, self.spaced_dataset(tmp_path), protocol={"initial": [5]}
+            tmp_path, spaced_dataset(tmp_path), protocol={"initial": [5]}
         )
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert "protocol.initial" in err and "id 5 does not occur" in err
+
+    def test_repeated_initial_id_names_the_id(self, tmp_path, capsys):
+        cfg = self.select_config(
+            tmp_path, spaced_dataset(tmp_path),
+            protocol={"initial": [1007, 1014, 1007]},
+        )
+        assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"{cfg}: protocol.initial: id 1007 is listed more than once" in err
 
 
 class TestEvaluate:
@@ -363,6 +375,16 @@ class TestEvaluate:
         })
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert "999999" in capsys.readouterr().err
+
+    def test_repeated_selection_id_names_the_id(self, tmp_path, capsys):
+        twice = tmp_path / "twice.csv"
+        twice.write_text("id\n1014\n1007\n1014\n")
+        cfg = write_config(tmp_path / "eval.json", {
+            "dataset": str(spaced_dataset(tmp_path)),
+            "selection": str(twice),
+        })
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert f"{twice}: id 1014 is listed more than once" in capsys.readouterr().err
 
     def test_selection_without_id_column(self, tmp_path, capsys):
         dataset, _ = self.prepare(tmp_path)
@@ -477,6 +499,37 @@ class TestCompare:
         cfg = self.compare_config(tmp_path, bounds=bounds)
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert "bounds" in capsys.readouterr().err
+
+
+class TestWriteJson:
+    def test_nested_dataclass_with_non_finite_values(self, tmp_path):
+        @dataclass(frozen=True)
+        class Inner:
+            values: np.ndarray
+            pair: tuple
+
+        @dataclass(frozen=True)
+        class Outer:
+            inner: Inner
+            count: np.int64
+            flag: bool
+
+        path = tmp_path / "out.json"
+        write_json(Outer(
+            Inner(np.array([1.5, np.nan, np.inf]), (-np.inf, np.nan, 2)),
+            np.int64(7), True,
+        ), path)
+
+        def reject(token):
+            raise AssertionError(f"bare {token} written")
+
+        written = json.loads(path.read_text(), parse_constant=reject)
+        assert written == {
+            "inner": {"values": [1.5, None, "inf"], "pair": ["-inf", None, 2]},
+            "count": 7,
+            "flag": True,
+        }
+        assert written["flag"] is True and type(written["count"]) is int
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 """Coverage partitions, radii, and bound reports against naive oracles."""
 
+import json
 import math
 import tracemalloc
 
@@ -17,7 +18,9 @@ from denscore import (
     bound_report,
     classical_radius,
     hoeffding_term,
+    save_pointset,
 )
+from denscore.cli import EXIT_OK, main
 from denscore.coverage import ORDERING_RTOL, all_radial_distances
 
 import oracles
@@ -224,12 +227,30 @@ class TestBoundReport:
         assert rep.classical_bound_value == rep.hoeffding
         assert rep.tight_bound_value == rep.hoeffding
 
-    def test_to_dict_translates_ids(self):
+    def test_written_radial_is_keyed_by_dataset_id(self, tmp_path):
+        # the report keys its radial means by row position; select and
+        # evaluate write them keyed by dataset id
         ps = PointSet(np.array([[0.0], [1.0], [5.0]]), np.array([10, 20, 30]))
-        rep = bound_report(assign_coverage(ps, [0, 2]))
-        d = rep.to_dict(ids=ps.ids)
-        assert set(d["radial"]) == {"10", "30"}
-        assert d["params"]["confidence"] == 0.05
+        assert set(bound_report(assign_coverage(ps, [0, 2])).radial) == {0, 2}
+        data = tmp_path / "data.csv"
+        save_pointset(LabeledPointSet(ps, np.ones(3, dtype=np.int64), 1), data)
+        (tmp_path / "selection.csv").write_text("id\n10\n30\n")
+        configs = {
+            "evaluate": {"dataset": str(data),
+                         "selection": str(tmp_path / "selection.csv")},
+            "select": {"dataset": str(data),
+                       "protocol": {"budget": 1, "rounds": 1,
+                                    "algorithm": "k-center", "initial": [10]}},
+        }
+        for command, config in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config))
+            out = str(tmp_path / command)
+            assert main([command, "--config", str(path), "--out", out]) == EXIT_OK
+        for written in ("evaluate/evaluation.json", "select/bounds_round_01.json"):
+            d = json.loads((tmp_path / written).read_text())
+            assert set(d["radial"]) == {"10", "30"}
+            assert d["params"]["confidence"] == 0.05
 
 
 class TestBruteForce:

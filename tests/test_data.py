@@ -1,5 +1,6 @@
 """Containers, generators, squared distances, and CSV round-trips."""
 
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -148,7 +149,10 @@ class TestGenerate:
         spec = GeneratorSpec(kind="uniform-box", seed=1, means=((0.0, 1.0, 2.0),),
                              sigmas=(1.0,), counts=(4,))
         assert spec.dim == 3 == generate(spec).dim
-        assert spec.to_dict()["dim"] == 3
+        # a derived value, not a field: the config's generator keys are the
+        # fields, and only comparison.json echoes the dimension
+        assert [f.name for f in fields(spec)] == [
+            "kind", "seed", "means", "sigmas", "counts"]
         with pytest.raises(TypeError):
             GeneratorSpec(kind="uniform-box", seed=1, means=((0.0,),),
                           sigmas=(1.0,), counts=(4,), dim=1)
@@ -234,6 +238,14 @@ class TestCsvRoundTrip:
         path.write_text("id,f0\n0,inf\n")
         with pytest.raises(ValidationError, match="line 2"):
             load_pointset(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_names_path_and_line(self, tmp_path, score):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"id,f0,score\n0,1.0,0.5\n1,2.0,{score}\n")
+        with pytest.raises(ValidationError) as exc:
+            load_pointset(path)
+        assert str(exc.value) == f"{path}: line 3: non-finite score"
 
     def test_score_column_optional(self, tmp_path):
         path = tmp_path / "scored.csv"

@@ -1,5 +1,6 @@
 """Density estimators, masked grid reconstruction, and calibration."""
 
+import json
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from denscore import (
     knn_density,
     masked_reconstruction_error,
 )
+from denscore.cli import write_json
 from denscore.data import block_rows
 
 import oracles
@@ -343,6 +345,13 @@ def _manual_field(values):
     return DensityField(values)
 
 
+def _written(report, tmp_path):
+    """``report`` as the CLI writes it to JSON."""
+    path = tmp_path / "report.json"
+    write_json(report, path)
+    return json.loads(path.read_text())
+
+
 class TestCalibration:
     def _clustered(self, spreads):
         # one cluster per selected point: the selected point plus two
@@ -384,7 +393,7 @@ class TestCalibration:
         assert rep.intercept == pytest.approx(intercept, rel=1e-10, abs=1e-12)
         assert rep.r_squared == pytest.approx(r2, abs=1e-10)
 
-    def test_constant_density_is_degenerate(self):
+    def test_constant_density_is_degenerate(self, tmp_path):
         points, selected = self._clustered([1.0, 2.0, 4.0])
         field = _manual_field(np.full(points.n, 1.5))
         rep = calibrate(field, assign_coverage(points, selected))
@@ -392,7 +401,7 @@ class TestCalibration:
         assert rep.slope == 0.0
         assert rep.r_squared == 0.0
         assert math.isnan(rep.spearman)
-        assert rep.to_dict()["spearman"] is None
+        assert _written(rep, tmp_path)["spearman"] is None
 
     def test_constant_radial_is_degenerate_with_perfect_fit(self):
         points, selected = self._clustered([2.0, 2.0, 2.0])
@@ -404,7 +413,7 @@ class TestCalibration:
         assert rep.r_squared == 1.0
         assert math.isnan(rep.spearman)
 
-    def test_bin_counts_cover_all_selected(self):
+    def test_bin_counts_cover_all_selected(self, tmp_path):
         points, selected = self._clustered([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         rng = np.random.default_rng(9)
         rho = rng.uniform(0.1, 3.0, size=points.n)
@@ -412,7 +421,7 @@ class TestCalibration:
         rep = calibrate(field, assign_coverage(points, selected), num_bins=4)
         assert rep.bin_counts.sum() == len(selected)
         assert rep.bin_edges.shape == (5,)
-        d = rep.to_dict()
+        d = _written(rep, tmp_path)
         for c, m in zip(d["bin_counts"], d["bin_mean_radial"]):
             assert (m is None) == (c == 0)
 

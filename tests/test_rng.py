@@ -86,3 +86,24 @@ class TestDerivedStreams:
         assert derive_seed(5, 3) == derive_seed(5, 3)
         assert derive_seed(5, 3) != derive_seed(5, 4)
         assert derive_seed(5, 3) != derive_seed(6, 3)
+
+
+class TestSeedConversion:
+    @pytest.mark.parametrize("seed", [2.7, 2.0, True, "2", None])
+    def test_non_integer_seed_names_the_argument(self, seed):
+        # a bare int() would replay seed 2 for 2.7 and seed 1 for True
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            PortableRng(seed)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            derive_seed(seed, 3)
+
+    @pytest.mark.parametrize("key", [1.9, True])
+    def test_non_integer_key_names_the_argument(self, key):
+        with pytest.raises(TypeError, match="key must be an integer"):
+            derive_seed(1, key)
+
+    def test_numpy_and_negative_integers_keep_their_streams(self):
+        assert np.array_equal(PortableRng(np.int64(7)).raw(5), PortableRng(7).raw(5))
+        assert np.array_equal(PortableRng(-1).raw(5), PortableRng(2**64 - 1).raw(5))
+        assert derive_seed(np.int64(5), np.int64(3)) == derive_seed(5, 3)
+        assert derive_seed(-1, 3) == derive_seed(2**64 - 1, 3)
