@@ -127,8 +127,9 @@ def assign_coverage(
             "selected set must contain the previous assignment's selected set"
         )
     to_owner = np.zeros(points.n)
-    for k in new.tolist():
-        _claim(points.features, k, sel, to_owner, pi, sq)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
+        for k in new.tolist():
+            _claim(points.features, k, sel, to_owner, pi, sq)
     distances = np.sqrt(sq)
     for arr in (sel, pi, sq, distances):
         arr.setflags(write=False)
@@ -157,20 +158,22 @@ def _claim(
     inf nearness would tie and fall back to index order).  Measuring every
     selected point against every point would overflow too: it measures the
     owners o, and the ratio is at most d^2(o, k) / dens_k up to rounding.
+    Callers enter ``np.errstate(over="ignore", invalid="ignore")`` once
+    around all their claims, so an overflow reaches this check as inf or
+    nan instead of raising a warning.
     """
     root_k = 1.0 if densities is None else math.sqrt(densities[k])
     root_held = 1.0 if densities is None else np.sqrt(densities[held])
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = (
-            squared_distances_to(features[held], features[k]) / (root_held + root_k) ** 2
-        )
-        to_owner[held] = ratio
-        # read only at owners, and at pi = -1 (its last entry, finite), where
-        # sq = inf makes the point a candidate whatever the entry holds
-        rows = np.flatnonzero(to_owner[pi] <= _WIDEN * sq)
-        new_sq = squared_distances_to(features[rows], features[k])
-        if densities is not None:
-            new_sq /= densities[k]
+    ratio = (
+        squared_distances_to(features[held], features[k]) / (root_held + root_k) ** 2
+    )
+    to_owner[held] = ratio
+    # read only at owners, and at pi = -1 (its last entry, finite), where
+    # sq = inf makes the point a candidate whatever the entry holds
+    rows = np.flatnonzero(to_owner[pi] <= _WIDEN * sq)
+    new_sq = squared_distances_to(features[rows], features[k])
+    if densities is not None:
+        new_sq /= densities[k]
     if not (np.isfinite(ratio).all() and np.isfinite(new_sq).all()):
         raise ValidationError(
             f"a squared distance to selected point {k}, or its quotient by a "

@@ -1,5 +1,5 @@
 """Core data containers, synthetic generators (a Gaussian mixture and a
-uniform box), row-blocked squared distances, and CSV I/O.
+uniform box), squared distances to one point, and CSV I/O.
 
 Conventions shared across the package:
 
@@ -31,7 +31,6 @@ __all__ = [
     "LabeledPointSet",
     "FeatureGrid",
     "GeneratorSpec",
-    "squared_distance_blocks",
     "squared_distances_to",
     "generate",
     "load_pointset",
@@ -300,46 +299,11 @@ def generate(spec: GeneratorSpec) -> LabeledPointSet:
     return LabeledPointSet(points, labels, num_classes)
 
 
-# Byte budget for one block's (rows, len(b), dim) coordinate-difference
-# temporary: about 1 MiB keeps it in cache on common CPUs.
-_BLOCK_BYTES = 2**20
-
-
-def block_rows(num_cols: int, dim: int) -> int:
-    """Rows per block so one block of differences against ``num_cols``
-    points in ``dim`` coordinates stays near the 1 MiB budget (at least 1)."""
-    return max(1, _BLOCK_BYTES // (8 * max(1, num_cols) * max(1, dim)))
-
-
-def squared_distance_blocks(
-    a: np.ndarray, b: np.ndarray, chunk: int | None = None
-):
-    """Yield ``(start, stop, sq)``: the squared distances from
-    ``a[start:stop]`` to every row of ``b``, for consecutive row blocks.
-
-    Entries come from explicit coordinate differences (no inner-product
-    expansion) and are bit-identical for any ``chunk`` (default `block_rows`);
-    each block holds two ~1 MiB temporaries, the differences and squares.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[1] != b.shape[1]:
-        raise ValidationError(
-            f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    if chunk is None:
-        chunk = block_rows(b.shape[0], b.shape[1])
-    for start in range(0, a.shape[0], chunk):
-        stop = min(start + chunk, a.shape[0])
-        diff = a[start:stop, None, :] - b[None, :, :]
-        yield start, stop, np.sum(diff * diff, axis=-1)
-
-
 def squared_distances_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared distance from every row of ``a`` to the point ``x``.
 
-    The same explicit-difference arithmetic as `squared_distance_blocks`,
-    entry for entry, and independent of which rows ``a`` holds.
+    Each entry sums the squared coordinate differences of its own row (no
+    inner-product expansion), so it is independent of which rows ``a`` holds.
     """
     diff = a - x
     diff *= diff

@@ -133,11 +133,13 @@ def _greedy_select(
     to_owner = np.zeros(n)
     pick_radii = np.empty(b)
     # claim the initial set (a resumed state holds its claims), then each pick
-    for j in range(m if resume else 0, m + b):
-        if j >= m:
-            u = int(np.argmax(np.where(unselected, radii, -np.inf)))
-            pick_radii[j - m], order[j], unselected[u] = radii[u], u, False
-        _claim(features, int(order[j]), order[: j + 1], to_owner, owners, radii, densities)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
+        for j in range(m if resume else 0, m + b):
+            if j >= m:
+                u = int(np.argmax(np.where(unselected, radii, -np.inf)))
+                pick_radii[j - m], order[j], unselected[u] = radii[u], u, False
+            _claim(features, int(order[j]), order[: j + 1], to_owner, owners,
+                   radii, densities)
 
     return SelectionState(
         selected=tuple(order.tolist()),

@@ -86,19 +86,29 @@ def core_set_loss(features, labels, selected):
     return abs(sum(all_errors) / len(all_errors) - sum(sel_errors) / len(sel_errors))
 
 
-def kernel_density(features, bandwidth, beta):
-    """Self-excluded Gaussian kernel means, linearly rescaled so the
-    largest value equals beta."""
+def exact_squared_distances(features):
+    """Every pairwise squared distance as nested lists, each the exact
+    (``math.fsum``) sum of the rounded squared coordinate differences."""
     n = len(features)
-    raw = []
+    sq = [[0.0] * n for _ in range(n)]
     for t in range(n):
-        total = 0.0
-        for j in range(n):
-            if j == t:
-                continue
-            total += math.exp(-squared(features[t], features[j])
-                              / (2.0 * bandwidth * bandwidth))
-        raw.append(total / (n - 1))
+        for j in range(t + 1, n):
+            sq[t][j] = sq[j][t] = math.fsum(
+                (x - y) * (x - y) for x, y in zip(features[t], features[j]))
+    return sq
+
+
+def kernel_density(features, bandwidth, beta, sq=None):
+    """Self-excluded Gaussian kernel means, each row summed exactly
+    (``math.fsum``), linearly rescaled so the largest value equals beta.
+
+    ``sq`` is `exact_squared_distances(features)`, when already computed.
+    """
+    sq = exact_squared_distances(features) if sq is None else sq
+    n = len(sq)
+    scale = 2.0 * bandwidth * bandwidth
+    raw = [math.fsum(math.exp(-v / scale) for j, v in enumerate(row) if j != t)
+           / (n - 1) for t, row in enumerate(sq)]
     top = max(raw)
     return [beta * v / top for v in raw]
 

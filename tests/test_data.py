@@ -14,11 +14,7 @@ from denscore import (
     load_pointset,
     save_pointset,
 )
-from denscore.data import (
-    FeatureGrid,
-    block_rows,
-    squared_distance_blocks,
-)
+from denscore.data import FeatureGrid, squared_distances_to
 
 from oracles import squared as oracle_squared
 
@@ -59,38 +55,17 @@ class TestContainers:
             grid.values[0, 0, 0] = 1.0
 
 
-def _blocks_matrix(a, b, chunk=None):
-    """The full squared-distance matrix, checking that the blocks tile the
-    rows of ``a`` in order."""
-    blocks = list(squared_distance_blocks(a, b, chunk))
-    starts = [start for start, _, _ in blocks]
-    stops = [stop for _, stop, _ in blocks]
-    assert starts == [0] + stops[:-1] and stops[-1] == len(a)
-    return np.vstack([sq for _, _, sq in blocks])
-
-
 class TestMetrics:
     def test_pairwise_against_scalar_distance(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(17, 5))
         b = rng.normal(size=(9, 5))
-        mat = _blocks_matrix(a, b, chunk=4)
-        for i in range(17):
-            for j in range(9):
-                expected = oracle_squared(a[i], b[j])
-                assert mat[i, j] == pytest.approx(expected, abs=1e-12)
-        with pytest.raises(ValidationError, match="dimension mismatch"):
-            next(squared_distance_blocks(a, b[:, :4]))
-
-    def test_pairwise_chunking_is_invisible(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(300, 3))
-        full = _blocks_matrix(a, a, chunk=256)
-        tiny = _blocks_matrix(a, a, chunk=11)
-        assert np.array_equal(full, tiny)
-        # the default block rule splits these 300 rows too
-        assert block_rows(300, 3) < 300
-        assert np.array_equal(full, _blocks_matrix(a, a))
+        for j in range(9):
+            sq = squared_distances_to(a, b[j])
+            for i in range(17):
+                assert sq[i] == pytest.approx(oracle_squared(a[i], b[j]), abs=1e-12)
+            # each entry depends only on its own row
+            assert np.array_equal(squared_distances_to(a[5:11], b[j]), sq[5:11])
 
 
 class TestGenerate:
