@@ -6,13 +6,14 @@ algorithms over a seed list and writes the comparison table as CSV.
 """
 
 import csv
+import dataclasses
 from pathlib import Path
 
 from denscore import (
     ProtocolConfig,
-    ScoreMap,
     compare_algorithms,
     generate,
+    margin_score,
     nonuniform_mixture_spec,
     run_rounds,
 )
@@ -31,7 +32,7 @@ center = dataset.points.features.mean(axis=0)
 dist = np.linalg.norm(dataset.points.features - center, axis=1)
 p = 0.5 + 0.5 * (dist - dist.min()) / (np.ptp(dist) + 1e-12)
 probs = np.stack([p, 1.0 - p], axis=1)
-scores = ScoreMap(probs, kind="probabilities")
+dataset = dataclasses.replace(dataset, scores=margin_score(probs))
 
 config = ProtocolConfig(
     budget=10,
@@ -41,7 +42,7 @@ config = ProtocolConfig(
     estimator={"kind": "knn", "k_neighbors": 10},
     seed=0,
 )
-result = run_rounds(dataset, config, scores=scores)
+result = run_rounds(dataset, config)
 
 print("three rounds of density-aware selection with margin filtering")
 for rnd in result.rounds:

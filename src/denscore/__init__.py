@@ -56,14 +56,12 @@ from .rng import PortableRng
 from .selection import (
     ProtocolConfig,
     ProtocolResult,
-    ScoreMap,
     SelectionState,
     density_aware_greedy,
     filter_candidates,
     k_center_greedy,
     margin_score,
     run_rounds,
-    uncertainty_select,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +84,6 @@ __all__ = [
     "PortableRng",
     "ProtocolConfig",
     "ProtocolResult",
-    "ScoreMap",
     "SelectionState",
     "ValidationError",
     "BETA",
@@ -114,6 +111,5 @@ __all__ = [
     "nonuniform_mixture_spec",
     "run_rounds",
     "save_pointset",
-    "uncertainty_select",
     "uniform_box_spec",
 ]

@@ -25,11 +25,9 @@ bound report's ``radial`` is keyed by dataset id, and ``comparison.json``'s
 ``dataset`` adds the generator's ``dim``.  A config section's keys are its
 dataclass's fields.
 
-``select`` runs the greedy algorithms and the ``random`` baseline.  The
-``entropy``, ``sconf`` and ``margin`` baselines need class probabilities,
-and a dataset CSV carries only one scalar ``score`` per point, so ``select``
-exits 1 for them; call ``run_rounds(..., scores=ScoreMap(p,
-"probabilities"))`` from the library instead.
+``select`` runs the greedy algorithms and the seeded ``random`` baseline.
+A protocol ``alpha`` filters each round's pool by the dataset CSV's
+``score`` column, one scalar per point; any other algorithm name exits 1.
 
 Exit codes: 0 success, 1 invalid config or input, 2 runtime failure,
 3 success with warnings (e.g. a selection round ran out of candidates).

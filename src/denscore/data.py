@@ -158,9 +158,11 @@ class PointSet:
 class LabeledPointSet:
     """PointSet plus integer class labels in 1..num_classes.
 
-    ``scores`` optionally carries per-point uncertainty values read from a
-    dataset file; ``labels_defaulted`` flags a file that had no label column
-    (every label was filled with 1).
+    ``scores`` optionally carries one finite uncertainty value per point,
+    the only scores the protocol reads: a dataset file's ``score`` column,
+    or an array attached with ``dataclasses.replace(dataset, scores=...)``.
+    ``labels_defaulted`` flags a file that had no label column (every label
+    was filled with 1).
     """
 
     points: PointSet
@@ -359,10 +361,10 @@ def load_pointset(path) -> LabeledPointSet:
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                ids.append(int(row[cols['id']]))
+                ids.append(_int64(row[cols['id']], "id", -(2**63)))
                 values = [float(row[j]) for j in cols['features']]
                 if cols['label'] is not None:
-                    labels.append(int(row[cols['label']]))
+                    labels.append(_int64(row[cols['label']], "label", 1))
                 if cols['score'] is not None:
                     scores.append(float(row[cols['score']]))
             except ValueError as exc:
@@ -386,8 +388,6 @@ def load_pointset(path) -> LabeledPointSet:
         label_arr = np.ones(len(id_arr), dtype=np.int64)
     else:
         label_arr = np.asarray(labels, dtype=np.int64)
-        if label_arr.min() < 1:
-            raise ValidationError(f"{path}: labels must be >= 1")
     score_arr = np.asarray(scores, dtype=np.float64) if scores else None
     points = PointSet(feats, id_arr)
     return LabeledPointSet(
@@ -397,6 +397,14 @@ def load_pointset(path) -> LabeledPointSet:
         scores=score_arr,
         labels_defaulted=labels_defaulted,
     )
+
+
+def _int64(text: str, name: str, low: int) -> int:
+    """``int(text)``, raising a ValueError unless it lies in low..2**63-1."""
+    value = int(text)
+    if not low <= value < 2**63:
+        raise ValueError(f"{name} must lie in {low}..{2**63 - 1} (got {value})")
+    return value
 
 
 def _parse_header(header: Sequence[str], path) -> dict:

@@ -146,6 +146,8 @@ def knn_density(
     memory, and no n x n matrix.
     """
     k = config_value(k_neighbors, int, "k_neighbors")
+    if points.n < 2:
+        raise ValidationError("kNN density needs at least two points")
     if not (1 <= k < points.n):
         raise ValidationError(f"k_neighbors must lie in 1..n-1 (got {k})")
     features = points.features

@@ -1,5 +1,5 @@
-"""Active selection: greedy core-set algorithms, uncertainty baselines, and
-the multi-round protocol driver.
+"""Active selection: greedy core-set algorithms, the seeded random baseline,
+and the multi-round protocol driver.
 
 Both greedy algorithms maintain, for every candidate t, the rescaled squared
 distance to the nearest selected point
@@ -19,6 +19,11 @@ selected point it comes from) and measures a new point k only against the
 points whose owner lies within the triangle bound of k, scaled by the
 densities of both.  The bound prunes the covers of an initial set too, and
 the radii are the same as when every point is measured.
+
+Uncertainty enters only through the dataset's per-point ``scores`` (one
+finite scalar per point, read from the CSV's ``score`` column or attached
+with ``dataclasses.replace``): with ``alpha`` set, each round keeps the top
+scores before selecting.
 
 All ties (equal r, equal scores) resolve to the lowest index.  Every r
 starts at inf, so with an empty initial set the rule itself makes the first
@@ -56,7 +61,6 @@ from .rng import PortableRng, derive_seed
 
 __all__ = [
     "SelectionState",
-    "ScoreMap",
     "ProtocolConfig",
     "RoundResult",
     "ProtocolResult",
@@ -64,12 +68,11 @@ __all__ = [
     "density_aware_greedy",
     "margin_score",
     "filter_candidates",
-    "uncertainty_select",
     "run_rounds",
 ]
 
 GREEDY_ALGORITHMS = ("k-center", "density-aware")
-BASELINE_ALGORITHMS = ("random", "entropy", "sconf", "margin")
+BASELINE_ALGORITHMS = ("random",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +194,8 @@ def margin_score(probabilities):
     """Uncertainty margin ``1 - p_max + p_secondmax``.
 
     1-d input gives a float, 2-d input one score per row.  Uniform rows are
-    maximally uncertain (score 1); one-hot rows score 0.
+    maximally uncertain (score 1); one-hot rows score 0.  Attach the rows'
+    scores with ``dataclasses.replace(dataset, scores=margin_score(p))``.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     squeeze = p.ndim == 1
@@ -205,61 +209,9 @@ def margin_score(probabilities):
     return float(out[0]) if squeeze else out
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreMap:
-    """Per-point uncertainty inputs: class probabilities or scalar scores."""
-
-    values: np.ndarray
-    kind: str  # "probabilities" | "scores"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if self.kind not in ("probabilities", "scores"):
-            raise ValidationError("kind must be 'probabilities' or 'scores'")
-        if values.size == 0:
-            raise ValidationError("score map must be non-empty")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("score values must be finite")
-        if self.kind == "probabilities":
-            if values.ndim != 2 or values.shape[1] < 2:
-                raise ValidationError("probabilities must have shape (n, C>=2)")
-            if np.any(values < 0):
-                raise ValidationError("probabilities must be non-negative")
-            sums = values.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-6):
-                bad = int(np.argmax(np.abs(sums - 1.0)))
-                raise ValidationError(
-                    f"probability row {bad} sums to {sums[bad]!r}, not 1 (tol 1e-6)"
-                )
-        else:
-            if values.ndim != 1:
-                raise ValidationError("scores must be 1-d")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def scalar_scores(self) -> np.ndarray:
-        """Margin score per point for probabilities, the raw scores otherwise."""
-        if self.kind == "probabilities":
-            return margin_score(self.values)
-        return self.values
-
-
-def _candidate_pool(candidates, n: int) -> np.ndarray:
-    """Every index when ``candidates`` is None, else the checked set sorted."""
-    if candidates is None:
-        return np.arange(n, dtype=np.int64)
-    return check_index_set(candidates, n, "candidates")
-
-
-def filter_candidates(
-    scores: ScoreMap, alpha: float, b: int, candidates=None
-) -> np.ndarray:
-    """Indices of the top ``min(ceil(alpha*b), pool size)`` scores.
+def filter_candidates(scores, alpha: float, b: int, candidates=None) -> np.ndarray:
+    """Indices of the top ``min(ceil(alpha*b), pool size)`` of the 1-d,
+    finite ``scores``.
 
     ``candidates`` restricts the pool (default: everyone).  Ties resolve to
     the lowest index; the result is sorted ascending.
@@ -268,62 +220,32 @@ def filter_candidates(
     alpha = config_value(alpha, float, "alpha")
     if not (alpha * b >= 1.0):
         raise ValidationError(f"alpha*b must be >= 1 (got {alpha * b!r})")
-    pool = _candidate_pool(candidates, scores.n)
-    s = scores.scalar_scores()[pool]
-    m = min(int(math.ceil(alpha * b)), pool.size)
-    order = np.argsort(-s, kind="stable")  # stable: ties keep lowest index
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or not np.all(np.isfinite(scores)):
+        raise ValidationError("scores must be a 1-d array of finite values")
+    if candidates is None:
+        pool = np.arange(scores.size, dtype=np.int64)
+    else:
+        pool = check_index_set(candidates, scores.size, "candidates")
+    # alpha * b may overflow to inf: then the whole pool, with no ceil of it
+    m = pool.size if alpha * b >= pool.size else int(math.ceil(alpha * b))
+    order = np.argsort(-scores[pool], kind="stable")  # ties keep lowest index
     return np.sort(pool[order[:m]])
-
-
-def uncertainty_select(
-    scores: ScoreMap, b: int, strategy: str, seed: int = 0, candidates=None
-) -> np.ndarray:
-    """Top-b selection by an uncertainty baseline, sorted ascending.
-
-    Strategies: ``entropy`` (-sum p ln p), ``sconf`` (1 - (p_max -
-    p_secondmax), which ranks identically to the margin score), ``margin``
-    (the margin score), ``random`` (seeded uniform draw without
-    replacement).  The probability-based strategies require a probability
-    ScoreMap.  Ties resolve to the lowest index.
-    """
-    b = config_value(b, int, "b")
-    seed = config_value(seed, int, "seed")
-    pool = _candidate_pool(candidates, scores.n)
-    if not (1 <= b <= pool.size):
-        raise ValidationError(f"b must lie in 1..pool size (got {b}, pool {pool.size})")
-    if strategy == "random":
-        order = PortableRng(seed).permutation(pool.size)
-        return np.sort(pool[order[:b]])
-    if strategy not in ("entropy", "sconf", "margin"):
-        raise ValidationError(
-            f"unknown strategy {strategy!r}; expected one of "
-            "'entropy', 'sconf', 'margin', 'random'"
-        )
-    if scores.kind != "probabilities":
-        raise ValidationError(f"strategy {strategy!r} requires class probabilities")
-    p = scores.values[pool]
-    if strategy == "entropy":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0, p * np.log(p), 0.0)
-        s = -terms.sum(axis=1)
-    else:  # sconf and margin coincide: 1 - p_max + p_secondmax
-        s = margin_score(p)
-    order = np.argsort(-s, kind="stable")
-    return np.sort(pool[order[:b]])
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Multi-round selection protocol settings.
 
-    alpha sets the candidate filter factor: each round keeps only the top
-    ceil(alpha*budget) unselected points by score before estimating
-    densities and selecting (the reference setting is 20 for small budgets,
-    10 around a 5% budget).  It defaults to None, which disables filtering
-    and needs no scores.  ``estimator`` is a density estimator config dict
+    alpha, finite and > 1, sets the candidate filter factor: each round
+    keeps only the top ceil(alpha*budget) unselected points by score
+    (``LabeledPointSet.scores``) before estimating densities and selecting
+    (the reference setting is 20 for small budgets, 10 around a 5% budget).
+    It defaults to None, which disables filtering and needs no scores.  ``estimator`` is a density estimator config dict
     (see density.estimator_from_config), required for the density-aware
     algorithm.  ``initial`` holds the row positions of the points selected
-    before the first round.
+    before the first round.  ``seed`` drives only the ``random`` baseline;
+    the greedy algorithms are deterministic.
     """
 
     budget: int
@@ -345,8 +267,10 @@ class ProtocolConfig:
         object.__setattr__(self, "budget", budget)
         if self.alpha is not None:
             a = config_value(self.alpha, float, "alpha")
-            if not (a > 1):
-                raise ValidationError("alpha must be > 1 (or None to disable)")
+            if not (1 < a < math.inf):
+                raise ValidationError(
+                    f"alpha must be finite and > 1, or None to disable (got {a!r})"
+                )
             object.__setattr__(self, "alpha", a)
         if self.algorithm not in GREEDY_ALGORITHMS + BASELINE_ALGORITHMS:
             raise ValidationError(
@@ -398,7 +322,6 @@ class ProtocolResult:
 def run_rounds(
     dataset: LabeledPointSet,
     config: ProtocolConfig,
-    scores: ScoreMap | None = None,
     bound_params: BoundParams | None = None,
 ) -> ProtocolResult:
     """Drive ``config.rounds`` rounds of filtering, density estimation, and
@@ -407,9 +330,10 @@ def run_rounds(
     round's picks.
 
     Each round removes already-selected points, optionally filters the rest
-    to the top alpha*budget by score, and selects ``config.budget`` new
-    points by greedy on its universe: the filtered pool plus the selected
-    points (the greedy divides by the densities of selected points too).
+    to the top alpha*budget by ``dataset.scores``, and selects
+    ``config.budget`` new points, by greedy on its universe (the filtered
+    pool plus the selected points; the greedy divides by the densities of
+    selected points too) or by the seeded ``random`` draw from the pool.
     Densities are estimated once per distinct universe: a round whose
     universe equals the last round's (always so without a filter) reuses
     its DensityField and resumes its greedy state, so R unfiltered rounds
@@ -418,20 +342,8 @@ def run_rounds(
     afterwards).
     """
     points = dataset.points
-    if scores is None and dataset.scores is not None:
-        scores = ScoreMap(dataset.scores, "scores")
-    if scores is not None and scores.n != points.n:
-        raise ValidationError("score map does not match dataset")
-    if config.alpha is not None and scores is None:
-        raise ValidationError(
-            "candidate filtering (alpha) requires per-point scores"
-        )
-    needs_scores = config.algorithm in ("entropy", "sconf", "margin")
-    if needs_scores and scores is None:
-        raise ValidationError(f"algorithm {config.algorithm!r} requires scores")
-    if config.algorithm == "random" and scores is None:
-        # the random baseline never reads score values, only the pool
-        scores = ScoreMap(np.zeros(points.n), "scores")
+    if config.alpha is not None and dataset.scores is None:
+        raise ValidationError("candidate filtering (alpha) requires per-point scores")
     if bound_params is None:
         bound_params = BoundParams(num_classes=dataset.num_classes)
 
@@ -456,7 +368,7 @@ def run_rounds(
             break
         if config.alpha is not None:
             pool = filter_candidates(
-                scores, config.alpha, config.budget, candidates=remaining
+                dataset.scores, config.alpha, config.budget, candidates=remaining
             )
         else:
             pool = remaining
@@ -481,12 +393,9 @@ def run_rounds(
             pick_radii = state.pick_radii
         else:
             universe = pool
-            round_seed = derive_seed(config.seed, round_index)
-            chosen = uncertainty_select(
-                scores, take, config.algorithm, seed=round_seed, candidates=pool
-            )
-            picks = tuple(int(i) for i in chosen)
-            pick_radii = np.full(len(picks), np.nan)
+            draw = PortableRng(derive_seed(config.seed, round_index))
+            picks = tuple(np.sort(pool[draw.permutation(pool.size)[:take]]).tolist())
+            pick_radii = np.full(take, np.nan)
 
         selected.extend(picks)
         coverage = assign_coverage(points, selected, previous=coverage)

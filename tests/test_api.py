@@ -14,7 +14,6 @@ from denscore import (
     MaskedReconstructor,
     PointSet,
     ProtocolConfig,
-    ScoreMap,
     ValidationError,
     assign_coverage,
     calibrate,
@@ -26,7 +25,6 @@ from denscore import (
     kernel_density,
     knn_density,
     nonuniform_mixture_spec,
-    uncertainty_select,
     uniform_box_spec,
 )
 
@@ -44,7 +42,7 @@ def test_every_exported_name_resolves(module):
 POINTS = PointSet.from_features(np.arange(12, dtype=np.float64).reshape(6, 2))
 FIELD = DensityField(np.linspace(1.0, 2.0, 6))
 COVERAGE = assign_coverage(POINTS, [0, 2, 4])
-SCORES = ScoreMap(np.linspace(0.0, 1.0, 6), "scores")
+SCORES = np.linspace(0.0, 1.0, 6)
 
 # (call, parameter name); each call passes one count as a fraction
 FRACTIONAL_COUNTS = {
@@ -53,15 +51,15 @@ FRACTIONAL_COUNTS = {
     "k_center_greedy": (lambda v: k_center_greedy(POINTS, None, v), "b"),
     "density_aware_greedy": (
         lambda v: density_aware_greedy(POINTS, FIELD, None, v), "b"),
-    "uncertainty_select": (
-        lambda v: uncertainty_select(SCORES, v, "random"), "b"),
-    "uncertainty_select.seed": (
-        lambda v: uncertainty_select(SCORES, 2, "random", seed=v), "seed"),
     "hoeffding_term": (lambda v: hoeffding_term(1.0, 0.5, v), "n"),
     "calibrate": (lambda v: calibrate(FIELD, COVERAGE, num_bins=v), "num_bins"),
     "ProtocolConfig.initial": (
         lambda v: ProtocolConfig(budget=2, algorithm="k-center", initial=(v,)),
         "initial"),
+    "ProtocolConfig.budget": (
+        lambda v: ProtocolConfig(budget=v, algorithm="random"), "budget"),
+    "ProtocolConfig.seed": (
+        lambda v: ProtocolConfig(budget=2, algorithm="random", seed=v), "seed"),
     "filter_candidates": (lambda v: filter_candidates(SCORES, 1.0, v), "b"),
     "uniform_box_spec": (lambda v: uniform_box_spec(n=v), "n"),
     # the mixture needs n >= 20

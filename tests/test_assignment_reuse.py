@@ -6,7 +6,7 @@ equal distances (the tie-breaking cases) are common.
 """
 
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -18,16 +18,16 @@ from denscore import (
     PluginLearner,
     PointSet,
     ProtocolConfig,
-    ScoreMap,
     assign_coverage,
     bound_report,
+    margin_score,
     run_rounds,
     save_pointset,
 )
 from denscore import coverage, evaluation, selection
 from denscore.cli import EXIT_OK, main
 
-ALGORITHMS = ("k-center", "density-aware", "random", "entropy", "sconf", "margin")
+ALGORITHMS = ("k-center", "density-aware", "random")
 ESTIMATORS = (
     {"kind": "knn", "k_neighbors": 3},
     {"kind": "kernel", "bandwidth": 1.5},
@@ -45,7 +45,7 @@ def protocols(draw):
     n = draw(st.integers(6, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dataset = _grid_dataset(rng, n, draw(st.integers(1, 4)))
-    scores = ScoreMap(rng.dirichlet(np.ones(3), size=n), "probabilities")
+    dataset = replace(dataset, scores=margin_score(rng.dirichlet(np.ones(3), size=n)))
     algorithm = draw(st.sampled_from(ALGORITHMS))
     config = ProtocolConfig(
         budget=draw(st.integers(1, 4)),
@@ -58,7 +58,7 @@ def protocols(draw):
         seed=draw(st.integers(0, 100)),
         initial=tuple(draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))),
     )
-    return dataset, config, scores
+    return dataset, config
 
 
 def _recording(owner, name, calls):
@@ -76,10 +76,10 @@ def _recording(owner, name, calls):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(protocols())
 def test_carried_assignment_and_reports_equal_scratch(case):
-    dataset, config, scores = case
+    dataset, config = case
     calls = []
     with _recording(selection, "assign_coverage", calls):
-        result = run_rounds(dataset, config, scores=scores)
+        result = run_rounds(dataset, config)
     carried = [cov for _, cov in calls]
     assert len(carried) == len(result.rounds)
     assert result.coverage is (carried[-1] if carried else None)

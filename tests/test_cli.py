@@ -244,23 +244,25 @@ class TestSelect:
         assert "estimator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algorithm", ["entropy", "sconf", "margin"])
-    def test_uncertainty_baselines_need_probabilities(
+    def test_probability_baselines_are_unknown_algorithms(
         self, tmp_path, capsys, algorithm
     ):
-        # A dataset CSV carries one scalar score per point, never class
-        # probabilities, so these baselines run only through the library.
-        plain = load_pointset(run_generate(tmp_path))
-        scored = tmp_path / "scored.csv"
+        # scores are one scalar per point; no algorithm reads probabilities
+        assert run_with(tmp_path, "select", "protocol.algorithm", algorithm) == EXIT_INVALID
+        assert f"unknown algorithm {algorithm!r}" in capsys.readouterr().err
+
+    def test_knn_density_on_one_point_needs_two(self, tmp_path, capsys):
+        # the estimator, not the k it clamps to n - 1 = 0, names the problem
+        dataset = tmp_path / "one.csv"
         save_pointset(LabeledPointSet(
-            plain.points, plain.labels, plain.num_classes,
-            scores=np.linspace(0.0, 1.0, plain.n),
-        ), scored)
+            PointSet.from_features(np.zeros((1, 2))), [1], num_classes=1,
+        ), dataset)
         cfg = self.select_config(
-            tmp_path, scored, protocol={"algorithm": algorithm}
+            tmp_path, dataset, estimator={"kind": "knn", "k_neighbors": 5},
+            protocol={"budget": 1, "rounds": 1, "algorithm": "density-aware"},
         )
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
-        assert (f"strategy {algorithm!r} requires class probabilities"
-                in capsys.readouterr().err)
+        assert "kNN density needs at least two points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bandwidth, code", [
         (1e300, EXIT_INVALID),    # bandwidth**2 overflows
@@ -588,6 +590,8 @@ class TestExitCodes:
         ("compare", "seeds", ["x"]),
         ("compare", "seeds", [1.5]),
         ("compare", "seeds", [True]),
+        # Python's json reads Infinity, and ceil(alpha * budget) has no int
+        ("select", "protocol.alpha", float("inf")),
     ])
     def test_value_of_wrong_type_names_its_field(
         self, tmp_path, capsys, command, path, value

@@ -1,5 +1,6 @@
 """Containers, generators, squared distances, and CSV round-trips."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -207,6 +208,16 @@ class TestCsvRoundTrip:
         bad_width.write_text("id,f0,label\n0,1.0,1\n1,2.0\n")
         with pytest.raises(ValidationError, match="line 3"):
             load_pointset(bad_width)
+
+        # integers outside int64, and a label below 1
+        for name, row in [("id", "100000000000000000000,2.0,1"),
+                          ("label", "1,2.0,100000000000000000000"),
+                          ("label", "1,2.0,0")]:
+            path = tmp_path / "range.csv"
+            path.write_text(f"id,f0,label\n0,1.0,1\n{row}\n")
+            message = f"^{re.escape(str(path))}: line 3: {name} must lie"
+            with pytest.raises(ValidationError, match=message):
+                load_pointset(path)
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"

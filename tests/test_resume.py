@@ -5,6 +5,8 @@ The property tests draw small integer coordinates, so duplicate rows and
 equal distances (the tie-breaking cases) are common.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from denscore import (
     PointSet,
     ProtocolConfig,
-    ScoreMap,
     ValidationError,
     density_aware_greedy,
     k_center_greedy,
+    margin_score,
     run_rounds,
 )
 from denscore import density, selection
@@ -48,14 +50,14 @@ def protocols(draw, alpha):
         estimator=KNN if algorithm == "density-aware" else None,
         initial=initial,
     )
-    scores = ScoreMap(rng.dirichlet(np.ones(3), size=n), "probabilities")
-    return dataset, config, scores
+    scores = margin_score(rng.dirichlet(np.ones(3), size=n))
+    return replace(dataset, scores=scores), config
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(protocols(alpha=None))
 def test_unfiltered_rounds_are_one_greedy_run(case):
-    dataset, config, _ = case
+    dataset, config = case
     calls = []
     greedy = "k_center_greedy" if config.algorithm == "k-center" else "density_aware_greedy"
     with _recording(selection, greedy, calls):
@@ -72,8 +74,8 @@ def test_unfiltered_rounds_are_one_greedy_run(case):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(protocols(alpha=2.0))
 def test_filtered_rounds_equal_scratch_greedies_on_their_universe(case):
-    dataset, config, scores = case
-    result = run_rounds(dataset, config, scores=scores)
+    dataset, config = case
+    result = run_rounds(dataset, config)
     selected = list(config.initial)
     for rnd in result.rounds:
         universe = rnd.universe
@@ -99,12 +101,12 @@ def test_unfiltered_rounds_share_one_density_field():
 def test_changed_universe_is_estimated_every_round():
     rng = np.random.default_rng(2)
     dataset = _grid_dataset(rng, 60, 2)
-    scores = ScoreMap(rng.dirichlet(np.ones(3), size=60), "probabilities")
+    dataset = replace(dataset, scores=margin_score(rng.dirichlet(np.ones(3), size=60)))
     calls = []
     with _recording(density, "knn_density", calls):
         result = run_rounds(dataset, ProtocolConfig(
             budget=4, rounds=3, alpha=2.0, algorithm="density-aware", estimator=KNN,
-        ), scores=scores)
+        ))
     assert len(result.rounds) == 3
     assert [args[0].n for args, _ in calls] == [r.universe.size for r in result.rounds]
     assert all(rnd.densities is field for rnd, (_, field) in zip(result.rounds, calls))

@@ -1,6 +1,7 @@
-"""Greedy selection, uncertainty baselines, and the round protocol."""
+"""Greedy selection, the random baseline, and the round protocol."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from denscore import (
     LabeledPointSet,
     PointSet,
     ProtocolConfig,
-    ScoreMap,
     ValidationError,
     density_aware_greedy,
     filter_candidates,
@@ -17,7 +17,6 @@ from denscore import (
     knn_density,
     margin_score,
     run_rounds,
-    uncertainty_select,
 )
 
 import oracles
@@ -202,41 +201,28 @@ class TestScores:
         with pytest.raises(ValidationError):
             margin_score([0.5, np.nan])
 
-    def test_score_map_checks_probability_rows(self):
-        with pytest.raises(ValidationError, match="row 1"):
-            ScoreMap(np.array([[0.5, 0.5], [0.7, 0.2]]), "probabilities")
-        with pytest.raises(ValidationError):
-            ScoreMap(np.array([[0.5, 0.5]]), "grades")
-        with pytest.raises(ValidationError):
-            ScoreMap(np.array([[1.0]]), "probabilities")
-        ok = ScoreMap(np.array([[0.25, 0.75]]), "probabilities")
-        assert ok.scalar_scores().tolist() == pytest.approx([0.5], abs=1e-15)
-
-    def test_scalar_scores_pass_through(self):
-        sm = ScoreMap(np.array([0.3, 0.9]), "scores")
-        assert sm.scalar_scores().tolist() == [0.3, 0.9]
-
 
 class TestFilterAndBaselines:
-    PROBS = np.array([
-        [0.50, 0.50],   # margin 1.0
-        [0.90, 0.10],   # margin 0.2
-        [0.80, 0.20],   # margin 0.4
-        [0.55, 0.45],   # margin 0.9
-    ])
+    # the margin scores of [.5 .5], [.9 .1], [.8 .2] and [.55 .45]
+    SCORES = np.array([1.0, 0.2, 0.4, 0.9])
 
     def test_filter_keeps_top_alpha_b(self):
-        sm = ScoreMap(self.PROBS, "probabilities")
-        kept = filter_candidates(sm, alpha=2.0, b=1)
+        kept = filter_candidates(self.SCORES, alpha=2.0, b=1)
         assert kept.tolist() == [0, 3]
-        kept = filter_candidates(sm, alpha=1.5, b=2)  # ceil(3) = 3
+        kept = filter_candidates(self.SCORES, alpha=1.5, b=2)  # ceil(3) = 3
         assert kept.tolist() == [0, 2, 3]
 
     def test_filter_caps_at_pool_size(self):
-        sm = ScoreMap(self.PROBS, "probabilities")
-        assert filter_candidates(sm, alpha=50.0, b=2).tolist() == [0, 1, 2, 3]
-        assert filter_candidates(sm, alpha=2.0, b=1,
+        assert filter_candidates(self.SCORES, alpha=50.0, b=2).tolist() == [0, 1, 2, 3]
+        assert filter_candidates(self.SCORES, alpha=2.0, b=1,
                                  candidates=[2, 1]).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("alpha, b", [(1e308, 10), (math.inf, 1)])
+    def test_overflowing_alpha_b_keeps_the_whole_pool(self, alpha, b):
+        # alpha * b is inf: no ceil of it, the whole pool
+        assert filter_candidates(self.SCORES, alpha, b).tolist() == [0, 1, 2, 3]
+        assert filter_candidates(self.SCORES, alpha, b,
+                                 candidates=[3, 1]).tolist() == [1, 3]
 
     @pytest.mark.parametrize("candidates, message", [
         ([1.5, 2.2], "candidates index 1.5 is not an integer"),
@@ -246,65 +232,47 @@ class TestFilterAndBaselines:
         ([], "candidates set must be non-empty"),
     ])
     def test_candidates_are_checked_indices(self, candidates, message):
-        sm = ScoreMap(self.PROBS, "probabilities")
         with pytest.raises(ValidationError, match=message):
-            filter_candidates(sm, alpha=2.0, b=1, candidates=candidates)
-        with pytest.raises(ValidationError, match=message):
-            uncertainty_select(sm, 1, "random", candidates=candidates)
+            filter_candidates(self.SCORES, alpha=2.0, b=1, candidates=candidates)
+
+    @pytest.mark.parametrize("scores", [
+        np.array([[0.5, 0.5], [0.9, 0.1]]),
+        np.array([0.3, np.nan, 0.1]),
+        np.array([0.3, np.inf]),
+    ])
+    def test_filter_rejects_scores_that_are_not_1d_and_finite(self, scores):
+        with pytest.raises(ValidationError, match="1-d array of finite values"):
+            filter_candidates(scores, alpha=2.0, b=1)
 
     def test_filter_requires_alpha_b_at_least_one(self):
-        sm = ScoreMap(self.PROBS, "probabilities")
         with pytest.raises(ValidationError):
-            filter_candidates(sm, alpha=0.4, b=2)
+            filter_candidates(self.SCORES, alpha=0.4, b=2)
 
     def test_filter_ties_keep_lowest_index(self):
-        sm = ScoreMap(np.array([0.5, 0.5, 0.5, 0.5]), "scores")
-        assert filter_candidates(sm, alpha=3.0, b=1).tolist() == [0, 1, 2]
+        scores = np.array([0.5, 0.5, 0.5, 0.5])
+        assert filter_candidates(scores, alpha=3.0, b=1).tolist() == [0, 1, 2]
 
-    def test_margin_and_sconf_agree(self):
-        rng = np.random.default_rng(12)
-        p = rng.dirichlet(np.ones(4), size=30)
-        sm = ScoreMap(p, "probabilities")
-        for b in (1, 5, 10):
-            a = uncertainty_select(sm, b, "margin")
-            s = uncertainty_select(sm, b, "sconf")
-            assert a.tolist() == s.tolist()
-
-    def test_entropy_prefers_uniform_rows(self):
-        p = np.array([
-            [0.97, 0.01, 0.02],
-            [1 / 3, 1 / 3, 1 / 3],
-            [0.70, 0.20, 0.10],
-            [1.00, 0.00, 0.00],  # zero entries are fine
-        ])
-        sm = ScoreMap(p, "probabilities")
-        assert uncertainty_select(sm, 1, "entropy").tolist() == [1]
-        assert uncertainty_select(sm, 3, "entropy").tolist() == [0, 1, 2]
+    @staticmethod
+    def _random(seed, budget=5, **fields):
+        ps = PointSet.from_features(np.arange(20, dtype=np.float64).reshape(10, 2))
+        ds = LabeledPointSet(ps, np.ones(10, dtype=np.int64), num_classes=1,
+                             scores=[0, 0, 1, 0, 1, 0, 1, 0, 1, 0])
+        return run_rounds(ds, ProtocolConfig(
+            budget=budget, rounds=1, algorithm="random", seed=seed, **fields,
+        )).rounds[0]
 
     def test_random_is_seeded_and_valid(self):
-        sm = ScoreMap(np.zeros(20), "scores")
-        a = uncertainty_select(sm, 5, "random", seed=7)
-        b = uncertainty_select(sm, 5, "random", seed=7)
-        c = uncertainty_select(sm, 5, "random", seed=8)
-        assert a.tolist() == b.tolist()
-        assert len(set(a.tolist())) == 5
-        assert sorted(a.tolist()) == a.tolist()
-        assert a.tolist() != c.tolist()
+        a = self._random(7).picks
+        assert self._random(7).picks == a
+        assert len(set(a)) == 5
+        assert sorted(a) == list(a)
+        assert self._random(8).picks != a
 
     def test_random_respects_candidates(self):
-        sm = ScoreMap(np.zeros(10), "scores")
-        picks = uncertainty_select(sm, 3, "random", seed=1,
-                                   candidates=[2, 4, 6, 8])
-        assert set(picks.tolist()) <= {2, 4, 6, 8}
-
-    def test_baseline_validation(self):
-        sm = ScoreMap(np.array([0.1, 0.2]), "scores")
-        with pytest.raises(ValidationError):
-            uncertainty_select(sm, 1, "softmax")
-        with pytest.raises(ValidationError):
-            uncertainty_select(sm, 3, "random")
-        with pytest.raises(ValidationError):
-            uncertainty_select(sm, 1, "entropy")  # needs probabilities
+        # alpha * budget = 4 keeps the four top scores, 2, 4, 6 and 8
+        rnd = self._random(1, budget=3, alpha=4 / 3)
+        assert rnd.pool.tolist() == [2, 4, 6, 8]
+        assert set(rnd.picks) <= {2, 4, 6, 8}
 
 
 class TestProtocol:
@@ -369,30 +337,27 @@ class TestProtocol:
         # picks differ between rounds: the per-round seed moves
         assert set(res.rounds[0].picks) != set(res.rounds[1].picks)
 
-    def test_entropy_baseline_uses_probabilities(self):
-        ds = self._dataset(n=6)
-        rng = np.random.default_rng(3)
-        probs = rng.dirichlet(np.ones(2), size=6)
-        scores = ScoreMap(probs, "probabilities")
+    @pytest.mark.parametrize("alpha, picks", [
+        (None, [(9, 12, 37), (3, 14, 25), (0, 1, 15)]),
+        (2.0, [(5, 33, 38), (18, 20, 28), (8, 12, 16)]),
+    ])
+    def test_random_picks_are_golden(self, alpha, picks):
+        # each round takes a prefix of a PortableRng permutation of its pool,
+        # seeded by derive_seed(seed, round); any change to that draw shows here
+        ds = replace(self._dataset(), scores=np.random.default_rng(11).uniform(size=40))
         res = run_rounds(ds, ProtocolConfig(
-            budget=2, rounds=2, algorithm="entropy"), scores=scores)
-        ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0), axis=1)
-        expected_first = np.sort(np.argsort(-ent, kind="stable")[:2])
-        assert list(res.rounds[0].picks) == expected_first.tolist()
-        with pytest.raises(ValidationError):
-            run_rounds(ds, ProtocolConfig(budget=2, rounds=1,
-                                          algorithm="entropy"))
+            budget=3, rounds=3, alpha=alpha, algorithm="random", seed=5))
+        assert [r.picks for r in res.rounds] == picks
+        assert all(np.isnan(r.pick_radii).all() for r in res.rounds)
 
     def test_alpha_filter_restricts_the_pool(self):
         ds = self._dataset(n=20)
-        rng = np.random.default_rng(11)
-        scores = ScoreMap(rng.uniform(size=20), "scores")
-        res = run_rounds(ds, ProtocolConfig(
-            budget=2, rounds=2, alpha=2.0, algorithm="k-center"),
-            scores=scores)
+        scores = np.random.default_rng(11).uniform(size=20)
+        res = run_rounds(replace(ds, scores=scores), ProtocolConfig(
+            budget=2, rounds=2, alpha=2.0, algorithm="k-center"))
         first = res.rounds[0]
         assert first.pool.size == 4  # ceil(2*2)
-        top4 = np.sort(np.argsort(-scores.values, kind="stable")[:4])
+        top4 = np.sort(np.argsort(-scores, kind="stable")[:4])
         assert first.pool.tolist() == top4.tolist()
         assert set(first.picks) <= set(first.pool.tolist())
         # round 2 pools exclude what round 1 took
