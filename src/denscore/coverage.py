@@ -35,7 +35,10 @@ is the O(n * |s| * d) of measuring every pair.  Memory is O(n).  Every
 summary then reads only the assignment, O(n) from its distances.  An
 assignment extended by new selected points measures only those points, so
 a multi-round protocol that carries one assignment measures each selected
-point once per run, not per round.
+point once per run, not per round.  An unfiltered k-center run measures
+each selected point once in total: its greedy runs on every point without
+densities, so the greedy's owners and radii are this assignment, and the
+protocol extends them with nothing left to measure.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from array import array
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -336,67 +336,101 @@ def save_pointset(dataset: LabeledPointSet, path) -> None:
 
 
 def load_pointset(path) -> LabeledPointSet:
-    """Read a ``id,f0..f{D-1}[,label][,score]`` CSV.
+    """Read a ``id,f0..f{D-1}[,label][,score]`` CSV in one vectorized pass.
 
-    A missing label column defaults every label to 1 and sets
-    ``labels_defaulted``.  Schema or value problems raise ValidationError
-    with the 1-based line number.
+    numpy parses every data row at once: ids and labels as int64 (an id
+    above 2**53 stays exact), features and scores as float64.  A field may
+    be quoted or padded with spaces, a line may end in CRLF, and blank
+    lines are skipped.  A missing label column defaults every label to 1
+    and sets ``labels_defaulted``.  Schema or value problems raise
+    ValidationError with the 1-based line number: a wrong field count, a
+    field that is not a number, an id or label outside int64, a label
+    below 1, a non-finite feature or score, or an id an earlier line holds.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ValidationError(f"{path}: line 1: empty file")
+        cols = _parse_header([h.strip() for h in next(csv.reader([first]))], path)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: line 1: empty file") from None
-        header = [h.strip() for h in header]
-        cols = _parse_header(header, path)
-        ids, labels, scores = [], [], []
-        # one flat buffer of every row's features, not one list per row
-        feats = array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                ids.append(_int64(row[cols['id']], "id", -(2**63)))
-                values = [float(row[j]) for j in cols['features']]
-                if cols['label'] is not None:
-                    labels.append(_int64(row[cols['label']], "label", 1))
-                if cols['score'] is not None:
-                    scores.append(float(row[cols['score']]))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValidationError(
-                    f"{path}: line {lineno}: non-finite feature value"
-                )
-            if scores and not math.isfinite(scores[-1]):
-                raise ValidationError(f"{path}: line {lineno}: non-finite score")
-            feats.extend(values)
-    if not ids:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file of no rows
+                table = np.loadtxt(fh, dtype=cols["dtype"], delimiter=",",
+                                   quotechar='"', comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _row_error(path, cols, cause=exc) from None
+    if table.size == 0:
         raise ValidationError(f"{path}: line 2: no data rows")
-    id_arr = np.asarray(ids, dtype=np.int64)
-    if len(np.unique(id_arr)) != len(id_arr):
-        dup = int(id_arr[_first_duplicate(id_arr)])
-        raise ValidationError(f"{path}: duplicate id {dup}")
-    feats = np.frombuffer(feats, dtype=np.float64).reshape(len(ids), -1)
-    labels_defaulted = cols['label'] is None
-    if labels_defaulted:
-        label_arr = np.ones(len(id_arr), dtype=np.int64)
-    else:
-        label_arr = np.asarray(labels, dtype=np.int64)
-    score_arr = np.asarray(scores, dtype=np.float64) if scores else None
-    points = PointSet(feats, id_arr)
+    valid = np.isfinite(table["f"]).all(axis=1)
+    if cols["label"] is not None:
+        valid &= table["label"] >= 1
+    if cols["score"] is not None:
+        valid &= np.isfinite(table["score"])
+    if not valid.all():
+        raise _row_error(path, cols, int(np.argmin(valid)))
+    ids = table["id"]
+    first_rows = np.unique(ids, return_index=True)[1]
+    if first_rows.size < ids.size:
+        repeat = np.ones(ids.size, dtype=bool)
+        repeat[first_rows] = False
+        raise _row_error(path, cols, int(np.argmax(repeat)), duplicate=True)
+    labels_defaulted = cols["label"] is None
+    labels = np.ones(ids.size, dtype=np.int64) if labels_defaulted else table["label"]
     return LabeledPointSet(
-        points,
-        label_arr,
-        num_classes=int(label_arr.max()),
-        scores=score_arr,
+        PointSet(table["f"], ids),
+        labels,
+        num_classes=int(labels.max()),
+        scores=None if cols["score"] is None else table["score"],
         labels_defaulted=labels_defaulted,
     )
+
+
+def _row_error(path, cols: dict, row: int | None = None, *, duplicate: bool = False,
+               cause: ValueError | None = None) -> ValidationError:
+    """The error naming a bad data row of ``path``: data row ``row``
+    (0-based), whose id an earlier row holds if ``duplicate``, or without
+    ``row`` the first row that `_row_problem` rejects.
+
+    It runs only once the vectorized parse or its checks have failed, and
+    it is the one place that words a row error; numpy's message is never
+    read for a line number.  Blank lines are skipped, as numpy skips them,
+    but keep their line numbers.  ``cause`` is numpy's error, reported for
+    a row that numpy rejects and Python's ``float`` and ``int`` accept
+    (such as ``1_0``).
+    """
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        numbered = ((lineno, fields) for lineno, fields in enumerate(reader, start=2) if fields)
+        for i, (lineno, fields) in enumerate(numbered):
+            if row is not None and i != row:
+                continue
+            if duplicate:
+                problem = f"duplicate id {int(fields[cols['id']])}"
+            else:
+                problem = _row_problem(fields, cols)
+            if problem is not None:
+                return ValidationError(f"{path}: line {lineno}: {problem}")
+    return ValidationError(f"{path}: {cause}")
+
+
+def _row_problem(row: list[str], cols: dict) -> str | None:
+    """What makes one data row invalid, or None."""
+    if len(row) != cols["width"]:
+        return f"expected {cols['width']} fields, got {len(row)}"
+    try:
+        _int64(row[cols["id"]], "id", -(2**63))
+        features = [float(row[j]) for j in cols["features"]]
+        if cols["label"] is not None:
+            _int64(row[cols["label"]], "label", 1)
+        score = 0.0 if cols["score"] is None else float(row[cols["score"]])
+    except ValueError as exc:
+        return str(exc)
+    if not all(math.isfinite(v) for v in features):
+        return "non-finite feature value"
+    if not math.isfinite(score):
+        return "non-finite score"
+    return None
 
 
 def _int64(text: str, name: str, low: int) -> int:
@@ -408,6 +442,8 @@ def _int64(text: str, name: str, low: int) -> int:
 
 
 def _parse_header(header: Sequence[str], path) -> dict:
+    """The column positions of ``header``, its width, and the structured
+    dtype numpy parses a data row into."""
     if not header or header[0] != "id":
         raise ValidationError(f"{path}: line 1: first column must be 'id'")
     features = []
@@ -417,26 +453,21 @@ def _parse_header(header: Sequence[str], path) -> dict:
         j += 1
     if not features:
         raise ValidationError(f"{path}: line 1: expected feature columns f0..")
+    fields = [("id", np.int64), ("f", np.float64, (len(features),))]
     label_col = None
     score_col = None
     if j < len(header) and header[j] == "label":
         label_col = j
+        fields.append(("label", np.int64))
         j += 1
     if j < len(header) and header[j] == "score":
         score_col = j
+        fields.append(("score", np.float64))
         j += 1
     if j != len(header):
         raise ValidationError(
             f"{path}: line 1: unexpected column {header[j]!r} "
             "(schema is id,f0..f{D-1}[,label][,score])"
         )
-    return {"id": 0, "features": features, "label": label_col, "score": score_col}
-
-
-def _first_duplicate(values: np.ndarray) -> int:
-    seen = set()
-    for i, v in enumerate(values.tolist()):
-        if v in seen:
-            return i
-        seen.add(v)
-    return -1
+    return {"id": 0, "features": features, "label": label_col, "score": score_col,
+            "width": len(header), "dtype": np.dtype(fields)}

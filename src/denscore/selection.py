@@ -327,7 +327,9 @@ def run_rounds(
     """Drive ``config.rounds`` rounds of filtering, density estimation, and
     selection, emitting a coverage bound report after each round.  One
     coverage assignment is carried across the rounds and extended by each
-    round's picks.
+    round's picks.  When k-center ran on every point (no filter, or one
+    that kept every point), its greedy state is that assignment already:
+    it is what gets extended, so no selected point is measured twice.
 
     Each round removes already-selected points, optionally filters the rest
     to the top alpha*budget by ``dataset.scores``, and selects
@@ -375,6 +377,7 @@ def run_rounds(
         take = min(config.budget, pool.size)
         partial = take < config.budget
 
+        previous = coverage
         if config.algorithm in GREEDY_ALGORITHMS:
             last = universe
             universe = np.union1d(pool, np.asarray(selected, dtype=np.int64))
@@ -391,6 +394,13 @@ def run_rounds(
                 state = k_center_greedy(sub_points, s0, take)
             picks = tuple(int(universe[i]) for i in state.picks)
             pick_radii = state.pick_radii
+            if config.algorithm == "k-center" and universe.size == points.n:
+                # on every point and without densities, the greedy's owners
+                # and radii come from the claims the assignment would make
+                previous = CoverageAssignment(
+                    np.sort(state.selected), state.owners, state.radii,
+                    np.sqrt(state.radii),
+                )
         else:
             universe = pool
             draw = PortableRng(derive_seed(config.seed, round_index))
@@ -398,7 +408,7 @@ def run_rounds(
             pick_radii = np.full(take, np.nan)
 
         selected.extend(picks)
-        coverage = assign_coverage(points, selected, previous=coverage)
+        coverage = assign_coverage(points, selected, previous=previous)
         bound = bound_report(coverage, bound_params)
         rounds.append(
             RoundResult(

@@ -192,6 +192,29 @@ class TestCsvRoundTrip:
         path.write_text("id,f0\n3,1.0\n3,2.0\n")
         with pytest.raises(ValidationError, match="duplicate id 3"):
             load_pointset(path)
+        # the line of the second occurrence
+        path.write_text("id,f0\n3,1.0\n4,1.5\n3,2.0\n")
+        with pytest.raises(ValidationError, match="line 4: duplicate id 3"):
+            load_pointset(path)
+
+    @pytest.mark.parametrize("text", [
+        "id,f0,label\r\n0,1.0,1\r\n1,-2.5,2\r\n",
+        '"id","f0","label"\n"0","1.0","1"\n"1","-2.5","2"\n',
+        "id,f0,label\n 0 , 1.0 ,1\n1,  -2.5  , 2 \n",
+    ], ids=["crlf", "quoted", "spaces"])
+    def test_accepted_forms(self, tmp_path, text):
+        path = tmp_path / "forms.csv"
+        path.write_bytes(text.encode())
+        ds = load_pointset(path)
+        assert ds.points.ids.tolist() == [0, 1]
+        assert ds.points.features.ravel().tolist() == [1.0, -2.5]
+        assert ds.labels.tolist() == [1, 2]
+
+    def test_id_above_2_to_the_53_loads_exactly(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,f0\n9007199254740993,1.0\n9007199254740992,2.0\n")
+        ids = load_pointset(path).points.ids.tolist()
+        assert ids == [9007199254740993, 9007199254740992]
 
     def test_schema_violations_carry_line_numbers(self, tmp_path):
         bad_header = tmp_path / "h.csv"
@@ -203,6 +226,19 @@ class TestCsvRoundTrip:
         bad_value.write_text("id,f0\n0,1.0\n1,oops\n")
         with pytest.raises(ValidationError, match="line 3"):
             load_pointset(bad_value)
+
+        # a blank line is skipped but keeps its line number
+        bad_value.write_text("id,f0\n0,1.0\n\n1,oops\n")
+        with pytest.raises(ValidationError, match="line 4"):
+            load_pointset(bad_value)
+
+        # a non-numeric id or label, and a row with too many fields
+        for text in ("id,f0,label\n0,1.0,1\nx,2.0,1\n",
+                     "id,f0,label\n0,1.0,1\n1,2.0,one\n",
+                     "id,f0,label\n0,1.0,1\n1,2.0,1,7\n"):
+            bad_value.write_text(text)
+            with pytest.raises(ValidationError, match="line 3"):
+                load_pointset(bad_value)
 
         bad_width = tmp_path / "w.csv"
         bad_width.write_text("id,f0,label\n0,1.0,1\n1,2.0\n")
@@ -218,6 +254,14 @@ class TestCsvRoundTrip:
             message = f"^{re.escape(str(path))}: line 3: {name} must lie"
             with pytest.raises(ValidationError, match=message):
                 load_pointset(path)
+
+    def test_number_only_python_reads_names_the_file(self, tmp_path):
+        # Python's float takes "1_0" but numpy's parse does not, so no row
+        # check names a line; the error still names the file and the field
+        path = tmp_path / "underscore.csv"
+        path.write_text("id,f0\n0,1.0\n1,1_0\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*'1_0'"):
+            load_pointset(path)
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"

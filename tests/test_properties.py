@@ -106,7 +106,7 @@ def test_worst_area_mean_never_exceeds_the_covering_radius(points, data):
 def test_csv_save_then_load_round_trips_exactly(points, factor, scored, data):
     n = points.n
     ids = data.draw(st.lists(
-        st.integers(-2**40, 2**40), min_size=n, max_size=n, unique=True))
+        st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n, unique=True))
     labels = np.asarray(data.draw(st.lists(
         st.integers(1, 4), min_size=n, max_size=n)))
     scores = points.features[:, 0] / factor if scored else None
@@ -127,6 +127,31 @@ def test_csv_save_then_load_round_trips_exactly(points, factor, scored, data):
         assert loaded.scores.tobytes() == dataset.scores.tobytes()
     else:
         assert loaded.scores is None
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(grid_points(min_n=1), st.data())
+def test_every_accepted_csv_form_loads_the_values_written(points, data):
+    # fields quoted or padded with spaces, LF or CRLF line ends, and blank
+    # lines between the rows
+    n = points.n
+    ids = data.draw(st.lists(
+        st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    labels = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    form = st.sampled_from(["{}", '"{}"', " {} ", '" {} "'])
+    lines = [",".join(["id", *(f"f{j}" for j in range(points.dim)), "label"])]
+    for i, row, label in zip(ids, points.features.tolist(), labels):
+        lines += [""] * data.draw(st.integers(0, 2))
+        fields = [str(i), *map(repr, row), str(label)]
+        lines.append(",".join(data.draw(form).format(f) for f in fields))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        path.write_bytes((end.join(lines) + end).encode())
+        loaded = load_pointset(path)
+    assert loaded.points.ids.tolist() == ids
+    assert loaded.points.features.tobytes() == points.features.tobytes()
+    assert loaded.labels.tolist() == labels
 
 
 # Up to 10 coordinates, so that numpy's unrolled sums (8 and more terms)
@@ -165,6 +190,20 @@ def test_pruned_coverage_equals_the_dense_assignment(points, data):
     pi, sq = oracles.dense_coverage(points.features, selected)
     assert np.array_equal(cov.pi, pi)
     assert np.array_equal(cov.sq_distances, sq)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(grid_points(), st.data())
+def test_k_center_state_on_every_point_is_the_coverage_assignment(points, data):
+    # what lets an unfiltered k-center run hand its state to the assignment
+    n = points.n
+    s0 = data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    first = data.draw(st.integers(0 if s0 else 1, n - len(s0)))
+    second = data.draw(st.integers(0, n - len(s0) - first))
+    state = k_center_greedy(points, k_center_greedy(points, s0, first), second)
+    cov = assign_coverage(points, state.selected)
+    assert state.owners.tobytes() == cov.pi.tobytes()
+    assert state.radii.tobytes() == cov.sq_distances.tobytes()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
