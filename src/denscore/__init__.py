@@ -50,7 +50,6 @@ from .evaluation import (
     compare_algorithms,
     core_set_loss,
     nonuniform_mixture_spec,
-    uniform_box_spec,
 )
 from .rng import PortableRng
 from .selection import (
@@ -111,5 +110,4 @@ __all__ = [
     "nonuniform_mixture_spec",
     "run_rounds",
     "save_pointset",
-    "uniform_box_spec",
 ]

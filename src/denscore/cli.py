@@ -58,6 +58,7 @@ from .data import (
     generate,
     load_pointset,
     save_pointset,
+    write_csv,
 )
 from .density import calibrate, estimator_from_config
 from .evaluation import compare_algorithms, core_set_loss
@@ -265,12 +266,13 @@ def _ids_to_positions(dataset: LabeledPointSet, ids: list[int], source: str):
     return list(positions.values())
 
 
-def _format_radius(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf"
-    return repr(float(value))
+def _selection_coverage(cfg: ExperimentConfig) -> tuple:
+    """The config's dataset, its selection file, and the coverage
+    assignment of the ids that file lists."""
+    dataset = _load_dataset(cfg)
+    path = cfg.require("selection")
+    positions = _ids_to_positions(dataset, _load_selection_ids(path), path)
+    return dataset, path, assign_coverage(dataset.points, positions)
 
 
 def cmd_generate(args) -> int:
@@ -311,16 +313,11 @@ def cmd_select(args) -> int:
     out = _out_dir(args)
     ids = dataset.points.ids
     for rnd in result.rounds:
-        sel_path = out / f"selection_round_{rnd.round_index:02d}.csv"
-        with open(sel_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "order", "id", "radius_at_pick"])
-            for order, (pick, radius) in enumerate(
-                zip(rnd.picks, rnd.pick_radii), start=1
-            ):
-                writer.writerow([
-                    rnd.round_index, order, int(ids[pick]), _format_radius(radius),
-                ])
+        picks = enumerate(zip(rnd.picks, rnd.pick_radii), start=1)
+        write_csv(out / f"selection_round_{rnd.round_index:02d}.csv",
+                  ["round", "order", "id", "radius_at_pick"],
+                  ([rnd.round_index, order, int(ids[pick]), radius]
+                   for order, (pick, radius) in picks))
         bound_path = out / f"bounds_round_{rnd.round_index:02d}.json"
         write_json({
             **_bound_fields(rnd.bound, ids),
@@ -349,13 +346,9 @@ def cmd_select(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.load("evaluate", args.config)
-    dataset = _load_dataset(cfg)
-    selection_path = cfg.require("selection")
-    ids = _load_selection_ids(selection_path)
-    positions = _ids_to_positions(dataset, ids, selection_path)
-    bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
-    cov = assign_coverage(dataset.points, positions)
-    report = bound_report(cov, bounds)
+    section = cfg.section("bounds", _BOUNDS_KEYS, required=False)
+    dataset, selection_path, cov = _selection_coverage(cfg)
+    report = bound_report(cov, _bound_params(section, dataset))
     loss = core_set_loss(dataset, cov)
     out = _out_dir(args)
     write_json({
@@ -373,16 +366,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = ExperimentConfig.load("calibrate", args.config)
-    dataset = _load_dataset(cfg)
-    selection_path = cfg.require("selection")
-    ids = _load_selection_ids(selection_path)
-    positions = _ids_to_positions(dataset, ids, selection_path)
     estimator = cfg.require("estimator")
     estimate = estimator_from_config(estimator)
-    densities = estimate(dataset.points)
     bins = config_value(cfg.raw.get("bins", 10), int, "bins")
-    cov = assign_coverage(dataset.points, positions)
-    report = calibrate(densities, cov, bins)
+    dataset, selection_path, cov = _selection_coverage(cfg)
+    report = calibrate(estimate(dataset.points), cov, bins)
     out = _out_dir(args)
     write_json({
         **_fields(report),
@@ -401,13 +389,10 @@ def cmd_compare(args) -> int:
     cfg = ExperimentConfig.load("compare", args.config)
     section = cfg.section("generator", _GENERATOR_KEYS)
     spec = _generator_spec(section, None)
-    seeds = cfg.require("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise ValidationError(f"{cfg.path}: 'seeds' must be a non-empty list")
-    budget = config_value(cfg.require("budget"), int, "budget")
-    rounds = config_value(cfg.raw.get("rounds", 1), int, "rounds")
-    estimator = cfg.raw.get("estimator")
-    report = compare_algorithms(spec, budget, rounds, seeds, estimator)
+    report = compare_algorithms(
+        spec, cfg.require("budget"), cfg.raw.get("rounds", 1), cfg.require("seeds"),
+        cfg.raw.get("estimator"),
+    )
     out = _out_dir(args)
     write_json({
         **_fields(report),
@@ -415,15 +400,9 @@ def cmd_compare(args) -> int:
         "dataset": {**_fields(report.dataset), "dim": report.dataset.dim},
         "metadata": _metadata(cfg, list(report.seeds)),
     }, out / "comparison.json")
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "algorithm", "delta", "max_radial", "loss", "runtime_ms"])
-        for row in report.rows:
-            writer.writerow([
-                row["seed"], row["algorithm"], repr(row["delta"]),
-                repr(row["max_radial"]), repr(row["loss"]),
-                repr(row["runtime_ms"]),
-            ])
+    columns = ["seed", "algorithm", "delta", "max_radial", "loss", "runtime_ms"]
+    write_csv(out / "comparison.csv", columns,
+              ([row[c] for c in columns] for row in report.rows))
     agg = report.aggregates
     for alg in ("k-center", "density-aware"):
         m = agg["mean"][alg]

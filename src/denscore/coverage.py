@@ -85,19 +85,22 @@ class CoverageAssignment:
         point whose coordinates duplicate a lower selected index lands in
         that index's area and leaves its own area empty.
     sq_distances: for every point, its squared distance to ``pi`` (what an
-        extension compares).
-    distances: for every point, its Euclidean distance to ``pi``, the root
-        of ``sq_distances``.
+        extension compares), the only distance stored.
     """
 
     selected: np.ndarray
     pi: np.ndarray
     sq_distances: np.ndarray
-    distances: np.ndarray
 
     @property
     def n(self) -> int:
         return self.pi.shape[0]
+
+    @property
+    def distances(self) -> np.ndarray:
+        """For every point, its Euclidean distance to ``pi``: the root of
+        ``sq_distances``, taken on each read."""
+        return np.sqrt(self.sq_distances)
 
 
 def assign_coverage(
@@ -133,10 +136,9 @@ def assign_coverage(
     with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
         for k in new.tolist():
             _claim(points.features, k, sel, to_owner, pi, sq)
-    distances = np.sqrt(sq)
-    for arr in (sel, pi, sq, distances):
+    for arr in (sel, pi, sq):
         arr.setflags(write=False)
-    return CoverageAssignment(sel, pi, sq, distances)
+    return CoverageAssignment(sel, pi, sq)
 
 
 def _claim(

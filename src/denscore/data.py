@@ -1,6 +1,9 @@
 """Core data containers, synthetic generators (a Gaussian mixture and a
 uniform box), squared distances to one point, and CSV I/O.
 
+Every CSV the package writes goes through `write_csv`, so a float always
+reads back as the same double.
+
 Conventions shared across the package:
 
 * features are float64 arrays of shape (n, dim); all arrays handed to or
@@ -17,8 +20,9 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +39,7 @@ __all__ = [
     "generate",
     "load_pointset",
     "save_pointset",
+    "write_csv",
 ]
 
 GENERATOR_KINDS = ("gaussian-mixture", "uniform-box")
@@ -140,9 +145,7 @@ class PointSet:
 
     @classmethod
     def from_features(cls, features: np.ndarray) -> "PointSet":
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features[:, None]
+        """The (n, dim) ``features`` with ids 0..n-1."""
         return cls(features, np.arange(len(features), dtype=np.int64))
 
     @property
@@ -161,15 +164,13 @@ class LabeledPointSet:
     ``scores`` optionally carries one finite uncertainty value per point,
     the only scores the protocol reads: a dataset file's ``score`` column,
     or an array attached with ``dataclasses.replace(dataset, scores=...)``.
-    ``labels_defaulted`` flags a file that had no label column (every label
-    was filled with 1).
+    A dataset file without a label column loads with every label 1.
     """
 
     points: PointSet
     labels: np.ndarray
     num_classes: int
     scores: np.ndarray | None = None
-    labels_defaulted: bool = False
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -266,9 +267,6 @@ class GeneratorSpec:
     def dim(self) -> int:
         return len(self.means[0])
 
-    def with_seed(self, seed: int) -> "GeneratorSpec":
-        return replace(self, seed=seed)
-
 
 def generate(spec: GeneratorSpec) -> LabeledPointSet:
     """Draw a labeled dataset from ``spec`` using the portable RNG.
@@ -312,27 +310,33 @@ def squared_distances_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(diff, axis=1)
 
 
-def _format_value(x: float) -> str:
-    # repr gives the shortest decimal string that round-trips the double.
-    return repr(float(x))
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and then each of ``rows`` as one CSV line (the
+    default ``csv.writer`` dialect, so lines end in CRLF).
+
+    A float cell, numpy's float64 included, is written as
+    ``repr(float(v))``: the shortest decimal that reads back as the same
+    double, or ``nan``/``inf``/``-inf``.  Any other cell is ``str(v)``.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
+                             for v in row])
 
 
 def save_pointset(dataset: LabeledPointSet, path) -> None:
     """Write ``id,f0..f{D-1},label[,score]`` CSV; values round-trip exactly."""
-    dim = dataset.dim
-    header = ["id"] + [f"f{j}" for j in range(dim)] + ["label"]
+    header = ["id"] + [f"f{j}" for j in range(dataset.dim)] + ["label"]
+    rows = [[i, *f, label] for i, f, label in zip(
+        dataset.points.ids.tolist(), dataset.points.features.tolist(),
+        dataset.labels.tolist())]
     if dataset.scores is not None:
         header.append("score")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [str(int(dataset.points.ids[i]))]
-            row += [_format_value(v) for v in dataset.points.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            if dataset.scores is not None:
-                row.append(_format_value(dataset.scores[i]))
-            writer.writerow(row)
+        for row, score in zip(rows, dataset.scores.tolist()):
+            row.append(score)
+    write_csv(path, header, rows)
 
 
 def load_pointset(path) -> LabeledPointSet:
@@ -341,11 +345,11 @@ def load_pointset(path) -> LabeledPointSet:
     numpy parses every data row at once: ids and labels as int64 (an id
     above 2**53 stays exact), features and scores as float64.  A field may
     be quoted or padded with spaces, a line may end in CRLF, and blank
-    lines are skipped.  A missing label column defaults every label to 1
-    and sets ``labels_defaulted``.  Schema or value problems raise
-    ValidationError with the 1-based line number: a wrong field count, a
-    field that is not a number, an id or label outside int64, a label
-    below 1, a non-finite feature or score, or an id an earlier line holds.
+    lines are skipped.  A missing label column defaults every label to 1.
+    Schema or value problems raise ValidationError with the 1-based line
+    number: a wrong field count, a field that is not a number (to Python or
+    to numpy), an id or label outside int64, a label below 1, a non-finite
+    feature or score, or an id an earlier line holds.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -353,10 +357,7 @@ def load_pointset(path) -> LabeledPointSet:
             raise ValidationError(f"{path}: line 1: empty file")
         cols = _parse_header([h.strip() for h in next(csv.reader([first]))], path)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a file of no rows
-                table = np.loadtxt(fh, dtype=cols["dtype"], delimiter=",",
-                                   quotechar='"', comments=None, ndmin=1)
+            table = _parse(fh, cols["dtype"])
         except ValueError as exc:
             raise _row_error(path, cols, cause=exc) from None
     if table.size == 0:
@@ -374,43 +375,64 @@ def load_pointset(path) -> LabeledPointSet:
         repeat = np.ones(ids.size, dtype=bool)
         repeat[first_rows] = False
         raise _row_error(path, cols, int(np.argmax(repeat)), duplicate=True)
-    labels_defaulted = cols["label"] is None
-    labels = np.ones(ids.size, dtype=np.int64) if labels_defaulted else table["label"]
+    labels = np.ones(ids.size, dtype=np.int64) if cols["label"] is None else table["label"]
     return LabeledPointSet(
         PointSet(table["f"], ids),
         labels,
         num_classes=int(labels.max()),
         scores=None if cols["score"] is None else table["score"],
-        labels_defaulted=labels_defaulted,
     )
+
+
+def _parse(lines, dtype: np.dtype) -> np.ndarray:
+    """The data ``lines`` of a dataset CSV parsed by numpy into ``dtype``;
+    a field numpy cannot convert raises its ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file of no rows
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1)
+
+
+# the 0-based position numpy appends to a conversion error
+_NUMPY_POSITION = re.compile(r" at row \d+, column \d+\.$")
 
 
 def _row_error(path, cols: dict, row: int | None = None, *, duplicate: bool = False,
                cause: ValueError | None = None) -> ValidationError:
     """The error naming a bad data row of ``path``: data row ``row``
     (0-based), whose id an earlier row holds if ``duplicate``, or without
-    ``row`` the first row that `_row_problem` rejects.
+    ``row`` the first row that `_row_problem` rejects.  If it accepts every
+    row, ``cause``, numpy's error on the whole file, came from a field that
+    Python's ``float`` and ``int`` read and numpy does not (such as
+    ``1_0``): the first row that `_parse` rejects on its own is named, with
+    numpy's message less its 0-based position.
 
     It runs only once the vectorized parse or its checks have failed, and
     it is the one place that words a row error; numpy's message is never
     read for a line number.  Blank lines are skipped, as numpy skips them,
-    but keep their line numbers.  ``cause`` is numpy's error, reported for
-    a row that numpy rejects and Python's ``float`` and ``int`` accept
-    (such as ``1_0``).
+    but keep their line numbers.
     """
     with open(path) as fh:
         reader = csv.reader(fh)
         next(reader)
-        numbered = ((lineno, fields) for lineno, fields in enumerate(reader, start=2) if fields)
-        for i, (lineno, fields) in enumerate(numbered):
-            if row is not None and i != row:
-                continue
-            if duplicate:
-                problem = f"duplicate id {int(fields[cols['id']])}"
-            else:
-                problem = _row_problem(fields, cols)
-            if problem is not None:
-                return ValidationError(f"{path}: line {lineno}: {problem}")
+        numbered = [(lineno, fields) for lineno, fields in enumerate(reader, start=2) if fields]
+    if row is not None:
+        numbered = numbered[row:row + 1]
+    for lineno, fields in numbered:
+        if duplicate:
+            problem = f"duplicate id {int(fields[cols['id']])}"
+        else:
+            problem = _row_problem(fields, cols)
+        if problem is not None:
+            return ValidationError(f"{path}: line {lineno}: {problem}")
+    # every field is a number to Python: the row numpy rejects is one that
+    # it rejects alone (quotes are gone, and no number holds a comma)
+    for lineno, fields in numbered:
+        try:
+            _parse([",".join(fields)], cols["dtype"])
+        except ValueError as exc:
+            problem = _NUMPY_POSITION.sub("", str(exc))
+            return ValidationError(f"{path}: line {lineno}: {problem}")
     return ValidationError(f"{path}: {cause}")
 
 

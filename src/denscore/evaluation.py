@@ -1,5 +1,6 @@
 """Evaluation harness: plug-in learner, core-set loss, algorithm comparison,
-and the stock benchmark generators.
+and the stock non-uniform benchmark generator (the uniform control is a
+``GeneratorSpec(kind="uniform-box")``).
 
 The core-set loss of a selected set s is
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "core_set_loss",
     "compare_algorithms",
     "nonuniform_mixture_spec",
-    "uniform_box_spec",
     "COMPARISON_ESTIMATOR",
 ]
 
@@ -171,16 +171,20 @@ def compare_algorithms(
     and both algorithms start from the identical bootstrap pick (the
     lowest-index point), select rounds*budget points without candidate
     filtering, and are measured on covering radius, worst mean radial
-    distance, and core-set loss.
+    distance, and core-set loss.  ``budget``, ``rounds`` and the list
+    ``seeds`` may come straight from a config: each is converted here, and a
+    wrong type raises a ValidationError naming it.
     """
+    budget = config_value(budget, int, "budget")
+    rounds = config_value(rounds, int, "rounds")
     seeds = _config_values(seeds, int, "seeds")
     if not seeds:
-        raise ValidationError("at least one seed is required")
+        raise ValidationError("seeds must be a non-empty list")
     estimator = dict(estimator) if estimator is not None else dict(COMPARISON_ESTIMATOR)
     rows = []
     per_alg: dict[str, list[dict]] = {"k-center": [], "density-aware": []}
     for seed in seeds:
-        dataset = generate(spec.with_seed(seed))
+        dataset = generate(replace(spec, seed=seed))
         for algorithm in ("k-center", "density-aware"):
             row = _single_run(dataset, algorithm, budget, rounds, estimator)
             row["seed"] = seed
@@ -213,8 +217,8 @@ def compare_algorithms(
         rows=tuple(rows),
         aggregates=aggregates,
         seeds=seeds,
-        budget=int(budget),
-        rounds=int(rounds),
+        budget=budget,
+        rounds=rounds,
         estimator=estimator,
         dataset=spec,
     )
@@ -283,19 +287,4 @@ def nonuniform_mixture_spec(
         means=tuple(means),
         sigmas=tuple(sigmas),
         counts=tuple(counts),
-    )
-
-
-def uniform_box_spec(
-    n: int = 1000, dim: int = 4, seed: int = 0, half_width: float = 1.0
-) -> GeneratorSpec:
-    """Uniform control dataset: one axis-aligned box centred at the origin."""
-    n = config_value(n, int, "n")
-    dim = config_value(dim, int, "dim")
-    return GeneratorSpec(
-        kind="uniform-box",
-        seed=seed,
-        means=(tuple([0.0] * dim),),
-        sigmas=(config_value(half_width, float, "half_width"),),
-        counts=(n,),
     )

@@ -31,14 +31,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def mix64(value: int) -> int:
-    """SplitMix64 output permutation on a plain Python integer."""
-    z = value & _U64_MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
-    return z ^ (z >> 31)
-
-
 def _integer(value, name: str) -> int:
     """``value`` as a Python int.  A bool or a non-integer raises a
     TypeError naming ``name`` instead of being truncated to another seed."""
@@ -51,6 +43,7 @@ def _integer(value, name: str) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every entry of the uint64 array ``z``."""
     z = z ^ (z >> np.uint64(30))
     z = z * _MIX1
     z = z ^ (z >> np.uint64(27))
@@ -104,5 +97,9 @@ class PortableRng:
 
 
 def derive_seed(seed: int, key: int) -> int:
-    """Deterministic per-key seed, used for per-round substreams."""
-    return mix64((_integer(seed, "seed") & _U64_MASK) ^ mix64(_integer(key, "key") + 1))
+    """Deterministic per-key seed, used for per-round substreams:
+    ``mix64(s ^ mix64(key + 1))`` with ``s`` the seed and ``key + 1`` both
+    taken modulo 2**64, so any integers work, negative ones included."""
+    s = np.uint64(_integer(seed, "seed") & _U64_MASK)
+    k = np.array([(_integer(key, "key") + 1) & _U64_MASK], dtype=np.uint64)
+    return int(_mix64_array(s ^ _mix64_array(k))[0])

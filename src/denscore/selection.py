@@ -87,6 +87,8 @@ class SelectionState:
         (ties to the lowest index), so that a resumed run prunes as this
         one did.
     pick_radii: r at the moment of each pick, aligned with ``picks``.
+
+    The greedy that builds a state freezes its arrays (read-only).
     """
 
     selected: tuple[int, ...]
@@ -94,13 +96,6 @@ class SelectionState:
     radii: np.ndarray
     owners: np.ndarray
     pick_radii: np.ndarray
-
-    def __post_init__(self):
-        for name, kind in (("radii", np.float64), ("owners", np.int64),
-                           ("pick_radii", np.float64)):
-            value = np.asarray(getattr(self, name), dtype=kind).copy()
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
 
 
 def _greedy_select(
@@ -144,6 +139,8 @@ def _greedy_select(
             _claim(features, int(order[j]), order[: j + 1], to_owner, owners,
                    radii, densities)
 
+    for arr in (radii, owners, pick_radii):
+        arr.setflags(write=False)
     return SelectionState(
         selected=tuple(order.tolist()),
         picks=tuple(order[m:].tolist()),
@@ -398,8 +395,7 @@ def run_rounds(
                 # on every point and without densities, the greedy's owners
                 # and radii come from the claims the assignment would make
                 previous = CoverageAssignment(
-                    np.sort(state.selected), state.owners, state.radii,
-                    np.sqrt(state.radii),
+                    np.sort(state.selected), state.owners, state.radii
                 )
         else:
             universe = pool

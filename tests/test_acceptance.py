@@ -11,6 +11,7 @@ import json
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def test_criterion_04_calibration_on_same_family():
     est = dict(COMPARISON_ESTIMATOR)
     r2s, rhos = [], []
     for seed in range(1, 11):
-        data = generate(nonuniform_mixture_spec().with_seed(seed))
+        data = generate(replace(nonuniform_mixture_spec(), seed=seed))
         state = k_center_greedy(data.points, None, 30)
         field = knn_density(data.points, est["k_neighbors"], tau=est["tau"])
         rep = calibrate(field, assign_coverage(data.points, state.selected))

@@ -25,7 +25,6 @@ from denscore import (
     kernel_density,
     knn_density,
     nonuniform_mixture_spec,
-    uniform_box_spec,
 )
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(denscore.__path__))
@@ -61,7 +60,6 @@ FRACTIONAL_COUNTS = {
     "ProtocolConfig.seed": (
         lambda v: ProtocolConfig(budget=2, algorithm="random", seed=v), "seed"),
     "filter_candidates": (lambda v: filter_candidates(SCORES, 1.0, v), "b"),
-    "uniform_box_spec": (lambda v: uniform_box_spec(n=v), "n"),
     # the mixture needs n >= 20
     "nonuniform_mixture_spec": (
         lambda v: nonuniform_mixture_spec(n=20 + v), "n"),
@@ -95,7 +93,6 @@ NON_NUMBERS = {
         lambda v: MaskedReconstructor(3, temperature=v), "temperature"),
     "hoeffding_term.loss_bound": (lambda v: hoeffding_term(v, 0.5, 10), "loss_bound"),
     "hoeffding_term.confidence": (lambda v: hoeffding_term(1.0, v, 10), "confidence"),
-    "uniform_box_spec": (lambda v: uniform_box_spec(half_width=v), "half_width"),
 }
 
 

@@ -213,6 +213,24 @@ class TestSelect:
         csv_ids = [int(r.split(",")[2]) for r in rows]
         assert csv_ids == summary["selected_ids"][:4]
 
+    def test_radius_at_pick_spells_inf_and_nan(self, tmp_path):
+        # with no initial set the first pick is at radius inf; a random pick
+        # has no radius (nan)
+        dataset = run_generate(tmp_path)
+        radii = {}
+        for algorithm in ("k-center", "random"):
+            out = tmp_path / algorithm
+            cfg = self.select_config(tmp_path, dataset, protocol={"algorithm": algorithm})
+            assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            radii[algorithm] = []
+            for rnd in (1, 2):
+                lines = (out / f"selection_round_0{rnd}.csv").read_text().splitlines()
+                radii[algorithm] += [line.split(",")[3] for line in lines[1:]]
+        first, *rest = radii["k-center"]
+        assert first == "inf"
+        assert rest and all(0.0 < float(r) < float("inf") for r in rest)
+        assert radii["random"] == ["nan"] * 8
+
     def test_rerun_identical_modulo_timestamps(self, tmp_path):
         dataset = run_generate(tmp_path)
         cfg = self.select_config(tmp_path, dataset)

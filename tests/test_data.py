@@ -1,7 +1,7 @@
 """Containers, generators, squared distances, and CSV round-trips."""
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -106,7 +106,7 @@ class TestGenerate:
         )
         assert not np.array_equal(
             generate(base).points.features,
-            generate(base.with_seed(2)).points.features,
+            generate(replace(base, seed=2)).points.features,
         )
 
     def test_uniform_box_stays_in_box_with_label_one(self):
@@ -167,7 +167,6 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.scores, ds.scores)
         assert back.num_classes == 3
-        assert not back.labels_defaulted
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         spec = GeneratorSpec(kind="gaussian-mixture", seed=5,
@@ -183,7 +182,6 @@ class TestCsvRoundTrip:
         path = tmp_path / "unlabeled.csv"
         path.write_text("id,f0,f1\n0,1.5,2.5\n1,-0.25,0.0\n")
         ds = load_pointset(path)
-        assert ds.labels_defaulted
         assert ds.labels.tolist() == [1, 1]
         assert ds.num_classes == 1
 
@@ -256,12 +254,14 @@ class TestCsvRoundTrip:
                 load_pointset(path)
 
     def test_number_only_python_reads_names_the_file(self, tmp_path):
-        # Python's float takes "1_0" but numpy's parse does not, so no row
-        # check names a line; the error still names the file and the field
+        # Python's float takes "1_0" but numpy's parse does not; the row that
+        # numpy rejects on its own is named by its line, without numpy's
+        # 0-based position
         path = tmp_path / "underscore.csv"
         path.write_text("id,f0\n0,1.0\n1,1_0\n")
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*'1_0'"):
+        with pytest.raises(ValidationError) as exc:
             load_pointset(path)
+        assert str(exc.value) == f"{path}: line 3: could not convert string '1_0' to float64"
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from denscore import (
+    GeneratorSpec,
     LabeledPointSet,
     PluginLearner,
     PointSet,
@@ -14,7 +15,6 @@ from denscore import (
     compare_algorithms,
     core_set_loss,
     nonuniform_mixture_spec,
-    uniform_box_spec,
 )
 
 import oracles
@@ -164,13 +164,6 @@ class TestStockSpecs:
         with pytest.raises(ValidationError):
             nonuniform_mixture_spec(dim=0)
 
-    def test_uniform_box_spec_shape(self):
-        spec = uniform_box_spec(n=500, dim=4, seed=2, half_width=1.5)
-        assert spec.kind == "uniform-box"
-        assert spec.counts == (500,)
-        assert spec.sigmas == (1.5,)
-        assert len(spec.means[0]) == 4
-
 
 class TestComparison:
     def test_report_structure(self):
@@ -202,7 +195,8 @@ class TestComparison:
         # algorithms' coverage should differ only by noise: the gap between
         # the mean max radial distances stays within two pooled standard
         # errors
-        spec = uniform_box_spec(n=250, dim=2)
+        spec = GeneratorSpec(kind="uniform-box", seed=0, means=((0.0, 0.0),),
+                             sigmas=(1.0,), counts=(250,))
         report = compare_algorithms(spec, budget=10, rounds=1,
                                     seeds=tuple(range(1, 21)))
         kc = [r["max_radial"] for r in report.rows if r["algorithm"] == "k-center"]
@@ -215,4 +209,7 @@ class TestComparison:
 
     def test_requires_seeds(self):
         with pytest.raises(ValidationError):
-            compare_algorithms(uniform_box_spec(n=50, dim=2), 2, 1, seeds=())
+            compare_algorithms(
+                GeneratorSpec(kind="uniform-box", seed=0, means=((0.0, 0.0),),
+                              sigmas=(1.0,), counts=(50,)),
+                2, 1, seeds=())

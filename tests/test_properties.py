@@ -122,7 +122,6 @@ def test_csv_save_then_load_round_trips_exactly(points, factor, scored, data):
     assert loaded.points.features.tobytes() == dataset.points.features.tobytes()
     assert loaded.labels.tolist() == labels.tolist()
     assert loaded.num_classes == dataset.num_classes
-    assert not loaded.labels_defaulted
     if scored:
         assert loaded.scores.tobytes() == dataset.scores.tobytes()
     else:

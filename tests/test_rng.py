@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from denscore.rng import PortableRng, derive_seed, mix64
+from denscore.rng import PortableRng, derive_seed
 
 from oracles import splitmix64_stream
 
@@ -75,12 +75,16 @@ class TestDeviates:
 
 
 class TestDerivedStreams:
-    def test_mix64_scalar_matches_stream_step(self):
-        # mix64 applied to the counter state reproduces the stream
-        golden = 0x9E3779B97F4A7C15
-        seed = 99
-        first = splitmix64_stream(seed, 1)[0]
-        assert mix64((seed + golden) & (2**64 - 1)) == first
+    def test_derive_seed_matches_stream_step(self):
+        # mix64(x) is the first output of the stream seeded at x - golden, so
+        # derive_seed = mix64(seed ^ mix64(key + 1)) (both mod 2**64) is
+        # pinned to the pure-Python reference
+        def mix64(x):
+            return splitmix64_stream((x - 0x9E3779B97F4A7C15) % 2**64, 1)[0]
+
+        for seed, key in [(99, 0), (5, 3), (0, 2**64 - 1), (2**64 - 1, 7),
+                          (-1, 3), (-(2**63), -2), (123456789, 2**63)]:
+            assert derive_seed(seed, key) == mix64(seed % 2**64 ^ mix64(key + 1))
 
     def test_derive_seed_stable(self):
         assert derive_seed(5, 3) == derive_seed(5, 3)
