@@ -16,29 +16,32 @@ greedy's factor-2 guarantee is a test oracle (``tests/oracles.py``), not
 part of the package.
 
 Every distance is Euclidean, on the features as given.  The bound assumes
-losses Lipschitz in a metric, and the pruning below rests on the triangle
-inequality; squared Euclidean distance is not a metric, so it is only what
-the steps compare, and every reported distance is its root.
+losses Lipschitz in a metric; squared Euclidean distance is not a metric,
+so it is only what the steps compare, and every reported distance is its
+root.
 
 Cost for n points, |s| selected, dimension d: each new selected point k
-costs O(|s| * d + n) to find the points it may take, plus O(d) per such
-point to measure it.  `_claim` is that step, for this assignment and for
-the greedy (``selection``), whose r_t divides the squared distance by the
-density of the selected endpoint (1 here).  A point t can only move to k
-if d(t, k) <= sqrt(r_t dens_k), and its owner o lies at d(t, o) =
-sqrt(r_t dens_o), so d(o, k) <= sqrt(r_t) (sqrt(dens_o) + sqrt(dens_k)) by
-the triangle inequality: k is measured only against the points whose owner
-lies that close to it (d(o, k) <= 2 d(t, o) without densities).  Taken in
-pick order, a greedy's picks shrink every owner distance and most points
-are never measured: at worst (high d, where the bound prunes nothing) this
-is the O(n * |s| * d) of measuring every pair.  Memory is O(n).  Every
-summary then reads only the assignment, O(n) from its distances.  An
-assignment extended by new selected points measures only those points, so
-a multi-round protocol that carries one assignment measures each selected
-point once per run, not per round.  An unfiltered k-center run measures
-each selected point once in total: its greedy runs on every point without
-densities, so the greedy's owners and radii are this assignment, and the
-protocol extends them with nothing left to measure.
+costs one n x d matrix-vector product and O(n) to find the points it may
+take, plus O(d) per such point to measure it.  `_claim` is that step, for
+this assignment and for the greedy (``selection``), whose r_t divides the
+squared distance by the density of the selected endpoint (1 here).  Once
+per assignment or greedy run the features are centred on their bounding
+box's midpoint (an n x d copy) and their squared norms taken; each claim
+then expands ||y_t - y_k||^2 through the product, less a rounding bound,
+into a lower bound on the squared distance that the claim compares.  A
+point whose lower bound, divided by k's density, already exceeds its
+nearness to its owner cannot move to k; only the others are measured, by
+the explicit difference, so every value handed over and every tie is what
+measuring every pair gives.  The filter is nearly exact: on a greedy or an
+assignment in any order it measures little more than the points that
+move.  Memory is O(n * d).  Every summary then reads only the assignment,
+O(n) from its distances.  An assignment extended by new selected points
+measures only those points, so a multi-round protocol that carries one
+assignment measures each selected point once per run, not per round.  An
+unfiltered k-center run measures each selected point once in total: its
+greedy runs on every point without densities, so the greedy's owners and
+radii are this assignment, and the protocol extends them with nothing
+left to measure.
 """
 
 from __future__ import annotations
@@ -71,9 +74,24 @@ __all__ = [
 # Slack for asserting the exact mean-vs-max ordering in floating point.
 ORDERING_RTOL = 1e-12
 
-# Widens the triangle bound of `_claim` so that rounding in either side
-# never drops a point k can take.
-_WIDEN = 1.0 + 1e-9
+# The rounding bound of `_claim`'s filter.  With u = 2**-53, y = x - c the
+# centred rows, S = ||y_t||^2 + ||y_k||^2 and e = _SLACK * (d + 2) * u, the
+# filter computes, per point t,
+#     L_t = -2 <y_t, y_k> + low_t + low_k,  low = (1 - e) ||y||^2 - e tiny,
+# that is g_t - E_t for g_t = ||y_t||^2 + ||y_k||^2 - 2 <y_t, y_k> and
+# E_t = e (S + 2 tiny), where tiny = 2**-1022 is the least normal float.
+# In units of u S, the computed L_t lies above the true ||x_t - x_k||^2 - E_t
+# by at most 4 for centring (|x - c| rounded), d + 1 for the two norms, d
+# for the product (any summation order, fused or not), 2 for forming low
+# and 4 for the two additions, and the explicit-difference d^2 that the
+# claim measures lies at most 2 (d + 2) below the true one: 4 d + 15 in all,
+# less than the 8 (d + 2) that E_t subtracts.  Results below the normal range
+# add at most (4 d + 2) 2**-1075 in absolute terms, less than E_t's
+# 2 e tiny = 16 (d + 2) 2**-1075.  So L_t never exceeds the measured d^2 of
+# t to k (for d up to millions, where the second-order terms stay below the
+# margin), and as division by a density rounds monotonically, neither does
+# L_t / dens_k exceed the measured nearness.
+_SLACK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +129,10 @@ def assign_coverage(
 
     ``previous``, an assignment of the same points to a subset of
     ``selected``, is extended: only the selected points it lacks are
-    measured, in the order ``selected`` lists them (pick order prunes
-    best; see the module docstring).  Without it the empty assignment
-    (owner -1 at squared distance inf) is extended, so there is one path,
-    and an extended assignment is bit-identical to one assigned from
-    scratch, whatever the order.
+    measured, in the order ``selected`` lists them.  Without it the empty
+    assignment (owner -1 at squared distance inf) is extended, so there is
+    one path, and an extended assignment is bit-identical to one assigned
+    from scratch, whatever the order.
     """
     order = check_indices(selected, points.n, "selected")
     sel = check_index_set(order, points.n, "selected")
@@ -132,17 +149,43 @@ def assign_coverage(
         raise ValidationError(
             "selected set must contain the previous assignment's selected set"
         )
-    to_owner = np.zeros(points.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
-        for k in new.tolist():
-            _claim(points.features, k, sel, to_owner, pi, sq)
+    if new.size:
+        with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
+            terms = _claim_terms(points.features)
+            for k in new.tolist():
+                _claim(points.features, k, terms, pi, sq)
     for arr in (sel, pi, sq):
         arr.setflags(write=False)
     return CoverageAssignment(sel, pi, sq)
 
 
+def _claim_terms(
+    features: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """What `_claim`'s filter reads, once per assignment or greedy run: the
+    features centred on their bounding box's midpoint, each row's squared
+    norm lowered by the rounding bound (``low`` at ``_SLACK``), and a bound
+    on every filter value, inf when the norms lie so near float64's
+    largest value that a filter value could overflow.
+
+    Centring keeps the norms, and so the rounding bound, at the scale of
+    the points' spread rather than of their offset from the origin.
+    """
+    lo, hi = features.min(axis=0), features.max(axis=0)
+    # column-major: the product runs along each coordinate's column
+    centred = np.subtract(features, 0.5 * lo + 0.5 * hi, order="F")
+    norms = np.einsum("ij,ij->i", centred, centred)
+    e = _SLACK * (features.shape[1] + 2) * 2.0**-53
+    low = norms * (1.0 - e)
+    low -= e * np.finfo(np.float64).tiny
+    # |L_t| <= 4 max ||y||^2 (1 + O(d u)), so this bounds it, and it is inf
+    # unless every L_t is finite
+    bound = 8.0 * float(norms.max())
+    return centred, low, bound
+
+
 def _claim(
-    features: np.ndarray, k: int, held: np.ndarray, to_owner: np.ndarray,
+    features: np.ndarray, k: int, terms: tuple[np.ndarray, np.ndarray, float],
     pi: np.ndarray, sq: np.ndarray, densities: np.ndarray | None = None,
 ) -> None:
     """Hand the new selected point k, in place, every point it is strictly
@@ -152,34 +195,36 @@ def _claim(
     Nearness is the squared distance, divided by k's density when
     ``densities`` is given (the greedy's r).  ``sq`` holds every point's
     nearness to its owner ``pi``; an unowned point has owner -1 and
-    nearness inf.  ``held`` lists the selected points, the only owners, and
-    ``to_owner``, a reusable buffer of len(features), is overwritten there
-    with d^2(o, k) / (sqrt(dens_o) + sqrt(dens_k))^2.  Only the points t
-    whose owner o has that ratio within sq_t pass the triangle bound
-    (module docstring) and are measured; an unowned point always is.
+    nearness inf.  ``terms`` is `_claim_terms` of ``features``: one
+    matrix-vector product gives every point t a lower bound L_t on its
+    squared distance to k (``_SLACK``), and only the points whose
+    L_t / dens_k does not exceed sq_t are measured, each by the explicit
+    difference (`squared_distances_to`).  An unowned point always is, and
+    when a filter value could overflow (``terms``' bound over dens_k is
+    inf) every point is.
 
-    A squared distance, or its quotient by a density, that overflows
-    float64 raises a ValidationError before anything is handed over (an
-    inf nearness would tie and fall back to index order).  Measuring every
-    selected point against every point would overflow too: it measures the
-    owners o, and the ratio is at most d^2(o, k) / dens_k up to rounding.
+    A measured squared distance, or its quotient by a density, that
+    overflows float64 raises a ValidationError before anything is handed
+    over (an inf nearness would tie and fall back to index order).
     Callers enter ``np.errstate(over="ignore", invalid="ignore")`` once
     around all their claims, so an overflow reaches this check as inf or
     nan instead of raising a warning.
     """
-    root_k = 1.0 if densities is None else math.sqrt(densities[k])
-    root_held = 1.0 if densities is None else np.sqrt(densities[held])
-    ratio = (
-        squared_distances_to(features[held], features[k]) / (root_held + root_k) ** 2
-    )
-    to_owner[held] = ratio
-    # read only at owners, and at pi = -1 (its last entry, finite), where
-    # sq = inf makes the point a candidate whatever the entry holds
-    rows = np.flatnonzero(to_owner[pi] <= _WIDEN * sq)
+    centred, low, bound = terms
+    dens_k = 1.0 if densities is None else densities[k]
+    if bound / dens_k < math.inf:
+        lower = centred @ (-2.0 * centred[k])
+        lower += low
+        lower += low[k]
+        if densities is not None:
+            lower /= dens_k
+        rows = np.flatnonzero(lower <= sq)
+    else:
+        rows = np.arange(sq.size)
     new_sq = squared_distances_to(features[rows], features[k])
     if densities is not None:
-        new_sq /= densities[k]
-    if not (np.isfinite(ratio).all() and np.isfinite(new_sq).all()):
+        new_sq /= dens_k
+    if not np.isfinite(new_sq).all():
         raise ValidationError(
             f"a squared distance to selected point {k}, or its quotient by a "
             "density, overflows float64; rescale the features, or every density "

@@ -14,11 +14,12 @@ low-density pick almost nothing, which is what steers extra budget into
 sparse areas.
 
 Each selected point's measuring step is coverage's `_claim`, the one the
-coverage assignment uses: the greedy tracks the owner of every r_t (the
-selected point it comes from) and measures a new point k only against the
-points whose owner lies within the triangle bound of k, scaled by the
-densities of both.  The bound prunes the covers of an initial set too, and
-the radii are the same as when every point is measured.
+coverage assignment uses: a matrix-vector product bounds every point's
+squared distance to the new point k from below, and only the points whose
+bound over k's density does not exceed their r_t are measured.  The
+initial set's claims are filtered too, and the radii are the same as when
+every point is measured.  The greedy tracks the owner of every r_t (the
+selected point it comes from) for the scratch argmin's tie rule.
 
 Uncertainty enters only through the dataset's per-point ``scores`` (one
 finite scalar per point, read from the CSV's ``score`` column or attached
@@ -44,6 +45,7 @@ from .coverage import (
     BoundReport,
     CoverageAssignment,
     _claim,
+    _claim_terms,
     assign_coverage,
     bound_report,
 )
@@ -84,8 +86,9 @@ class SelectionState:
     radii: final r_t for every candidate (0 for selected points, whose
         nearest selected point is themselves).
     owners: for every candidate, the selected point its r_t comes from
-        (ties to the lowest index), so that a resumed run prunes as this
-        one did.
+        (ties to the lowest index), which a resumed run's claims compare
+        against, and which an unfiltered k-center run hands to the coverage
+        assignment as its owners.
     pick_radii: r at the moment of each pick, aligned with ``picks``.
 
     The greedy that builds a state freezes its arrays (read-only).
@@ -125,19 +128,17 @@ def _greedy_select(
         )
     unselected = np.ones(n, dtype=bool)
     unselected[selected] = False
-    # the selected points in order, the only owners
     m = len(selected)
     order = np.array(selected + [-1] * b, dtype=np.int64)
-    to_owner = np.zeros(n)
     pick_radii = np.empty(b)
     # claim the initial set (a resumed state holds its claims), then each pick
     with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
+        terms = _claim_terms(features)
         for j in range(m if resume else 0, m + b):
             if j >= m:
                 u = int(np.argmax(np.where(unselected, radii, -np.inf)))
                 pick_radii[j - m], order[j], unselected[u] = radii[u], u, False
-            _claim(features, int(order[j]), order[: j + 1], to_owner, owners,
-                   radii, densities)
+            _claim(features, int(order[j]), terms, owners, radii, densities)
 
     for arr in (radii, owners, pick_radii):
         arr.setflags(write=False)

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -18,9 +19,12 @@ from denscore import (
     bound_report,
     classical_radius,
     hoeffding_term,
+    k_center_greedy,
     save_pointset,
 )
+from denscore import coverage
 from denscore.cli import EXIT_OK, main
+from denscore.data import squared_distances_to
 from denscore.coverage import ORDERING_RTOL, all_radial_distances
 
 import oracles
@@ -91,6 +95,11 @@ class TestAssignment:
         ps = _line([0.0, 1e155, -1e155])
         with pytest.raises(ValidationError, match="overflows float64"):
             assign_coverage(ps, [0])
+        # every squared distance to point 0 is finite: the claim of point 1
+        # is the first to overflow, at point 2
+        ps = _line([0.0, 1.2e154, -1.2e154, 5.0])
+        with pytest.raises(ValidationError, match="selected point 1, .*overflows"):
+            assign_coverage(ps, [0, 1, 2])
 
     def test_selected_validation(self):
         ps = _line([0.0, 1.0])
@@ -103,6 +112,35 @@ class TestAssignment:
         for selected in ([0.5], [True], [0, 1.5]):
             with pytest.raises(ValidationError, match="selected index"):
                 assign_coverage(ps, selected)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_claims_measure_little_more_than_the_points_they_take(offset):
+    # 300 k-center picks, then 300 random points assigned in random order,
+    # on a seeded 8-d Gaussian mixture: each run's claims measure at most
+    # 5% of the n * claims pairs that measuring every point would, also
+    # far from the origin
+    n, dim = 3000, 8
+    rng = np.random.default_rng(0)
+    centres = rng.normal(scale=6.0, size=(6, dim))
+    which = rng.integers(0, 6, size=n)
+    spread = rng.uniform(0.5, 2.0, size=6)[which, None]
+    points = PointSet.from_features(
+        centres[which] + spread * rng.normal(size=(n, dim)) + offset)
+    measured = []
+
+    def recording(a, x):
+        measured.append(a.shape[0])
+        return squared_distances_to(a, x)
+
+    with mock.patch.object(coverage, "squared_distances_to", recording):
+        k_center_greedy(points, None, 300)
+        greedy_rows = sum(measured)
+        measured.clear()
+        assign_coverage(points, rng.permutation(n)[:300])
+        assignment_rows = sum(measured)
+    assert greedy_rows <= 0.05 * n * 300
+    assert assignment_rows <= 0.05 * n * 300
 
 
 class TestRadii:

@@ -27,6 +27,12 @@ from denscore.coverage import ORDERING_RTOL
 from denscore.density import DENSITY_FLOOR
 
 SCALES = (1e-3, 1.0, 7.5, 1e3)
+# For the claim step's filter: steps of 1e-160 and 3e-161, where squared
+# distances fall below float64's normal range, and a common offset of every
+# coordinate.  At 1e155 the grid's step is the offset's ulp: ||x||^2
+# overflows float64, while no pairwise d^2 does.
+FILTER_SCALES = SCALES + (1e-160, 3e-161)
+OFFSETS = (0.0, 1e6, 1e12, 1e155)
 # Every density a field can hold, from the floor up to BETA: equal values
 # (ties) are common, and sqrt-density ratios reach about 3e6.
 DENSITIES = (st.sampled_from([DENSITY_FLOOR, 1e-9, 2.0**-10, 0.25, 1.0, 4.0, BETA])
@@ -34,22 +40,27 @@ DENSITIES = (st.sampled_from([DENSITY_FLOOR, 1e-9, 2.0**-10, 0.25, 1.0, 4.0, BET
 
 
 @st.composite
-def grid_points(draw, min_n=2, max_n=25, max_dim=3):
+def grid_points(draw, min_n=2, max_n=25, max_dim=3, scales=SCALES, offsets=None):
     n = draw(st.integers(min_n, max_n))
     dim = draw(st.integers(1, max_dim))
     coords = draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
         min_size=n, max_size=n,
     ))
-    scale = draw(st.sampled_from(SCALES))
-    return PointSet.from_features(np.asarray(coords, dtype=np.float64) * scale)
+    scale = draw(st.sampled_from(scales))
+    offset = 0.0
+    if offsets is not None:
+        offset = draw(st.sampled_from(offsets))
+        if offset > 1e100:
+            scale = np.spacing(offset)
+    return PointSet.from_features(np.asarray(coords, dtype=np.float64) * scale + offset)
 
 
 @st.composite
-def greedy_runs(draw, max_dim=3):
+def greedy_runs(draw, max_dim=3, scales=SCALES, offsets=None):
     """Points, densities (None for k-center), an initial set and a budget
     up to everything left."""
-    points = draw(grid_points(max_dim=max_dim))
+    points = draw(grid_points(max_dim=max_dim, scales=scales, offsets=offsets))
     n = points.n
     densities = draw(st.none() | st.lists(DENSITIES, min_size=n, max_size=n))
     s0 = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
@@ -154,9 +165,10 @@ def test_every_accepted_csv_form_loads_the_values_written(points, data):
 
 
 # Up to 10 coordinates, so that numpy's unrolled sums (8 and more terms)
-# are covered too; the pruned steps must still match the dense ones exactly.
+# are covered too, and the filter's extreme scales and offsets; the
+# filtered steps must still match the dense ones exactly.
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(greedy_runs(max_dim=10), st.data())
+@given(greedy_runs(max_dim=10, scales=FILTER_SCALES, offsets=OFFSETS), st.data())
 def test_pruned_greedy_equals_the_dense_greedy(run, data):
     points, densities, s0, budget = run
     if densities is not None:
@@ -178,7 +190,7 @@ def test_pruned_greedy_equals_the_dense_greedy(run, data):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(grid_points(max_dim=10), st.data())
+@given(grid_points(max_dim=10, scales=FILTER_SCALES, offsets=OFFSETS), st.data())
 def test_pruned_coverage_equals_the_dense_assignment(points, data):
     # selected points in any order, assigned from scratch or extended
     selected = data.draw(st.lists(

@@ -105,7 +105,7 @@ class TestGreedyProperties:
             scaled = density_aware_greedy(points, dens * 7.3, [0], b)
             assert scaled.picks == base.picks
 
-    @pytest.mark.parametrize("case", ["subnormal", "normal", "k-center"])
+    @pytest.mark.parametrize("case", ["subnormal", "normal", "k-center", "later-claim"])
     def test_overflow_raises_instead_of_collapsing_picks(self, case):
         # an overflowed d^2 / dens is inf, ties every point and would fall
         # back to index order: (0, 1, 2, 3, 4, 5)
@@ -114,17 +114,20 @@ class TestGreedyProperties:
         dens = rng.uniform(0.5, 2.0, size=50)
         points = PointSet.from_features(feats)
         assert density_aware_greedy(points, dens, None, 6).picks == (0, 23, 6, 20, 34, 49)
-        # (dens + 1) / 1.5 lies in [1, 2], so its 1e-306 multiples are normal
-        points, dens = {
-            "subnormal": (points, dens * 1e-310),
-            "normal": (PointSet.from_features(feats * 10), (dens + 1.0) / 1.5 * 1e-306),
-            "k-center": (PointSet.from_features(feats * 1e155), None),
+        # (dens + 1) / 1.5 lies in [1, 2], so its 1e-306 multiples are normal;
+        # on the line, the claim of the first pick (1) is the first to overflow
+        points, dens, s0, b = {
+            "subnormal": (points, dens * 1e-310, None, 6),
+            "normal": (PointSet.from_features(feats * 10), (dens + 1.0) / 1.5 * 1e-306,
+                       None, 6),
+            "k-center": (PointSet.from_features(feats * 1e155), None, None, 6),
+            "later-claim": (_line([0.0, 1.2e154, -1.2e154, 5.0]), None, [0], 3),
         }[case]
         with pytest.raises(ValidationError, match="overflows.*changes no pick"):
             if dens is None:
-                k_center_greedy(points, None, 6)
+                k_center_greedy(points, s0, b)
             else:
-                density_aware_greedy(points, dens, None, 6)
+                density_aware_greedy(points, dens, s0, b)
 
     def test_radii_never_increase(self):
         rng = np.random.default_rng(300)
