@@ -16,7 +16,10 @@ pick.  Estimators:
 Cost in n points of dimension d: ``knn_density`` builds a KD-tree and
 queries it, O(n log n) time for low d, with O(n k) memory; ``kernel_density``
 sums the kernel a few rows at a time, O(n^2 d) time with O(n) memory plus two
-~256 KiB buffers.  No estimator allocates an n x n matrix.
+~256 KiB buffers.  No estimator allocates an n x n matrix.  A kernel field
+carries its raw sums (`KernelSums`), and a later call on a superset of its
+points extends them: only the rows of the points it lacks are summed, in
+O(new n d) time with the same memory bound.
 
 The kNN and grid errors take one shared step, ``_field_from_errors``:
 min-max normalization onto [0, 1] over the candidate set (with all errors
@@ -47,6 +50,7 @@ __all__ = [
     "DEFAULT_TAU",
     "DENSITY_FLOOR",
     "DensityField",
+    "KernelSums",
     "MaskedReconstructor",
     "CalibrationReport",
     "density_from_error",
@@ -66,14 +70,40 @@ DENSITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
+class KernelSums:
+    """The raw Gaussian-kernel sums behind a `kernel_density` field.
+
+    ``sums[t]`` is ``sum over j != t of exp(-||x_t - x_j||^2 / (2 h^2))``
+    for the point with id ``ids[t]`` and features ``features[t]``, at
+    ``bandwidth`` h.  A later `kernel_density` call on a superset of these
+    points extends the sums instead of recomputing them.
+    """
+
+    ids: np.ndarray
+    features: np.ndarray
+    bandwidth: float
+    sums: np.ndarray
+
+    def __post_init__(self):
+        m = self.ids.shape[0]
+        if self.ids.shape != (m,) or self.sums.shape != (m,) or (
+            self.features.ndim != 2 or self.features.shape[0] != m
+        ):
+            raise ValidationError("kernel sums must align with their ids and features")
+
+
+@dataclass(frozen=True, eq=False)
 class DensityField:
     """Per-point densities in (0, BETA].
 
-    ``num_clamped`` counts values lifted to the 1e-12 floor.
+    ``num_clamped`` counts values lifted to the 1e-12 floor.  ``kernel``
+    holds the raw sums of a field that `kernel_density` made, and is None
+    for every other field.
     """
 
     values: np.ndarray
     num_clamped: int = 0
+    kernel: KernelSums | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -110,7 +140,9 @@ def density_from_error(err, tau: float = DEFAULT_TAU):
     return float(out) if np.isscalar(err) or arr.ndim == 0 else out
 
 
-def _density_field(values: np.ndarray, kind: str) -> DensityField:
+def _density_field(
+    values: np.ndarray, kind: str, kernel: KernelSums | None = None
+) -> DensityField:
     """Lift values below the floor to it, count them, and log them under
     the estimator ``kind``."""
     low = values < DENSITY_FLOOR
@@ -121,7 +153,7 @@ def _density_field(values: np.ndarray, kind: str) -> DensityField:
             kind, clamped, DENSITY_FLOOR,
         )
         values = np.where(low, DENSITY_FLOOR, values)
-    return DensityField(values, num_clamped=clamped)
+    return DensityField(values, num_clamped=clamped, kernel=kernel)
 
 
 def _field_from_errors(errors: np.ndarray, tau: float, kind: str) -> DensityField:
@@ -161,19 +193,34 @@ def knn_density(
     return _field_from_errors(np.mean(nearest, axis=1), tau, "knn")
 
 
-def kernel_density(points: PointSet, bandwidth: float) -> DensityField:
+def kernel_density(
+    points: PointSet, bandwidth: float, *, previous: DensityField | None = None
+) -> DensityField:
     """Gaussian-kernel density, affinely rescaled into (0, BETA].
 
     The raw value is ``k_t = mean over j != t of exp(-||x_t - x_j||^2 /
     (2 h^2))`` and the field is ``BETA * k_t / max_j k_j``, so the ordering
     matches the raw kernel density and the maximum maps to BETA exactly.
+    The field's ``kernel`` carries the raw sums behind the means.
+
+    ``previous``, a field from an earlier call at the same bandwidth on a
+    subset of ``points`` (rows matched by id, in any order), is extended:
+    only the rows of the points it lacks are summed, and each of its own
+    sums gains those rows' terms in its column (a term is the same from
+    either end, as (a - b)^2 == (b - a)^2 in floating point).  Without it
+    the empty set of sums is extended, so there is one path.  A
+    ``previous`` without kernel sums, at another bandwidth or dimension,
+    holding an id that ``points`` lacks, or holding an id with other
+    features raises a ValidationError naming the problem.
 
     A block of rows at a time, the squared distances to every point are
     accumulated in a ~256 KiB buffer one coordinate at a time, then turned
-    into kernel terms in place and summed per row: O(n^2 d) time, O(n)
-    memory plus two such buffers, and within about 1e-14 relative of the
-    exact sum.  A bandwidth for which 2 h^2 is not a positive finite float,
-    or every k_t underflows to 0, raises a ValidationError naming it.
+    into kernel terms in place and summed per row (and, when ``previous``
+    holds rows, per column): O(new n d) time for the ``new`` rows summed,
+    O(n^2 d) from scratch, O(n) memory plus two such buffers, and within
+    about 1e-14 relative of the exact sum.  A bandwidth for which 2 h^2 is
+    not a positive finite float, or every k_t underflows to 0, raises a
+    ValidationError naming it.
     """
     bandwidth = config_value(bandwidth, float, "bandwidth")
     # bandwidth**2 raises OverflowError from about 1.34e154 on
@@ -186,32 +233,81 @@ def kernel_density(points: PointSet, bandwidth: float) -> DensityField:
     if points.n < 2:
         raise ValidationError("kernel density needs at least two points")
     n = points.n
+    if previous is None:
+        empty = np.empty(0, dtype=np.int64)
+        held = KernelSums(empty, np.empty((0, points.dim)), bandwidth, np.empty(0))
+    else:
+        held = previous.kernel if isinstance(previous, DensityField) else None
+    at = _held_rows(held, points, bandwidth)
+    raw = np.zeros(n)
+    raw[at] = held.sums
+    fresh = np.setdiff1d(np.arange(n), at, assume_unique=True)
+    columns = np.zeros(n) if at.size else None
     coords = np.ascontiguousarray(points.features.T)
     rows = min(n, max(1, 2**15 // n))  # two (rows, n) buffers of about 256 KiB
     sq_rows, diff_rows = np.empty((rows, n)), np.empty((rows, n))
-    raw = np.empty(n, dtype=np.float64)
     # sq and sq / scale overflow only where exp is 0
     with np.errstate(over="ignore"):
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            sq, diff = sq_rows[: stop - start], diff_rows[: stop - start]
-            np.subtract(coords[0, start:stop, None], coords[0], out=sq)
+        for start in range(0, fresh.size, rows):
+            block = fresh[start : start + rows]
+            sq, diff = sq_rows[: block.size], diff_rows[: block.size]
+            np.subtract(coords[0, block, None], coords[0], out=sq)
             sq *= sq
             for c in coords[1:]:
-                np.subtract(c[start:stop, None], c, out=diff)
+                np.subtract(c[block, None], c, out=diff)
                 diff *= diff
                 sq += diff
             sq /= -scale
             np.exp(sq, out=sq)
-            sq[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            np.sum(sq, axis=1, out=raw[start:stop])
-    raw /= n - 1
-    top = float(raw.max())
+            sq[np.arange(block.size), block] = 0.0
+            raw[block] = np.sum(sq, axis=1)
+            if columns is not None:
+                columns += np.sum(sq, axis=0)
+    if columns is not None:
+        raw[at] += columns[at]
+    raw.setflags(write=False)
+    mean = raw / (n - 1)
+    top = float(mean.max())
     if top == 0.0:
         raise ValidationError(
             f"bandwidth {bandwidth!r} is too small: every kernel term underflows to 0"
         )
-    return _density_field(BETA * raw / top, "kernel")
+    kernel = KernelSums(points.ids, points.features, bandwidth, raw)
+    return _density_field(BETA * mean / top, "kernel", kernel)
+
+
+def _held_rows(held: KernelSums | None, points: PointSet, bandwidth: float):
+    """The positions in ``points`` of the rows ``held`` has sums for, after
+    checking that those sums can be extended to ``points``."""
+    if not isinstance(held, KernelSums):
+        raise ValidationError(
+            "previous must be a field from kernel_density (it carries no kernel sums)"
+        )
+    if held.bandwidth != bandwidth:
+        raise ValidationError(
+            f"previous kernel sums are at bandwidth {held.bandwidth!r}, "
+            f"not {bandwidth!r}"
+        )
+    if held.features.shape[1] != points.dim:
+        raise ValidationError(
+            f"previous kernel sums are over {held.features.shape[1]}-d points, "
+            f"not {points.dim}-d"
+        )
+    order = np.argsort(points.ids)
+    found = np.searchsorted(points.ids, held.ids, sorter=order)
+    at = order[np.minimum(found, points.n - 1)]
+    missing = held.ids[points.ids[at] != held.ids]
+    if missing.size:
+        raise ValidationError(
+            f"previous kernel sums hold id {int(missing[0])}, which the points "
+            "lack: they must be over a subset of the points"
+        )
+    moved = held.ids[np.any(points.features[at] != held.features, axis=1)]
+    if moved.size:
+        raise ValidationError(
+            f"previous kernel sums hold id {int(moved[0])} with other features"
+        )
+    return at
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,11 +459,11 @@ def calibrate(
         spearman = float("nan")
         degenerate = True
     else:
-        # Imported here, its only use: scipy.stats costs about 1 s to import
-        # and no other command needs it.
-        from scipy import stats
-
-        spearman = float(stats.spearmanr(d, y).statistic)
+        # Pearson of the average ranks, laid out as scipy.stats.spearmanr
+        # does; a constant rank column makes it NaN
+        ranks = np.column_stack((_average_ranks(d), _average_ranks(y)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            spearman = float(np.corrcoef(ranks, rowvar=False)[1, 0])
         if spearman != spearman:
             degenerate = True
 
@@ -395,6 +491,17 @@ def calibrate(
     )
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each tie group given its mean rank."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + stops) / 2.0, stops - starts)
+    return ranks
+
+
 _ESTIMATOR_KEYS = {
     "knn": {"kind", "k_neighbors", "tau"},
     "kernel": {"kind", "bandwidth"},
@@ -410,6 +517,10 @@ def estimator_from_config(config: dict):
     `PointSet`, so it cannot serve as a per-round estimator.  The knn
     neighbor count is clamped to n-1 when a round's candidate set is smaller
     than k, so late protocol rounds on a nearly exhausted pool still work.
+    A kernel estimate extends the sums of the one before it (`kernel_density`
+    with ``previous``), so each call's points must contain the previous
+    call's, as the universes of `run_rounds` do; build one estimator per
+    run.
     """
     if not isinstance(config, dict):
         raise ValidationError("estimator config must be a mapping")
@@ -436,8 +547,11 @@ def estimator_from_config(config: dict):
     if "bandwidth" not in config:
         raise ValidationError("estimator.bandwidth is required for kind 'kernel'")
     bandwidth = config_value(config["bandwidth"], float, "estimator.bandwidth")
+    field = None
 
     def estimate(points: PointSet) -> DensityField:
-        return kernel_density(points, bandwidth)
+        nonlocal field
+        field = kernel_density(points, bandwidth, previous=field)
+        return field
 
     return estimate

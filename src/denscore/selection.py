@@ -136,7 +136,10 @@ def _greedy_select(
         terms = _claim_terms(features)
         for j in range(m if resume else 0, m + b):
             if j >= m:
-                u = int(np.argmax(np.where(unselected, radii, -np.inf)))
+                # a selected point's r is 0, so a positive maximum is unselected
+                u = int(np.argmax(radii))
+                if radii[u] == 0:
+                    u = int(np.argmax(np.where(unselected, radii, -np.inf)))
                 pick_radii[j - m], order[j], unselected[u] = radii[u], u, False
             _claim(features, int(order[j]), terms, owners, radii, densities)
 
@@ -337,8 +340,11 @@ def run_rounds(
     Densities are estimated once per distinct universe: a round whose
     universe equals the last round's (always so without a filter) reuses
     its DensityField and resumes its greedy state, so R unfiltered rounds
-    of b picks are one greedy run of R*b.  A pool smaller than the budget
-    yields a partial round (flagged, and the protocol stops adding
+    of b picks are one greedy run of R*b.  A filtered round's universe
+    contains the last one's (the pool loses only the picks, which join the
+    selected points), so a kernel estimate extends the last round's sums and
+    measures only the points the universe gained.  A pool smaller than the
+    budget yields a partial round (flagged, and the protocol stops adding
     afterwards).
     """
     points = dataset.points

@@ -125,12 +125,13 @@ def test_criterion_03_mixture_benchmark_directions():
             f"({'ok' if b_ok else 'VIOLATED'}), {c_note}, {elapsed:.0f}s")
     assert elapsed < 300
     assert a_ok
-    # (b) does not hold on this synthetic family and is expected to fail:
-    # the claim priority divides by the density of the nearest already
-    # selected point, not the candidate's own, so both greedies claim the
-    # same regions in near-identical order and per-seed 1-NN loss
-    # differences reduce to placement noise inside components. The verdict
-    # line above records the measured rate.
+    # (b) does not hold on this synthetic family and is expected to fail.
+    # Labels are component ids, so 1-NN mislabels a component without a
+    # pick as a whole. Density-aware spends its picks in the sparse
+    # background, as it is built to (8.95 of 20 there against k-center's
+    # 8.2 over seeds 1-20), and leaves 1.95 of the 14 components without a
+    # pick against k-center's 1.2; those components carry 0.0516 of its
+    # mean loss of 0.0530. The verdict line above records the measured rate.
     assert b_ok
 
 

@@ -459,6 +459,30 @@ class TestCalibrate:
         assert len(payload["bin_mean_radial"]) == 6
         assert payload["estimator"]["kind"] == "knn"
 
+    def test_calibrate_leaves_scipy_stats_unloaded(self, tmp_path):
+        # the Spearman correlation is computed with numpy
+        dataset = run_generate(tmp_path)
+        sel_cfg = write_config(tmp_path / "select.json", {
+            "dataset": str(dataset),
+            "protocol": {"budget": 10, "rounds": 1, "algorithm": "k-center", "seed": 0},
+        })
+        cal_cfg = write_config(tmp_path / "cal.json", {
+            "dataset": str(dataset),
+            "selection": str(tmp_path / "selection_round_01.csv"),
+            "estimator": {"kind": "kernel", "bandwidth": 1.0},
+        })
+        argvs = [[command, "--config", cfg, "--out", str(tmp_path)]
+                 for command, cfg in (("select", sel_cfg), ("calibrate", cal_cfg))]
+        src = os.path.dirname(os.path.dirname(denscore.__file__))
+        code = ("import sys; from denscore.cli import main; "
+                f"codes = [main(argv) for argv in {argvs!r}]; "
+                "sys.exit(codes != [0, 0] or 'scipy.stats' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert done.returncode == 0
+        payload = json.loads((tmp_path / "calibration.json").read_text())
+        assert not payload["degenerate"] and payload["spearman"] is not None
+
     def test_estimator_section_required(self, tmp_path, capsys):
         dataset = run_generate(tmp_path)
         cfg = write_config(tmp_path / "cal.json", {

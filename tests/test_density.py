@@ -225,6 +225,95 @@ class TestKernelDensity:
             kernel_density(_line([0.0, 1.0]), 0.0)
 
 
+@functools.cache
+def _chain_order(case):
+    """The order in which a chain of nested subsets takes the case's rows."""
+    return np.random.default_rng(21).permutation(len(_kernel_case(case)[0]))
+
+
+@functools.cache
+def _oracle_on(case, bandwidth, size):
+    """The fsum oracle on the first ``size`` rows of `_chain_order`,
+    indexed by row (NaN for the rows left out)."""
+    feats, sq = _kernel_case(case)
+    rows = np.sort(_chain_order(case)[:size])
+    sub_sq = [[sq[i][j] for j in rows] for i in rows]
+    values = np.full(len(feats), np.nan)
+    values[rows] = oracles.kernel_density(feats[rows], bandwidth, BETA, sub_sq)
+    return values
+
+
+class TestKernelExtension:
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("bandwidth", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("case", ["700x8", "d1", "duplicates"])
+    def test_nested_chain_matches_fsum_oracle(self, case, bandwidth, shuffled):
+        """Each field of a chain of nested subsets, each extending the one
+        before, matches the oracle on its own points.  Shuffled, the ids
+        are no row positions and each call lists its rows in a new order."""
+        feats, _ = _kernel_case(case)
+        n = len(feats)
+        rng = np.random.default_rng(8)
+        ids = 1000 + 7 * rng.permutation(n) if shuffled else np.arange(n)
+        field = None
+        # one and many new rows, and a last step that adds the most blocks
+        for size in (n // 3, n // 3 + 1, n // 2, n):
+            rows = _chain_order(case)[:size]
+            rows = rng.permutation(rows) if shuffled else np.sort(rows)
+            field = kernel_density(PointSet(feats[rows], ids[rows]), bandwidth,
+                                   previous=field)
+            assert np.array_equal(field.kernel.ids, ids[rows])
+            expected = _oracle_on(case, bandwidth, size)[rows]
+            floored = expected < DENSITY_FLOOR
+            assert field.num_clamped == np.count_nonzero(floored)
+            assert np.array_equal(np.flatnonzero(field.values == DENSITY_FLOOR),
+                                  np.flatnonzero(floored))
+            np.testing.assert_allclose(field.values[~floored], expected[~floored],
+                                       rtol=1e-12, atol=0)
+
+    def test_extending_nothing_new_keeps_the_sums(self):
+        feats, _ = _kernel_case("d1")
+        first = kernel_density(PointSet.from_features(feats), 0.5)
+        again = kernel_density(PointSet.from_features(feats), 0.5, previous=first)
+        assert np.array_equal(again.kernel.sums, first.kernel.sums)
+        assert np.array_equal(again.values, first.values)
+
+    @staticmethod
+    def _misfits():
+        rng = np.random.default_rng(2)
+        feats = rng.normal(size=(12, 2))
+        whole = PointSet.from_features(feats)
+        part = kernel_density(PointSet(feats[:6], np.arange(6)), 0.5)
+        moved = feats.copy()
+        moved[4, 1] += 1e-9
+        return {
+            "no kernel sums": (whole, 0.5, knn_density(whole, 3), "no kernel sums"),
+            "bandwidth": (whole, 0.7, part, "bandwidth 0.5, not 0.7"),
+            "dimension": (PointSet.from_features(rng.normal(size=(12, 3))), 0.5,
+                          part, "2-d points, not 3-d"),
+            "features": (PointSet.from_features(moved), 0.5, part,
+                         "id 4 with other features"),
+            "not a subset": (PointSet(feats, np.arange(12) + 3), 0.5, part,
+                             "id 0, which the points lack"),
+        }
+
+    @pytest.mark.parametrize(
+        "misfit", ["no kernel sums", "bandwidth", "dimension", "features", "not a subset"])
+    def test_misfitting_previous_raises(self, misfit):
+        points, bandwidth, previous, message = self._misfits()[misfit]
+        with pytest.raises(ValidationError, match=message):
+            kernel_density(points, bandwidth, previous=previous)
+
+    def test_estimator_extends_its_last_field(self):
+        est = estimator_from_config({"kind": "kernel", "bandwidth": 0.8})
+        first = est(_line([0.0, 1.0, 5.0]))
+        second = est(_line([0.0, 1.0, 5.0, 2.0]))
+        direct = kernel_density(_line([0.0, 1.0, 5.0, 2.0]), 0.8, previous=first)
+        np.testing.assert_array_equal(second.values, direct.values)
+        with pytest.raises(ValidationError, match="lack"):
+            est(_line([0.0, 1.0]))
+
+
 def _floored_owners():
     """A tight cluster holding one selected point, then three far groups on
     a line.  Group k holds a selected owner at 1e13 k, its satellite at
@@ -267,16 +356,20 @@ class TestDensityFloor:
 
 
 class TestDensityCost:
-    @pytest.mark.parametrize("estimator", ["knn", "kernel"])
+    @pytest.mark.parametrize("estimator", ["knn", "kernel", "kernel-extension"])
     def test_peak_memory_below_one_dense_matrix(self, estimator):
         n = 3000
         ps = PointSet.from_features(np.random.default_rng(9).normal(size=(n, 8)))
+        previous = None
+        if estimator == "kernel-extension":
+            # sums over every other point, which the extension completes
+            previous = kernel_density(PointSet(ps.features[::2], ps.ids[::2]), 2.0)
         tracemalloc.start()
         try:
             if estimator == "knn":
                 knn_density(ps, 10)
             else:
-                kernel_density(ps, 2.0)
+                kernel_density(ps, 2.0, previous=previous)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

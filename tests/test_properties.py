@@ -16,11 +16,14 @@ from denscore import (
     BETA,
     LabeledPointSet,
     PointSet,
+    ProtocolConfig,
     assign_coverage,
     bound_report,
     density_aware_greedy,
     k_center_greedy,
+    kernel_density,
     load_pointset,
+    run_rounds,
     save_pointset,
 )
 from denscore.coverage import ORDERING_RTOL
@@ -240,3 +243,34 @@ def test_constant_density_gives_the_k_center_picks(run, c):
     assert constant.picks == kcenter.picks
     # division by one c is monotone, so it commutes with every minimum
     assert np.array_equal(constant.radii, kcenter.radii / c)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(grid_points(max_n=30), st.data())
+def test_filtered_round_universes_nest(points, data):
+    """Each filtered round's universe contains the last one's, so the kernel
+    estimate extends its sums; every round's sums match a fresh estimate on
+    its universe.  Scores tie often, and the rounds can exhaust the pool."""
+    n = points.n
+    scale = float(np.max(np.abs(points.features))) or 1.0
+    bandwidth = scale * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    scores = np.asarray(data.draw(st.lists(
+        st.integers(0, 3), min_size=n, max_size=n)), dtype=np.float64)
+    dataset = LabeledPointSet(points, np.ones(n, dtype=np.int64), 1, scores)
+    config = ProtocolConfig(
+        budget=data.draw(st.integers(1, max(1, n // 3))),
+        rounds=data.draw(st.integers(1, 6)),
+        alpha=data.draw(st.sampled_from([1.5, 2.0, 3.7, 10.0])),
+        estimator={"kind": "kernel", "bandwidth": bandwidth},
+        initial=tuple(data.draw(st.lists(
+            st.integers(0, n - 1), max_size=n - 1, unique=True))),
+    )
+    result = run_rounds(dataset, config)
+    last = np.array(config.initial, dtype=np.int64)
+    for rnd in result.rounds:
+        assert np.all(np.isin(last, rnd.universe))
+        last = rnd.universe
+        fresh = kernel_density(
+            PointSet(points.features[last], points.ids[last]), bandwidth)
+        np.testing.assert_allclose(rnd.densities.kernel.sums, fresh.kernel.sums,
+                                   rtol=1e-12, atol=0)
