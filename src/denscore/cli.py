@@ -1,14 +1,11 @@
 """Config-driven command line interface.
 
-Subcommands::
+Each subcommand (``denscore --help`` lists them) is declared once, as a row
+of ``_COMMANDS``: its handler, its config's top-level fields, its help text,
+and whether it takes ``--seed N``; every one takes ``--config cfg.json`` and
+``--out DIR``.  `main` loads and checks the config before the handler runs.
 
-    denscore generate  --config cfg.json [--out DIR] [--seed N]
-    denscore select    --config cfg.json [--out DIR] [--seed N]
-    denscore evaluate  --config cfg.json [--out DIR]
-    denscore calibrate --config cfg.json [--out DIR]
-    denscore compare   --config cfg.json [--out DIR]
-
-Configs are JSON with command-specific sections (unknown fields are
+Configs are UTF-8 JSON with command-specific sections (unknown fields are
 rejected); ``--seed`` overrides the config's seed, and a command rejects a
 flag it does not read.  Every distance is Euclidean on the features as given
 (see ``coverage``); no config key or flag chooses another.  The output
@@ -29,8 +26,10 @@ dataclass's fields.
 A protocol ``alpha`` filters each round's pool by the dataset CSV's
 ``score`` column, one scalar per point; any other algorithm name exits 1.
 
-Exit codes: 0 success, 1 invalid config or input, 2 runtime failure,
-3 success with warnings (e.g. a selection round ran out of candidates).
+Exit codes: 0 success, 1 invalid config or input (a config, dataset or
+selection file that is missing, not UTF-8, or malformed), 2 runtime
+failure, 3 success with warnings (e.g. a selection round ran out of
+candidates).
 """
 
 from __future__ import annotations
@@ -57,12 +56,13 @@ from .data import (
     config_value,
     generate,
     load_pointset,
+    open_text,
     save_pointset,
     write_csv,
 )
 from .density import calibrate, estimator_from_config
 from .evaluation import compare_algorithms, core_set_loss
-from .selection import ProtocolConfig, run_rounds
+from .selection import GREEDY_ALGORITHMS, ProtocolConfig, run_rounds
 
 __all__ = ["main", "ExperimentConfig"]
 
@@ -79,14 +79,6 @@ _GENERATOR_KEYS = {f.name for f in fields(GeneratorSpec)}
 _PROTOCOL_KEYS = {f.name for f in fields(ProtocolConfig)} - {"estimator"}
 _BOUNDS_KEYS = {f.name for f in fields(BoundParams)}
 
-_COMMAND_KEYS = {
-    "generate": {"generator", "output"},
-    "select": {"dataset", "protocol", "estimator", "bounds"},
-    "evaluate": {"dataset", "selection", "bounds"},
-    "calibrate": {"dataset", "selection", "estimator", "bins"},
-    "compare": {"generator", "budget", "rounds", "seeds", "estimator"},
-}
-
 
 class ExperimentConfig:
     """Validated view of a command config file.
@@ -99,7 +91,7 @@ class ExperimentConfig:
     def __init__(self, command: str, raw: dict, path: str):
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config root must be a JSON object")
-        allowed = _COMMAND_KEYS[command]
+        _, allowed, _, _ = _COMMANDS[command]
         unknown = set(raw) - allowed
         if unknown:
             raise ValidationError(
@@ -116,7 +108,8 @@ class ExperimentConfig:
         if not p.is_file():
             raise ValidationError(f"config file not found: {path}")
         try:
-            raw = json.loads(p.read_text())
+            with open_text(p) as fh:
+                raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
         return cls(command, raw, path)
@@ -127,11 +120,9 @@ class ExperimentConfig:
         return self.raw[key]
 
     def section(self, key: str, allowed: set, required: bool = True) -> dict | None:
-        if key not in self.raw:
-            if required:
-                raise ValidationError(f"{self.path}: missing required field {key!r}")
+        if key not in self.raw and not required:
             return None
-        value = self.raw[key]
+        value = self.require(key)
         if not isinstance(value, dict):
             raise ValidationError(f"{self.path}: field {key!r} must be an object")
         unknown = set(value) - allowed
@@ -172,7 +163,8 @@ def _to_json(value):
 
 def write_json(payload, path: Path) -> None:
     text = json.dumps(_to_json(payload), indent=2, sort_keys=True)
-    path.write_text(text + "\n")
+    with open_text(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def _bound_fields(report: BoundReport, ids: np.ndarray) -> dict:
@@ -209,11 +201,7 @@ def _generator_spec(section: dict, seed_override) -> GeneratorSpec:
 
 
 def _bound_params(section: dict | None, dataset: LabeledPointSet) -> BoundParams:
-    if section is None:
-        return BoundParams(num_classes=dataset.num_classes)
-    params = dict(section)
-    params.setdefault("num_classes", dataset.num_classes)
-    return BoundParams(**params)
+    return BoundParams(**{"num_classes": dataset.num_classes, **(section or {})})
 
 
 def _load_dataset(cfg: ExperimentConfig) -> LabeledPointSet:
@@ -227,7 +215,7 @@ def _load_selection_ids(path: str) -> list[int]:
     """Read the id column from a selection CSV (or any CSV with an id column)."""
     if not Path(path).is_file():
         raise ValidationError(f"selection file not found: {path}")
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -275,8 +263,7 @@ def _selection_coverage(cfg: ExperimentConfig) -> tuple:
     return dataset, path, assign_coverage(dataset.points, positions)
 
 
-def cmd_generate(args) -> int:
-    cfg = ExperimentConfig.load("generate", args.config)
+def cmd_generate(args, cfg: ExperimentConfig) -> int:
     section = cfg.section("generator", _GENERATOR_KEYS)
     spec = _generator_spec(section, args.seed)
     dataset = generate(spec)
@@ -295,8 +282,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_select(args) -> int:
-    cfg = ExperimentConfig.load("select", args.config)
+def cmd_select(args, cfg: ExperimentConfig) -> int:
     dataset = _load_dataset(cfg)
     protocol_section = dict(cfg.section("protocol", _PROTOCOL_KEYS))
     if args.seed is not None:
@@ -344,8 +330,7 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = ExperimentConfig.load("evaluate", args.config)
+def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     section = cfg.section("bounds", _BOUNDS_KEYS, required=False)
     dataset, selection_path, cov = _selection_coverage(cfg)
     report = bound_report(cov, _bound_params(section, dataset))
@@ -364,8 +349,7 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = ExperimentConfig.load("calibrate", args.config)
+def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     estimator = cfg.require("estimator")
     estimate = estimator_from_config(estimator)
     bins = config_value(cfg.raw.get("bins", 10), int, "bins")
@@ -385,8 +369,7 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = ExperimentConfig.load("compare", args.config)
+def cmd_compare(args, cfg: ExperimentConfig) -> int:
     section = cfg.section("generator", _GENERATOR_KEYS)
     spec = _generator_spec(section, None)
     report = compare_algorithms(
@@ -404,7 +387,7 @@ def cmd_compare(args) -> int:
     write_csv(out / "comparison.csv", columns,
               ([row[c] for c in columns] for row in report.rows))
     agg = report.aggregates
-    for alg in ("k-center", "density-aware"):
+    for alg in GREEDY_ALGORITHMS:
         m = agg["mean"][alg]
         print(
             f"{alg}: mean delta={m['delta']:.6g} "
@@ -418,12 +401,19 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+# one row per subcommand: (handler, the config's top-level fields, help
+# text, takes --seed); a command gets only the overrides it reads
 _COMMANDS = {
-    "generate": cmd_generate,
-    "select": cmd_select,
-    "evaluate": cmd_evaluate,
-    "calibrate": cmd_calibrate,
-    "compare": cmd_compare,
+    "generate": (cmd_generate, {"generator", "output"},
+                 "draw a synthetic dataset and write it as CSV", True),
+    "select": (cmd_select, {"dataset", "protocol", "estimator", "bounds"},
+               "run the multi-round selection protocol on a dataset", True),
+    "evaluate": (cmd_evaluate, {"dataset", "selection", "bounds"},
+                 "bound report and core-set loss for a stored selection", False),
+    "calibrate": (cmd_calibrate, {"dataset", "selection", "estimator", "bins"},
+                  "regress coverage radii on inverse density", False),
+    "compare": (cmd_compare, {"generator", "budget", "rounds", "seeds", "estimator"},
+                "k-center vs density-aware over a seed list", False),
 }
 
 
@@ -433,14 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Density-aware core-set selection experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each command gets only the overrides it reads.
-    for name, help_text, seed in (
-        ("generate", "draw a synthetic dataset and write it as CSV", True),
-        ("select", "run the multi-round selection protocol on a dataset", True),
-        ("evaluate", "bound report and core-set loss for a stored selection", False),
-        ("calibrate", "regress coverage radii on inverse density", False),
-        ("compare", "k-center vs density-aware over a seed list", False),
-    ):
+    for name, (_, _, help_text, seed) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory "
@@ -453,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        handler, _, _, _ = _COMMANDS[args.command]
+        return handler(args, ExperimentConfig.load(args.command, args.config))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -22,6 +22,7 @@ import math
 import numbers
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,6 +110,19 @@ def check_index_set(indices, n: int, name: str) -> np.ndarray:
     if idx.size == 0:
         raise ValidationError(f"{name} set must be non-empty")
     return idx
+
+
+@contextmanager
+def open_text(path, mode: str = "r", newline: str | None = None):
+    """``path`` opened as UTF-8 text, as is every file the package reads or
+    writes.  A byte that is not UTF-8, wherever the ``with`` block reads it,
+    raises a ValidationError naming the file."""
+    try:
+        with open(path, mode, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValidationError(f"{path}: not UTF-8 text (byte {byte:#04x})") from None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -318,7 +332,7 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     ``repr(float(v))``: the shortest decimal that reads back as the same
     double, or ``nan``/``inf``/``-inf``.  Any other cell is ``str(v)``.
     """
-    with open(path, "w", newline="") as fh:
+    with open_text(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -351,13 +365,15 @@ def load_pointset(path) -> LabeledPointSet:
     to numpy), an id or label outside int64, a label below 1, a non-finite
     feature or score, or an id an earlier line holds.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         first = fh.readline()
         if not first:
             raise ValidationError(f"{path}: line 1: empty file")
         cols = _parse_header([h.strip() for h in next(csv.reader([first]))], path)
         try:
             table = _parse(fh, cols["dtype"])
+        except UnicodeDecodeError:
+            raise  # not a bad row: open_text names the file, with no re-read
         except ValueError as exc:
             raise _row_error(path, cols, cause=exc) from None
     if table.size == 0:
@@ -412,7 +428,7 @@ def _row_error(path, cols: dict, row: int | None = None, *, duplicate: bool = Fa
     read for a line number.  Blank lines are skipped, as numpy skips them,
     but keep their line numbers.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         numbered = [(lineno, fields) for lineno, fields in enumerate(reader, start=2) if fields]

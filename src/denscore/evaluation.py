@@ -38,7 +38,7 @@ from .data import (
     config_value,
     generate,
 )
-from .selection import ProtocolConfig, run_rounds
+from .selection import GREEDY_ALGORITHMS, ProtocolConfig, run_rounds
 
 __all__ = [
     "PluginLearner",
@@ -182,10 +182,10 @@ def compare_algorithms(
         raise ValidationError("seeds must be a non-empty list")
     estimator = dict(estimator) if estimator is not None else dict(COMPARISON_ESTIMATOR)
     rows = []
-    per_alg: dict[str, list[dict]] = {"k-center": [], "density-aware": []}
+    per_alg: dict[str, list[dict]] = {alg: [] for alg in GREEDY_ALGORITHMS}
     for seed in seeds:
         dataset = generate(replace(spec, seed=seed))
-        for algorithm in ("k-center", "density-aware"):
+        for algorithm in GREEDY_ALGORITHMS:
             row = _single_run(dataset, algorithm, budget, rounds, estimator)
             row["seed"] = seed
             rows.append(row)
@@ -205,7 +205,7 @@ def compare_algorithms(
     aggregates = {
         "mean": {
             alg: {key: mean_of(alg, key) for key in ("delta", "max_radial", "loss")}
-            for alg in ("k-center", "density-aware")
+            for alg in GREEDY_ALGORITHMS
         },
         "density_aware_win_rate": {
             "max_radial": win_rate("max_radial"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import denscore
+from denscore import coverage, data, density, evaluation, rng, selection
 from denscore import (
     DensityField,
     MaskedReconstructor,
@@ -36,6 +37,18 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+def test_package_exports_each_module_list_once():
+    # a public name is declared in its module's __all__ and nowhere else
+    assert denscore.__all__ == (
+        ["__version__"] + coverage.__all__ + data.__all__ + density.__all__
+        + evaluation.__all__ + rng.__all__ + selection.__all__
+    )
+    assert len(set(denscore.__all__)) == len(denscore.__all__)
+    for module in (coverage, data, density, evaluation, rng, selection):
+        for name in module.__all__:
+            assert getattr(denscore, name) is getattr(module, name), name
 
 
 POINTS = PointSet.from_features(np.arange(12, dtype=np.float64).reshape(6, 2))

@@ -52,9 +52,13 @@ def run_generate(tmp_path, name="dataset.csv", seed_flag=None):
     return tmp_path / name
 
 
+# as the value given to `run_with`, deletes the field
+MISSING = object()
+
+
 def run_with(tmp_path, command, path, value):
     """Exit code of ``command`` on a valid config with the dotted ``path``
-    set to ``value``."""
+    set to ``value``, or removed if ``value`` is MISSING."""
     dataset = str(run_generate(tmp_path))
     payload = {
         "select": {
@@ -76,7 +80,10 @@ def run_with(tmp_path, command, path, value):
     target = payload
     for key in sections:
         target = target[key]
-    target[field] = value
+    if value is MISSING:
+        del target[field]
+    else:
+        target[field] = value
     cfg = write_config(tmp_path / "cfg.json", payload)
     return main([command, "--config", cfg, "--out", str(tmp_path)])
 
@@ -145,6 +152,12 @@ class TestGenerate:
         bad.write_text("{not json")
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_INVALID
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("root", [[], 5, "generator", None])
+    def test_config_root_must_be_an_object(self, tmp_path, capsys, root):
+        cfg = write_config(tmp_path / "gen.json", root)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert f"{cfg}: config root must be a JSON object" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -406,6 +419,41 @@ class TestEvaluate:
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert f"{twice}: id 1014 is listed more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "selection file not found: {path}"),
+        ("", "{path}: line 1: empty file"),
+        ("id\n", "{path}: no selection rows"),
+        ("id\n\n", "{path}: no selection rows"),
+        ("id\n3\nthree\n", "{path}: line 3: invalid id value"),
+        # blank lines are skipped but keep their line numbers
+        ("id\n\n3\n\n1.5\n", "{path}: line 5: invalid id value"),
+        ("label,id\n1,3\n2\n", "{path}: line 3: invalid id value"),
+    ], ids=["missing", "empty", "header-only", "blank-rows", "word", "blank-then-bad",
+            "short-row"])
+    def test_bad_selection_file_names_it(self, tmp_path, capsys, text, message):
+        dataset, _ = self.prepare(tmp_path)
+        selection = tmp_path / "picked.csv"
+        if text is not None:
+            selection.write_text(text)
+        cfg = write_config(tmp_path / "eval.json", {
+            "dataset": str(dataset),
+            "selection": str(selection),
+        })
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert message.format(path=selection) in capsys.readouterr().err
+
+    def test_blank_selection_lines_are_skipped(self, tmp_path):
+        dataset, _ = self.prepare(tmp_path)
+        selection = tmp_path / "picked.csv"
+        selection.write_text("id\n\n3\n\n\n5\n\n")
+        cfg = write_config(tmp_path / "eval.json", {
+            "dataset": str(dataset),
+            "selection": str(selection),
+        })
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        payload = json.loads((tmp_path / "evaluation.json").read_text())
+        assert sorted(payload["radial"]) == ["3", "5"]
+
     def test_selection_without_id_column(self, tmp_path, capsys):
         dataset, _ = self.prepare(tmp_path)
         rogue = tmp_path / "rogue.csv"
@@ -641,6 +689,45 @@ class TestExitCodes:
         assert run_with(tmp_path, command, path, value) == EXIT_INVALID
         field = path.split(".")[-1]
         assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("select", "protocol", MISSING, "missing required field 'protocol'"),
+        ("evaluate", "selection", MISSING, "missing required field 'selection'"),
+        ("compare", "generator", MISSING, "missing required field 'generator'"),
+        ("select", "protocol", [4], "field 'protocol' must be an object"),
+        ("select", "bounds", 0.05, "field 'bounds' must be an object"),
+        ("compare", "generator", "mixture", "field 'generator' must be an object"),
+        ("generate", "generator.seed", MISSING, "generator.seed is required"),
+        ("compare", "generator.kind", MISSING, "generator.kind is required"),
+        ("generate", "output", 5, "'output' must be a non-empty string"),
+        ("generate", "output", "", "'output' must be a non-empty string"),
+    ])
+    def test_misshapen_config_names_the_field(
+        self, tmp_path, capsys, command, path, value, message
+    ):
+        assert run_with(tmp_path, command, path, value) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["config", "dataset-header", "dataset-row",
+                                      "selection"])
+    def test_non_utf8_input_exits_1_naming_the_file(self, tmp_path, capsys, kind):
+        dataset = tmp_path / "points.csv"
+        # past the first read buffer, so that the byte reaches the row parse
+        rows = "".join(f"{i},{i / 7!r}\n" for i in range(2000))
+        dataset.write_text("id,f0\n" + rows)
+        selection = tmp_path / "picked.csv"
+        selection.write_text("id\n3\n5\n")
+        config = {"dataset": str(dataset), "selection": str(selection)}
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps(config))
+        bad = {"config": cfg, "dataset-header": dataset, "dataset-row": dataset,
+               "selection": selection}[kind]
+        text = bad.read_bytes()
+        # 0xe9 is Latin-1 for the e-acute; alone it is no UTF-8 sequence
+        at = len(text) - 3 if kind == "dataset-row" else 2
+        bad.write_bytes(text[:at] + b"\xe9" + text[at:])
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INVALID
+        assert f"error: {bad}: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, path", [
         ("select", "metric"),

@@ -56,6 +56,57 @@ class TestContainers:
             grid.values[0, 0, 0] = 1.0
 
 
+# (constructor call, the message it raises)
+INVALID_INPUTS = {
+    "pointset-1d": (lambda: PointSet(np.zeros(3), np.arange(3)), "2-d array"),
+    "pointset-no-dims": (
+        lambda: PointSet(np.zeros((2, 0)), np.arange(2)), "at least one dimension"),
+    "pointset-ids": (lambda: PointSet(np.zeros((2, 2)), [0]), "ids must align"),
+    "labels-align": (
+        lambda: LabeledPointSet(PointSet.from_features(np.zeros((3, 1))), [1, 1], 1),
+        "labels must align"),
+    "num-classes": (
+        lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 1], 0),
+        "num_classes must be >= 1"),
+    "scores-align": (
+        lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 1], 1,
+                                scores=[0.5]),
+        "scores must align"),
+    "scores-finite": (
+        lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 1], 1,
+                                scores=[0.5, np.nan]),
+        "scores must be finite"),
+    "grid-finite": (
+        lambda: FeatureGrid(np.full((2, 2, 1), np.inf)), "grid values must be finite"),
+    "spec-no-component": (
+        lambda: GeneratorSpec(kind="gaussian-mixture", seed=0),
+        "at least one component"),
+    "spec-no-coordinates": (
+        lambda: GeneratorSpec(kind="gaussian-mixture", seed=0, means=((),),
+                              sigmas=(1.0,), counts=(5,)),
+        ">= 1 coordinate"),
+    "spec-sigmas": (
+        lambda: GeneratorSpec(kind="gaussian-mixture", seed=0, means=((0.0,),),
+                              sigmas=(1.0, 1.0), counts=(5,)),
+        "sigmas: need one value per component"),
+    "spec-counts": (
+        lambda: GeneratorSpec(kind="uniform-box", seed=0, means=((0.0,), (1.0,)),
+                              sigmas=(1.0, 1.0), counts=(5,)),
+        "counts: need one value per component"),
+    "spec-means-finite": (
+        lambda: GeneratorSpec(kind="gaussian-mixture", seed=0, means=((np.nan,),),
+                              sigmas=(1.0,), counts=(5,)),
+        "means: must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_input_names_the_problem(case):
+    build, message = INVALID_INPUTS[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
+
+
 class TestMetrics:
     def test_pairwise_against_scalar_distance(self):
         rng = np.random.default_rng(42)
@@ -252,6 +303,20 @@ class TestCsvRoundTrip:
             message = f"^{re.escape(str(path))}: line 3: {name} must lie"
             with pytest.raises(ValidationError, match=message):
                 load_pointset(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("id,f0,label\n", "line 2: no data rows"),
+        ("key,f0\n0,1.0\n", "line 1: first column must be 'id'"),
+        ("id,x0\n0,1.0\n", "line 1: expected feature columns f0.."),
+        ("id\n0\n", "line 1: expected feature columns f0.."),
+    ], ids=["empty", "header-only", "no-id", "no-features", "id-only"])
+    def test_header_problems_name_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "schema.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_pointset(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_number_only_python_reads_names_the_file(self, tmp_path):
         # Python's float takes "1_0" but numpy's parse does not; the row that

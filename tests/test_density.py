@@ -97,6 +97,16 @@ class TestDensityFieldContainer:
         with pytest.raises(ValueError):
             ok.values[0] = 0.5
 
+    @pytest.mark.parametrize("values, message", [
+        ([], "non-empty 1-d array"),
+        ([[1.0]], "non-empty 1-d array"),
+        ([1.0, np.nan], "densities must be finite"),
+        ([np.inf], "densities must be finite"),
+    ])
+    def test_invalid_values_name_the_problem(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            DensityField(np.array(values))
+
 
 class TestKnnDensity:
     def test_collinear_ordering(self):
@@ -591,6 +601,12 @@ class TestCalibration:
         field = _manual_field(np.ones(points.n))
         with pytest.raises(ValidationError):
             calibrate(field, assign_coverage(points, selected))
+
+    def test_needs_one_bin(self):
+        points, selected = self._clustered([1.0, 2.0, 3.0])
+        field = _manual_field(np.ones(points.n))
+        with pytest.raises(ValidationError, match="num_bins must be >= 1"):
+            calibrate(field, assign_coverage(points, selected), num_bins=0)
 
     def test_field_must_match_points(self):
         points, selected = self._clustered([1.0, 2.0, 3.0])
