@@ -53,6 +53,7 @@ from .data import (
     GeneratorSpec,
     LabeledPointSet,
     ValidationError,
+    _id_positions,
     config_value,
     generate,
     load_pointset,
@@ -241,17 +242,29 @@ def _load_selection_ids(path: str) -> list[int]:
 
 
 def _ids_to_positions(dataset: LabeledPointSet, ids: list[int], source: str):
-    lookup = {int(v): i for i, v in enumerate(dataset.points.ids.tolist())}
-    positions = {}
-    for v in ids:
-        if v not in lookup:
-            raise ValidationError(
-                f"{source}: id {v} does not occur in the dataset (mismatched files?)"
-            )
-        if v in positions:
-            raise ValidationError(f"{source}: id {v} is listed more than once")
-        positions[v] = lookup[v]
-    return list(positions.values())
+    """The row positions of the dataset ids ``ids``, in their order; the
+    first id, in that order, that the dataset lacks or that an earlier
+    entry lists raises a ValidationError naming ``source``."""
+    if not ids:
+        return []
+    try:
+        query = np.array(ids, dtype=np.int64)
+        outside = np.zeros(query.size, dtype=bool)
+    except OverflowError:  # an id outside int64 is in no dataset
+        outside = np.array([not -(2**63) <= v < 2**63 for v in ids])
+        query = np.where(outside, 0, np.array(ids, dtype=object)).astype(np.int64)
+    at, missing = _id_positions(dataset.points.ids, query)
+    missing |= outside
+    repeated = np.ones(query.size, dtype=bool)
+    repeated[np.unique(query, return_index=True)[1]] = False
+    first = int(np.argmax(missing | repeated))
+    if missing[first]:
+        raise ValidationError(
+            f"{source}: id {ids[first]} does not occur in the dataset (mismatched files?)"
+        )
+    if repeated[first]:
+        raise ValidationError(f"{source}: id {ids[first]} is listed more than once")
+    return at.tolist()
 
 
 def _selection_coverage(cfg: ExperimentConfig) -> tuple:

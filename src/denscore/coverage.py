@@ -34,7 +34,19 @@ nearness to its owner cannot move to k; only the others are measured, by
 the explicit difference, so every value handed over and every tie is what
 measuring every pair gives.  The filter is nearly exact: on a greedy or an
 assignment in any order it measures little more than the points that
-move.  Memory is O(n * d).  Every summary then reads only the assignment,
+move.  Memory is O(n * d).
+
+A greedy that does not resume claims its m initial points as one block,
+not in m claims: in tiles of about 256 KiB, rows by columns, one matrix
+product gives every pair the lower bound and a second one an upper
+bound, a point measures only the pairs whose lower bound does not exceed
+the least of its nearness and its upper bounds (about one pair per
+point), and it takes its least (nearness, index) pair, so owners and
+radii are bit for bit those of the m claims.  That costs O(n m d) in the
+products with no per-claim overhead, and O(n d) memory plus the tiles.
+The assignment claims one point at a time, which measured faster than
+blocks on its extensions and its one-shot assignments at n >= 8000 and
+d = 8.  Every summary then reads only the assignment,
 O(n) from its distances.  An assignment extended by new selected points
 measures only those points, so a multi-round protocol that carries one
 assignment measures each selected point once per run, not per round.  An
@@ -76,22 +88,35 @@ ORDERING_RTOL = 1e-12
 
 # The rounding bound of `_claim`'s filter.  With u = 2**-53, y = x - c the
 # centred rows, S = ||y_t||^2 + ||y_k||^2 and e = _SLACK * (d + 2) * u, the
-# filter computes, per point t,
-#     L_t = -2 <y_t, y_k> + low_t + low_k,  low = (1 - e) ||y||^2 - e tiny,
-# that is g_t - E_t for g_t = ||y_t||^2 + ||y_k||^2 - 2 <y_t, y_k> and
-# E_t = e (S + 2 tiny), where tiny = 2**-1022 is the least normal float.
-# In units of u S, the computed L_t lies above the true ||x_t - x_k||^2 - E_t
-# by at most 4 for centring (|x - c| rounded), d + 1 for the two norms, d
-# for the product (any summation order, fused or not), 2 for forming low
-# and 4 for the two additions, and the explicit-difference d^2 that the
-# claim measures lies at most 2 (d + 2) below the true one: 4 d + 15 in all,
-# less than the 8 (d + 2) that E_t subtracts.  Results below the normal range
-# add at most (4 d + 2) 2**-1075 in absolute terms, less than E_t's
-# 2 e tiny = 16 (d + 2) 2**-1075.  So L_t never exceeds the measured d^2 of
-# t to k (for d up to millions, where the second-order terms stay below the
-# margin), and as division by a density rounds monotonically, neither does
-# L_t / dens_k exceed the measured nearness.
+# filter computes, per pair of a point t and a new selected point k,
+#     L = -2 <y_t, y_k> + low_t + low_k,   low = (1 - e) ||y||^2 - e tiny,
+#     H = -2 <y_t, y_k> + high_t + high_k, high = (1 + e) ||y||^2 + e tiny,
+# that is g - E and g + E for g = ||y_t||^2 + ||y_k||^2 - 2 <y_t, y_k> and
+# E = e (S + 2 tiny), where tiny = 2**-1022 is the least normal float (both
+# e and e tiny are exact).  In units of u S, the computed L lies above the
+# true ||x_t - x_k||^2 - E by at most 4 for centring (|x - c| rounded),
+# d + 1 for the two norms, 2 for forming low, and d for the product plus 4
+# for the two additions -- or 2 (d + 2) when the product has the norms as
+# two more terms, [y_t, low_t, 1] . [-2 y_k, 1, low_k] (any summation
+# order, fused or not) -- and the explicit-difference d^2 that the claim
+# measures lies at most 2 (d + 2) below the true one: at most 5 d + 15 in
+# all, less than the 8 (d + 2) that E subtracts, for every d >= 1 (at
+# d = 1, 20 against 24).  The computed H lies below the true value plus E,
+# and the measured d^2 above the true value, by the same amounts.  Results
+# below the normal range are exact for sums and differences and off by at
+# most 2**-1075 for each of the 4 d + 2 products (the norms' 2 d, the two
+# (1 -/+ e) scalings, the d of <y_t, y_k> and the d of the measured
+# squares; a product by 1 is exact), less than E's 2 e tiny =
+# 16 (d + 2) 2**-1075.  So L never exceeds the measured d^2 of t to k, and
+# H is never below it (for d up to millions, where the second-order terms
+# stay below the margin); as division by a density rounds monotonically,
+# the same holds for L / dens_k and H / dens_k against the measured
+# nearness.
 _SLACK = 8
+
+# Entries in one tile of a block claim: 256 KiB of float64, as in
+# `kernel_density`'s buffers
+_TILE = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +177,8 @@ def assign_coverage(
     if new.size:
         with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
             terms = _claim_terms(points.features)
-            for k in new.tolist():
-                _claim(points.features, k, terms, pi, sq)
+            for i in range(new.size):
+                _claim(points.features, new[i : i + 1], terms, pi, sq)
     for arr in (sel, pi, sq):
         arr.setflags(write=False)
     return CoverageAssignment(sel, pi, sq)
@@ -161,80 +186,154 @@ def assign_coverage(
 
 def _claim_terms(
     features: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """What `_claim`'s filter reads, once per assignment or greedy run: the
     features centred on their bounding box's midpoint, each row's squared
-    norm lowered by the rounding bound (``low`` at ``_SLACK``), and a bound
-    on every filter value, inf when the norms lie so near float64's
-    largest value that a filter value could overflow.
+    norm lowered and raised by the rounding bound (``low`` and ``high`` at
+    ``_SLACK``), and a bound on every filter value, inf when the norms lie
+    so near float64's largest value that a filter value could overflow.
 
     Centring keeps the norms, and so the rounding bound, at the scale of
     the points' spread rather than of their offset from the origin.
     """
-    lo, hi = features.min(axis=0), features.max(axis=0)
-    # column-major: the product runs along each coordinate's column
-    centred = np.subtract(features, 0.5 * lo + 0.5 * hi, order="F")
+    # column-major: the product runs along each coordinate's column, and
+    # the bounding box is found along them too (a row-major minimum over
+    # the rows takes several times as long)
+    centred = np.array(features, order="F")
+    lo, hi = centred.min(axis=0), centred.max(axis=0)
+    centred -= 0.5 * lo + 0.5 * hi
     norms = np.einsum("ij,ij->i", centred, centred)
     e = _SLACK * (features.shape[1] + 2) * 2.0**-53
     low = norms * (1.0 - e)
     low -= e * np.finfo(np.float64).tiny
-    # |L_t| <= 4 max ||y||^2 (1 + O(d u)), so this bounds it, and it is inf
-    # unless every L_t is finite
+    high = norms * (1.0 + e)
+    high += e * np.finfo(np.float64).tiny
+    # |L_t| and |H_t| <= 4 max ||y||^2 (1 + O(d u)), so this bounds them,
+    # and it is inf unless every one is finite
     bound = 8.0 * float(norms.max())
-    return centred, low, bound
+    return centred, low, high, bound
 
 
 def _claim(
-    features: np.ndarray, k: int, terms: tuple[np.ndarray, np.ndarray, float],
+    features: np.ndarray, block: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, float],
     pi: np.ndarray, sq: np.ndarray, densities: np.ndarray | None = None,
 ) -> None:
-    """Hand the new selected point k, in place, every point it is strictly
-    nearer to than to its owner, or as near and of lower index (the scratch
-    argmin's tie rule).
+    """Hand each new selected point of ``block``, in place, every point it
+    is strictly nearer to than to its owner, or as near and of lower index
+    (the scratch argmin's tie rule): bit for bit what claiming the block's
+    points one at a time, in any order, gives.
 
-    Nearness is the squared distance, divided by k's density when
-    ``densities`` is given (the greedy's r).  ``sq`` holds every point's
-    nearness to its owner ``pi``; an unowned point has owner -1 and
-    nearness inf.  ``terms`` is `_claim_terms` of ``features``: one
-    matrix-vector product gives every point t a lower bound L_t on its
-    squared distance to k (``_SLACK``), and only the points whose
-    L_t / dens_k does not exceed sq_t are measured, each by the explicit
-    difference (`squared_distances_to`).  An unowned point always is, and
-    when a filter value could overflow (``terms``' bound over dens_k is
-    inf) every point is.
+    Nearness is the squared distance, divided by the new point's density
+    when ``densities`` is given (the greedy's r).  ``sq`` holds every
+    point's nearness to its owner ``pi``; an unowned point has owner -1 and
+    nearness inf.  ``terms`` is `_claim_terms` of ``features``: a product
+    of the centred features gives every pair of a point t and a new point
+    k a lower bound L on their squared distance (``_SLACK``), and only the
+    pairs whose L / dens_k does not exceed t's threshold are measured, each
+    by the explicit difference (`squared_distances_to`).  A new point whose
+    bound over its density is inf, so that a filter value could overflow,
+    is measured against every point.
+
+    A block of one (a pick) takes one matrix-vector product, and t's
+    threshold is sq_t.  A larger block (a greedy's initial set) goes in
+    tiles of ``_TILE`` entries, runs of rows by the whole block (or by
+    ``_TILE`` columns at a time, in a wider block), with two matrix
+    products each, which also give every pair an upper bound H on its
+    squared distance: t's threshold is the least of sq_t and its H / dens_k
+    over the block, so that about one pair per point is measured where one
+    claim per new point would measure each point at least once.  Each
+    point then takes its least (nearness, index) pair.
 
     A measured squared distance, or its quotient by a density, that
-    overflows float64 raises a ValidationError before anything is handed
-    over (an inf nearness would tie and fall back to index order).
-    Callers enter ``np.errstate(over="ignore", invalid="ignore")`` once
-    around all their claims, so an overflow reaches this check as inf or
-    nan instead of raising a warning.
+    overflows float64 raises a ValidationError before the pairs of its run
+    of rows are handed over (an inf nearness would tie and fall back to
+    index order).  Callers enter ``np.errstate(over="ignore",
+    invalid="ignore")`` once around all their claims, so an overflow
+    reaches this check as inf or nan instead of raising a warning.
     """
-    centred, low, bound = terms
-    dens_k = 1.0 if densities is None else densities[k]
-    if bound / dens_k < math.inf:
-        lower = centred @ (-2.0 * centred[k])
-        lower += low
-        lower += low[k]
-        if densities is not None:
-            lower /= dens_k
-        rows = np.flatnonzero(lower <= sq)
-    else:
-        rows = np.arange(sq.size)
-    new_sq = squared_distances_to(features[rows], features[k])
+    centred, low, high, bound = terms
+    if block.size == 1:
+        k = int(block[0])
+        dens_k = 1.0 if densities is None else densities[k]
+        if bound / dens_k < math.inf:
+            lower = centred @ (-2.0 * centred[k])
+            lower += low
+            lower += low[k]
+            if densities is not None:
+                lower /= dens_k
+            rows = np.flatnonzero(lower <= sq)
+        else:
+            rows = np.arange(sq.size)
+        _hand_over(features, rows, k, pi, sq, densities)
+        return
+    block = np.sort(block)  # a row's first least column is its lowest index
+    dens = np.ones(block.size) if densities is None else densities[block]
+    every = ~(bound / dens < math.inf)
+    # L and H as one product each: [y_t, low_t, 1] . [-2 y_k, 1, low_k],
+    # and likewise with high
+    ones = np.ones(sq.size)
+    lows = np.column_stack((centred, low, ones))
+    highs = np.column_stack((centred, high, ones))
+    scaled = -2.0 * centred[block].T
+    low_cols = np.vstack((scaled, ones[: block.size], low[block]))
+    high_cols = np.vstack((scaled, ones[: block.size], high[block]))
+    width = min(block.size, _TILE)
+    height = _TILE // width
+    for r0 in range(0, sq.size, height):
+        rows = slice(r0, r0 + height)
+        threshold, found = sq[rows], []
+        for c0 in range(0, block.size, width):
+            cols = slice(c0, c0 + width)
+            lower = lows[rows] @ low_cols[:, cols]
+            upper = highs[rows] @ high_cols[:, cols]
+            if densities is not None:
+                lower /= dens[cols]
+                upper /= dens[cols]
+            if every[cols].any():
+                lower[:, every[cols]] = -math.inf
+                upper[:, every[cols]] = math.inf
+            threshold = np.minimum(threshold, upper.min(axis=1))
+            pairs = np.flatnonzero(lower <= threshold[:, None])
+            t, j = np.divmod(pairs, lower.shape[1])
+            found.append((t, c0 + j, lower.ravel()[pairs]))
+        # a pair kept by an earlier column tile may exceed the last threshold
+        t, j, lower = (np.concatenate(v) for v in zip(*found))
+        keep = lower <= threshold[t]
+        _hand_over(features, r0 + t[keep], block[j[keep]], pi, sq, densities)
+
+
+def _hand_over(
+    features: np.ndarray, rows: np.ndarray, ks, pi: np.ndarray, sq: np.ndarray,
+    densities: np.ndarray | None,
+) -> None:
+    """Measure the pairs of the points ``rows`` and the new selected points
+    ``ks`` (one for all rows, or one per row, a row's own ascending), and
+    hand each point its least (nearness, index) pair where that beats its
+    owner's."""
+    near = squared_distances_to(features[rows], features[ks])
     if densities is not None:
-        new_sq /= dens_k
-    if not np.isfinite(new_sq).all():
+        near /= densities[ks]
+    finite = np.isfinite(near)
+    if not finite.all():
+        k = np.broadcast_to(ks, rows.shape)[np.argmin(finite)]
         raise ValidationError(
             f"a squared distance to selected point {k}, or its quotient by a "
             "density, overflows float64; rescale the features, or every density "
             "(rescaling every density by one factor changes no pick)"
         )
+    several = isinstance(ks, np.ndarray)
+    if several:  # each row's first least pair
+        order = np.lexsort((near, rows))  # stable: equal nearness keeps index order
+        rows, ks, near = rows[order], ks[order], near[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        rows, ks, near = rows[first], ks[first], near[first]
     old_sq = sq[rows]
-    take = (new_sq < old_sq) | ((new_sq == old_sq) & (k < pi[rows]))
+    take = (near < old_sq) | ((near == old_sq) & (ks < pi[rows]))
     rows = rows[take]
-    pi[rows] = k
-    sq[rows] = new_sq[take]
+    pi[rows] = ks[take] if several else ks
+    sq[rows] = near[take]
 
 
 def classical_radius(cov: CoverageAssignment) -> float:

@@ -112,13 +112,25 @@ def check_index_set(indices, n: int, name: str) -> np.ndarray:
     return idx
 
 
+def _id_positions(ids: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``query``, its position in the unique ``ids`` and
+    whether ``ids`` lacks it (its position is then meaningless), by a
+    binary search of the sorted ids."""
+    order = np.argsort(ids)
+    at = order[np.minimum(np.searchsorted(ids, query, sorter=order), ids.size - 1)]
+    return at, ids[at] != query
+
+
 @contextmanager
 def open_text(path, mode: str = "r", newline: str | None = None):
     """``path`` opened as UTF-8 text, as is every file the package reads or
-    writes.  A byte that is not UTF-8, wherever the ``with`` block reads it,
-    raises a ValidationError naming the file."""
+    writes.  Reading skips a leading byte-order mark (as spreadsheet
+    exports write it); writing writes none.  A byte that is not UTF-8,
+    wherever the ``with`` block reads it, raises a ValidationError naming
+    the file."""
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
     try:
-        with open(path, mode, encoding="utf-8", newline=newline) as fh:
+        with open(path, mode, encoding=encoding, newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
@@ -314,7 +326,8 @@ def generate(spec: GeneratorSpec) -> LabeledPointSet:
 
 
 def squared_distances_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared distance from every row of ``a`` to the point ``x``.
+    """Squared distance from every row of ``a`` to the point ``x``, or to
+    the same row of ``x`` when ``x`` holds one point per row.
 
     Each entry sums the squared coordinate differences of its own row (no
     inner-product expansion), so it is independent of which rows ``a`` holds.

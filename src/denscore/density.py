@@ -42,6 +42,7 @@ from .data import (
     FeatureGrid,
     PointSet,
     ValidationError,
+    _id_positions,
     config_value,
 )
 
@@ -293,10 +294,8 @@ def _held_rows(held: KernelSums | None, points: PointSet, bandwidth: float):
             f"previous kernel sums are over {held.features.shape[1]}-d points, "
             f"not {points.dim}-d"
         )
-    order = np.argsort(points.ids)
-    found = np.searchsorted(points.ids, held.ids, sorter=order)
-    at = order[np.minimum(found, points.n - 1)]
-    missing = held.ids[points.ids[at] != held.ids]
+    at, lacked = _id_positions(points.ids, held.ids)
+    missing = held.ids[lacked]
     if missing.size:
         raise ValidationError(
             f"previous kernel sums hold id {int(missing[0])}, which the points "

@@ -14,12 +14,16 @@ low-density pick almost nothing, which is what steers extra budget into
 sparse areas.
 
 Each selected point's measuring step is coverage's `_claim`, the one the
-coverage assignment uses: a matrix-vector product bounds every point's
-squared distance to the new point k from below, and only the points whose
-bound over k's density does not exceed their r_t are measured.  The
-initial set's claims are filtered too, and the radii are the same as when
-every point is measured.  The greedy tracks the owner of every r_t (the
-selected point it comes from) for the scratch argmin's tie rule.
+coverage assignment uses: for a pick, a matrix-vector product bounds every
+point's squared distance to the new point k from below, and only the
+points whose bound over k's density does not exceed their r_t are
+measured.  A run that does not resume claims its whole initial set as one
+block, in tiles that bound every pair's squared distance from below and
+above, so about one pair per point is measured; a filtered protocol round
+starts each greedy on a new universe with every selected point in that
+set.  The radii are the same as when every point is measured.  The greedy
+tracks the owner of every r_t (the selected point it comes from) for the
+scratch argmin's tie rule.
 
 Uncertainty enters only through the dataset's per-point ``scores`` (one
 finite scalar per point, read from the CSV's ``score`` column or attached
@@ -36,7 +40,7 @@ densities), and b1 picks then b2 more equal one run of b1 + b2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,17 +135,19 @@ def _greedy_select(
     m = len(selected)
     order = np.array(selected + [-1] * b, dtype=np.int64)
     pick_radii = np.empty(b)
-    # claim the initial set (a resumed state holds its claims), then each pick
+    # claim the initial set in one block (a resumed state holds its
+    # claims), then each pick
     with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
         terms = _claim_terms(features)
-        for j in range(m if resume else 0, m + b):
-            if j >= m:
-                # a selected point's r is 0, so a positive maximum is unselected
-                u = int(np.argmax(radii))
-                if radii[u] == 0:
-                    u = int(np.argmax(np.where(unselected, radii, -np.inf)))
-                pick_radii[j - m], order[j], unselected[u] = radii[u], u, False
-            _claim(features, int(order[j]), terms, owners, radii, densities)
+        if m and not resume:
+            _claim(features, order[:m], terms, owners, radii, densities)
+        for j in range(m, m + b):
+            # a selected point's r is 0, so a positive maximum is unselected
+            u = int(np.argmax(radii))
+            if radii[u] == 0:
+                u = int(np.argmax(np.where(unselected, radii, -np.inf)))
+            pick_radii[j - m], order[j], unselected[u] = radii[u], u, False
+            _claim(features, order[j : j + 1], terms, owners, radii, densities)
 
     for arr in (radii, owners, pick_radii):
         arr.setflags(write=False)
@@ -229,9 +235,17 @@ def filter_candidates(scores, alpha: float, b: int, candidates=None) -> np.ndarr
     else:
         pool = check_index_set(candidates, scores.size, "candidates")
     # alpha * b may overflow to inf: then the whole pool, with no ceil of it
-    m = pool.size if alpha * b >= pool.size else int(math.ceil(alpha * b))
-    order = np.argsort(-scores[pool], kind="stable")  # ties keep lowest index
-    return np.sort(pool[order[:m]])
+    if alpha * b >= pool.size:
+        return pool
+    m = int(math.ceil(alpha * b))
+    # the m-th largest score; the scores above it, then its ties from the
+    # lowest index, in O(pool)
+    kept = scores[pool]
+    least = np.partition(kept, kept.size - m)[kept.size - m]
+    above = kept > least
+    ties = np.flatnonzero(kept == least)[: m - np.count_nonzero(above)]
+    above[ties] = True
+    return pool[above]
 
 
 @dataclass(frozen=True)
@@ -292,7 +306,10 @@ class RoundResult:
 
     ``universe`` holds the dataset indices the greedy ran on (the pool plus
     the selected points); ``picks`` and ``pool`` are dataset indices.
-    ``partial`` flags an exhausted pool.
+    ``partial`` flags an exhausted pool.  ``densities`` keeps its
+    ``values`` and ``num_clamped``; a kernel field keeps its ``kernel``
+    sums only in the last round's field, the one a next estimate would
+    extend, and an earlier round's has ``kernel=None``.
     """
 
     round_index: int
@@ -390,6 +407,12 @@ def run_rounds(
             else:
                 sub_points = PointSet(points.features[universe], points.ids[universe])
                 if config.algorithm == "density-aware":
+                    if densities is not None and densities.kernel is not None:
+                        # only the estimator reads the last field's sums:
+                        # the rounds that hold it keep its values
+                        kept = DensityField(densities.values, densities.num_clamped)
+                        rounds = [replace(r, densities=kept) if r.densities is densities
+                                  else r for r in rounds]
                     densities = estimate(sub_points)
                 s0 = np.searchsorted(universe, selected)
             if config.algorithm == "density-aware":

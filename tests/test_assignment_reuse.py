@@ -114,27 +114,28 @@ def test_learner_matches_owners_on_conflicting_duplicates():
     assert predicted.tolist() == ds.labels[cov.pi].tolist() == [2, 2, 1, 2]
 
 
-# (algorithm, alpha, claims by the greedy, claims by the assignment) for a
-# run of 4 rounds of 5 picks from 2 initial points
+# (algorithm, alpha, points the greedy claims, in how many calls, points
+# the assignment claims) for a run of 4 rounds of 5 picks from 2 initial
+# points; a greedy that does not resume claims its initial set in one call
 CLAIM_COUNTS = (
     # on every point and without densities, the greedy's state is the
     # assignment: each selected point is measured once in the whole run
-    ("k-center", None, 22, 0),
+    ("k-center", None, 22, 1 + 20, 0),
     # a filtered universe changes every round, so each round's greedy
     # claims the selected points again (2 + 5, then 7 + 5, ...)
-    ("k-center", 2.0, 7 + 12 + 17 + 22, 22),
+    ("k-center", 2.0, 7 + 12 + 17 + 22, 4 + 20, 22),
     # density-weighted owners are not the nearest-selected ones
-    ("density-aware", None, 22, 22),
+    ("density-aware", None, 22, 1 + 20, 22),
 )
 
 
 def test_run_rounds_measures_each_selected_point_once():
-    # a new selected point k is measured in one `_claim(..., k, ...)`: the
-    # greedy's through the name `selection._claim`, the assignment's
-    # through `coverage._claim`
+    # a new selected point k is measured in one `_claim(..., block, ...)`
+    # whose block holds k: the greedy's through the name `selection._claim`,
+    # the assignment's through `coverage._claim`
     ds = _grid_dataset(np.random.default_rng(6), 200, 3)
     ds = replace(ds, scores=np.random.default_rng(7).uniform(size=ds.n))
-    for algorithm, alpha, greedy_claims, coverage_claims in CLAIM_COUNTS:
+    for algorithm, alpha, greedy_points, greedy_calls, coverage_points in CLAIM_COUNTS:
         greedy, assigned = [], []
         with _recording(selection, "_claim", greedy), \
                 _recording(coverage, "_claim", assigned):
@@ -143,11 +144,15 @@ def test_run_rounds_measures_each_selected_point_once():
                 estimator={"kind": "knn", "k_neighbors": 3}, initial=(3, 8)))
         assert len(result.rounds) == 4
         assert len(result.selected) == 22
-        assert (len(greedy), len(assigned)) == (greedy_claims, coverage_claims)
+        claimed = [k for args, _ in greedy for k in args[1].tolist()]
+        measured = [k for args, _ in assigned for k in args[1].tolist()]
+        assert (len(claimed), len(greedy), len(measured)) == (
+            greedy_points, greedy_calls, coverage_points)
+        assert len(assigned) == coverage_points  # one point per call
         if alpha is None:  # every point is in the universe, at its own index
-            assert [args[1] for args, _ in greedy] == list(result.selected)
-        if coverage_claims:
-            assert [args[1] for args, _ in assigned] == list(result.selected)
+            assert claimed == list(result.selected)
+        if coverage_points:
+            assert measured == list(result.selected)
 
 
 def test_evaluate_assigns_once(tmp_path):

@@ -420,6 +420,25 @@ class TestEvaluate:
         assert f"{twice}: id 1014 is listed more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
+        ("id\n1014\n1014\n5\n", "id 1014 is listed more than once"),
+        ("id\n1014\n5\n1014\n", "id 5 does not occur"),
+        ("id\n1007\n1007\n99999999999999999999\n", "id 1007 is listed more than once"),
+        ("id\n1007\n99999999999999999999\n1007\n",
+         "id 99999999999999999999 does not occur"),
+    ], ids=["repeat-first", "unknown-first", "repeat-then-huge", "huge-first"])
+    def test_first_bad_selection_id_in_file_order_is_named(
+        self, tmp_path, capsys, text, message
+    ):
+        listed = tmp_path / "listed.csv"
+        listed.write_text(text)
+        cfg = write_config(tmp_path / "eval.json", {
+            "dataset": str(spaced_dataset(tmp_path)),
+            "selection": str(listed),
+        })
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert f"{listed}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
         (None, "selection file not found: {path}"),
         ("", "{path}: line 1: empty file"),
         ("id\n", "{path}: no selection rows"),
@@ -728,6 +747,29 @@ class TestExitCodes:
         bad.write_bytes(text[:at] + b"\xe9" + text[at:])
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INVALID
         assert f"error: {bad}: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "selection"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, kind):
+        # a spreadsheet's UTF-8 export starts with one: the file reads as
+        # without it, so stdout and the evaluation are the same
+        dataset = tmp_path / "points.csv"
+        dataset.write_text("id,f0\n" + "".join(f"{i},{i / 7!r}\n" for i in range(20)))
+        selection = tmp_path / "picked.csv"
+        selection.write_text("id\n3\n5\n")
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({"dataset": str(dataset), "selection": str(selection)}))
+        argv = ["evaluate", "--config", str(cfg), "--out"]
+        assert main(argv + [str(tmp_path / "plain")]) == EXIT_OK
+        plain = capsys.readouterr().out
+        bom = {"config": cfg, "dataset": dataset, "selection": selection}[kind]
+        bom.write_bytes(b"\xef\xbb\xbf" + bom.read_bytes())
+        assert main(argv + [str(tmp_path / "bom")]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        read = [json.loads((tmp_path / d / "evaluation.json").read_text())
+                for d in ("plain", "bom")]
+        for report in read:
+            del report["metadata"]
+        assert read[0] == read[1]
 
     @pytest.mark.parametrize("command, path", [
         ("select", "metric"),

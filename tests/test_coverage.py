@@ -18,6 +18,7 @@ from denscore import (
     assign_coverage,
     bound_report,
     classical_radius,
+    density_aware_greedy,
     hoeffding_term,
     k_center_greedy,
     save_pointset,
@@ -89,6 +90,27 @@ class TestAssignment:
         finally:
             tracemalloc.stop()
         assert peak < n * b * 8
+
+    @pytest.mark.parametrize("densities", [None, "field"])
+    def test_initial_block_never_holds_its_distance_matrix(self, densities):
+        # a greedy claims its initial set of 1500 in one block, in tiles: it
+        # never holds |U| x |S| entries, nor a quarter of them
+        n, m = 3000, 1500
+        rng = np.random.default_rng(9)
+        ps = PointSet.from_features(rng.normal(size=(n, 8)))
+        initial = rng.permutation(n)[:m]
+        values = None if densities is None else rng.uniform(0.5, 2.0, size=n)
+        tracemalloc.start()
+        try:
+            if values is None:
+                state = k_center_greedy(ps, initial, 1)
+            else:
+                state = density_aware_greedy(ps, values, initial, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 / 4
+        assert state.selected[:m] == tuple(initial.tolist())
 
     def test_overflowing_distance_raises(self):
         # finite coordinates whose squared distance is not

@@ -318,6 +318,27 @@ class TestCsvRoundTrip:
             load_pointset(path)
         assert str(exc.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,2.0", None),
+        ("1,nan", "line 3: non-finite feature value"),
+        ("0,2.0", "line 3: duplicate id 0"),
+        ("1,x", "line 3: "),
+    ], ids=["good", "non-finite", "duplicate", "not-a-number"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, row, message):
+        # the header still reads `id`, a row error keeps its line number,
+        # and writing adds no mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"id,f0\n0,1.0\n{row}\n".encode())
+        if message is not None:
+            with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}"):
+                load_pointset(path)
+            return
+        ds = load_pointset(path)
+        assert ds.points.ids.tolist() == [0, 1]
+        assert ds.points.features.ravel().tolist() == [1.0, 2.0]
+        save_pointset(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes().startswith(b"id,")
+
     def test_number_only_python_reads_names_the_file(self, tmp_path):
         # Python's float takes "1_0" but numpy's parse does not; the row that
         # numpy rejects on its own is named by its line, without numpy's

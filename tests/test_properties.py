@@ -5,10 +5,13 @@ and equal distances, the tie-breaking cases, are common.  Every test is
 derandomized, so a run is reproducible.
 """
 
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -20,12 +23,14 @@ from denscore import (
     assign_coverage,
     bound_report,
     density_aware_greedy,
+    filter_candidates,
     k_center_greedy,
     kernel_density,
     load_pointset,
     run_rounds,
     save_pointset,
 )
+from denscore import ValidationError, coverage
 from denscore.coverage import ORDERING_RTOL
 from denscore.density import DENSITY_FLOOR
 
@@ -36,6 +41,9 @@ SCALES = (1e-3, 1.0, 7.5, 1e3)
 # overflows float64, while no pairwise d^2 does.
 FILTER_SCALES = SCALES + (1e-160, 3e-161)
 OFFSETS = (0.0, 1e6, 1e12, 1e155)
+# Steps at which some squared distance, or its quotient by a density near
+# the floor, overflows float64, so that a claim raises.
+OVERFLOW_SCALES = (1e152, 1e154)
 # Every density a field can hold, from the floor up to BETA: equal values
 # (ties) are common, and sqrt-density ratios reach about 3e6.
 DENSITIES = (st.sampled_from([DENSITY_FLOOR, 1e-9, 2.0**-10, 0.25, 1.0, 4.0, BETA])
@@ -206,6 +214,45 @@ def test_pruned_coverage_equals_the_dense_assignment(points, data):
     assert np.array_equal(cov.sq_distances, sq)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid_points(max_dim=10, scales=FILTER_SCALES + OVERFLOW_SCALES,
+                   offsets=OFFSETS), st.data())
+def test_block_claim_equals_claims_one_at_a_time(points, data):
+    # after some points are claimed one at a time, a block of the rest
+    # claims bit for bit what they do one at a time, in tiles of any shape,
+    # and raises where they raise
+    n = points.n
+    densities = data.draw(st.none() | st.lists(DENSITIES, min_size=n, max_size=n))
+    densities = None if densities is None else np.asarray(densities)
+    chosen = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+    held = data.draw(st.integers(0, len(chosen) - 2))
+    tile = data.draw(st.sampled_from([1, 2, 3, 5, 2**15]))
+
+    def claim(blocks):
+        pi, sq = np.full(n, -1, dtype=np.int64), np.full(n, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = coverage._claim_terms(points.features)
+            for block in blocks:
+                coverage._claim(points.features, np.asarray(block), terms,
+                                pi, sq, densities)
+        return pi, sq
+
+    try:
+        expected = claim([[k] for k in chosen])
+    except ValidationError as exc:
+        assert "overflows float64" in str(exc)
+        expected = None
+    blocks = [[k] for k in chosen[:held]] + [chosen[held:]]
+    with mock.patch.object(coverage, "_TILE", tile):
+        if expected is None:
+            with pytest.raises(ValidationError, match="overflows float64"):
+                claim(blocks)
+            return
+        pi, sq = claim(blocks)
+    assert pi.tobytes() == expected[0].tobytes()
+    assert sq.tobytes() == expected[1].tobytes()
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(grid_points(), st.data())
 def test_k_center_state_on_every_point_is_the_coverage_assignment(points, data):
@@ -245,12 +292,31 @@ def test_constant_density_gives_the_k_center_picks(run, c):
     assert np.array_equal(constant.radii, kcenter.radii / c)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]), min_size=1,
+                max_size=40), st.data())
+def test_filter_keeps_what_a_stable_sort_keeps(scores, data):
+    # heavily tied scores, -0.0 and 0.0 among them (equal, so tied)
+    n = len(scores)
+    candidates = data.draw(st.none() | st.lists(
+        st.integers(0, n - 1), min_size=1, unique=True))
+    b = data.draw(st.integers(1, 5))
+    alpha = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.7, 1e308]))
+    kept = filter_candidates(scores, alpha, b, candidates=candidates)
+    pool = np.arange(n) if candidates is None else np.sort(candidates)
+    m = min(math.ceil(min(alpha * b, pool.size)), pool.size)
+    order = np.argsort(-np.asarray(scores)[pool], kind="stable")
+    assert kept.dtype == np.int64
+    assert kept.tolist() == np.sort(pool[order[:m]]).tolist()
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(grid_points(max_n=30), st.data())
 def test_filtered_round_universes_nest(points, data):
     """Each filtered round's universe contains the last one's, so the kernel
-    estimate extends its sums; every round's sums match a fresh estimate on
-    its universe.  Scores tie often, and the rounds can exhaust the pool."""
+    estimate extends its sums; every round's densities, and the last
+    round's sums, match a fresh estimate on its universe.  Scores tie
+    often, and the rounds can exhaust the pool."""
     n = points.n
     scale = float(np.max(np.abs(points.features))) or 1.0
     bandwidth = scale * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
@@ -272,5 +338,10 @@ def test_filtered_round_universes_nest(points, data):
         last = rnd.universe
         fresh = kernel_density(
             PointSet(points.features[last], points.ids[last]), bandwidth)
-        np.testing.assert_allclose(rnd.densities.kernel.sums, fresh.kernel.sums,
+        np.testing.assert_allclose(rnd.densities.values, fresh.values,
                                    rtol=1e-12, atol=0)
+        # only the last field keeps the sums a next estimate would extend
+        assert (rnd.densities.kernel is None
+                or rnd.densities is result.rounds[-1].densities)
+    np.testing.assert_allclose(rnd.densities.kernel.sums, fresh.kernel.sums,
+                               rtol=1e-12, atol=0)
