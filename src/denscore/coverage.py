@@ -37,23 +37,23 @@ assignment in any order it measures little more than the points that
 move.  Memory is O(n * d).
 
 A greedy that does not resume claims its m initial points as one block,
-not in m claims: in tiles of about 256 KiB, rows by columns, one matrix
-product gives every pair the lower bound and a second one an upper
-bound, a point measures only the pairs whose lower bound does not exceed
-the least of its nearness and its upper bounds (about one pair per
-point), and it takes its least (nearness, index) pair, so owners and
-radii are bit for bit those of the m claims.  That costs O(n m d) in the
-products with no per-claim overhead, and O(n d) memory plus the tiles.
-The assignment claims one point at a time, which measured faster than
-blocks on its extensions and its one-shot assignments at n >= 8000 and
-d = 8.  Every summary then reads only the assignment,
-O(n) from its distances.  An assignment extended by new selected points
-measures only those points, so a multi-round protocol that carries one
-assignment measures each selected point once per run, not per round.  An
-unfiltered k-center run measures each selected point once in total: its
-greedy runs on every point without densities, so the greedy's owners and
-radii are this assignment, and the protocol extends them with nothing
-left to measure.
+not in m claims, when m >= 24 (a smaller block measured no faster): in
+tiles of about 256 KiB, rows by columns, one matrix product gives every
+pair the lower bound, each point measures the pair of its least bound,
+and then only the pairs whose bound does not exceed the least of that
+nearness and its own (about one pair per point), and it takes its least
+(nearness, index) pair, so owners and radii are bit for bit those of the
+m claims.  That costs O(n m d) in the product with no per-claim
+overhead, and O(n d) memory plus the tiles.  The assignment claims one
+point at a time, which measured faster than blocks on its extensions
+and its one-shot assignments at n >= 8000 and d = 8.  Every summary
+then reads only the assignment, O(n) from its distances.  An assignment
+extended by new selected points measures only those points, so a
+multi-round protocol that carries one assignment measures each selected
+point once per run, not per round.  An unfiltered k-center run measures
+each selected point once in total: its greedy runs on every point
+without densities, so the greedy's owners and radii are this
+assignment, and the protocol extends them with nothing left to measure.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ ORDERING_RTOL = 1e-12
 # centred rows, S = ||y_t||^2 + ||y_k||^2 and e = _SLACK * (d + 2) * u, the
 # filter computes, per pair of a point t and a new selected point k,
 #     L = -2 <y_t, y_k> + low_t + low_k,   low = (1 - e) ||y||^2 - e tiny,
-#     H = -2 <y_t, y_k> + high_t + high_k, high = (1 + e) ||y||^2 + e tiny,
-# that is g - E and g + E for g = ||y_t||^2 + ||y_k||^2 - 2 <y_t, y_k> and
+# that is g - E for g = ||y_t||^2 + ||y_k||^2 - 2 <y_t, y_k> and
 # E = e (S + 2 tiny), where tiny = 2**-1022 is the least normal float (both
 # e and e tiny are exact).  In units of u S, the computed L lies above the
 # true ||x_t - x_k||^2 - E by at most 4 for centring (|x - c| rounded),
@@ -101,22 +100,28 @@ ORDERING_RTOL = 1e-12
 # order, fused or not) -- and the explicit-difference d^2 that the claim
 # measures lies at most 2 (d + 2) below the true one: at most 5 d + 15 in
 # all, less than the 8 (d + 2) that E subtracts, for every d >= 1 (at
-# d = 1, 20 against 24).  The computed H lies below the true value plus E,
-# and the measured d^2 above the true value, by the same amounts.  Results
-# below the normal range are exact for sums and differences and off by at
-# most 2**-1075 for each of the 4 d + 2 products (the norms' 2 d, the two
-# (1 -/+ e) scalings, the d of <y_t, y_k> and the d of the measured
-# squares; a product by 1 is exact), less than E's 2 e tiny =
-# 16 (d + 2) 2**-1075.  So L never exceeds the measured d^2 of t to k, and
-# H is never below it (for d up to millions, where the second-order terms
-# stay below the margin); as division by a density rounds monotonically,
-# the same holds for L / dens_k and H / dens_k against the measured
-# nearness.
+# d = 1, 20 against 24).  Results below the normal range are exact for
+# sums and differences and off by at most 2**-1075 for each of the 4 d + 2
+# products (the norms' 2 d, the two (1 - e) scalings, the d of <y_t, y_k>
+# and the d of the measured squares; a product by 1 is exact), less than E's
+# 2 e tiny = 16 (d + 2) 2**-1075.  So L never exceeds the measured d^2 of
+# t to k (for d up to millions, where the second-order terms stay below
+# the margin); as division by a density rounds monotonically, the same
+# holds for L / dens_k against the measured nearness.
 _SLACK = 8
 
 # Entries in one tile of a block claim: 256 KiB of float64, as in
 # `kernel_density`'s buffers
 _TILE = 2**15
+
+# Fewer new selected points than this are claimed one at a time: below it a
+# block's work per point (its least-bound pair measured and handed over)
+# can outweigh the per-claim overhead it saves.  Greedy initial sets at
+# n = 1150 to 24000, d = 8: a block of 2 took up to 1.7 times as long as
+# one claim per point, of 10 up to 1.4 and of 16 up to 1.1 (a spread set
+# without densities at n >= 4000); of 24 to 2000, 0.2 to 1.01 times, 0.64
+# at the median
+_BLOCK_MIN = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,14 +189,12 @@ def assign_coverage(
     return CoverageAssignment(sel, pi, sq)
 
 
-def _claim_terms(
-    features: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _claim_terms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """What `_claim`'s filter reads, once per assignment or greedy run: the
     features centred on their bounding box's midpoint, each row's squared
-    norm lowered and raised by the rounding bound (``low`` and ``high`` at
-    ``_SLACK``), and a bound on every filter value, inf when the norms lie
-    so near float64's largest value that a filter value could overflow.
+    norm lowered by the rounding bound (``low``, at ``_SLACK``), and a
+    bound on every filter value, inf when the norms lie so near float64's
+    largest value that a filter value could overflow.
 
     Centring keeps the norms, and so the rounding bound, at the scale of
     the points' spread rather than of their offset from the origin.
@@ -206,17 +209,15 @@ def _claim_terms(
     e = _SLACK * (features.shape[1] + 2) * 2.0**-53
     low = norms * (1.0 - e)
     low -= e * np.finfo(np.float64).tiny
-    high = norms * (1.0 + e)
-    high += e * np.finfo(np.float64).tiny
-    # |L_t| and |H_t| <= 4 max ||y||^2 (1 + O(d u)), so this bounds them,
-    # and it is inf unless every one is finite
+    # |L_t| <= 4 max ||y||^2 (1 + O(d u)), so this bounds it, and it is inf
+    # unless every one is finite
     bound = 8.0 * float(norms.max())
-    return centred, low, high, bound
+    return centred, low, bound
 
 
 def _claim(
     features: np.ndarray, block: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray, float],
+    terms: tuple[np.ndarray, np.ndarray, float],
     pi: np.ndarray, sq: np.ndarray, densities: np.ndarray | None = None,
 ) -> None:
     """Hand each new selected point of ``block``, in place, every point it
@@ -235,71 +236,70 @@ def _claim(
     bound over its density is inf, so that a filter value could overflow,
     is measured against every point.
 
-    A block of one (a pick) takes one matrix-vector product, and t's
-    threshold is sq_t.  A larger block (a greedy's initial set) goes in
+    A block of fewer than ``_BLOCK_MIN`` points (a pick is one) is
+    claimed one point at a time, each with one matrix-vector product, and
+    t's threshold is sq_t.  A larger block (a greedy's initial set) goes in
     tiles of ``_TILE`` entries, runs of rows by the whole block (or by
-    ``_TILE`` columns at a time, in a wider block), with two matrix
-    products each, which also give every pair an upper bound H on its
-    squared distance: t's threshold is the least of sq_t and its H / dens_k
-    over the block, so that about one pair per point is measured where one
+    ``_TILE`` columns at a time, in a wider block), with one matrix product
+    each.  Each point t measures the pair of its least L / dens_k in the
+    tile, and takes it where it beats its owner; then only the pairs whose
+    L / dens_k does not exceed t's new nearness are measured, as no other
+    can beat or tie it, so about one pair per point is measured where one
     claim per new point would measure each point at least once.  Each
-    point then takes its least (nearness, index) pair.
+    point takes its least (nearness, index) pair.
 
     A measured squared distance, or its quotient by a density, that
-    overflows float64 raises a ValidationError before the pairs of its run
-    of rows are handed over (an inf nearness would tie and fall back to
+    overflows float64 raises a ValidationError before the pairs measured
+    with it are handed over (an inf nearness would tie and fall back to
     index order).  Callers enter ``np.errstate(over="ignore",
     invalid="ignore")`` once around all their claims, so an overflow
     reaches this check as inf or nan instead of raising a warning.
     """
-    centred, low, high, bound = terms
-    if block.size == 1:
-        k = int(block[0])
-        dens_k = 1.0 if densities is None else densities[k]
-        if bound / dens_k < math.inf:
-            lower = centred @ (-2.0 * centred[k])
-            lower += low
-            lower += low[k]
-            if densities is not None:
-                lower /= dens_k
-            rows = np.flatnonzero(lower <= sq)
-        else:
-            rows = np.arange(sq.size)
-        _hand_over(features, rows, k, pi, sq, densities)
+    centred, low, bound = terms
+    if block.size < _BLOCK_MIN:
+        for k in block.tolist():
+            dens_k = 1.0 if densities is None else densities[k]
+            if bound / dens_k < math.inf:
+                lower = centred @ (-2.0 * centred[k])
+                lower += low
+                lower += low[k]
+                if densities is not None:
+                    lower /= dens_k
+                rows = np.flatnonzero(lower <= sq)
+            else:
+                rows = np.arange(sq.size)
+            _hand_over(features, rows, k, pi, sq, densities)
         return
     block = np.sort(block)  # a row's first least column is its lowest index
     dens = np.ones(block.size) if densities is None else densities[block]
     every = ~(bound / dens < math.inf)
-    # L and H as one product each: [y_t, low_t, 1] . [-2 y_k, 1, low_k],
-    # and likewise with high
+    # L as one product: [y_t, low_t, 1] . [-2 y_k, 1, low_k]
     ones = np.ones(sq.size)
     lows = np.column_stack((centred, low, ones))
-    highs = np.column_stack((centred, high, ones))
-    scaled = -2.0 * centred[block].T
-    low_cols = np.vstack((scaled, ones[: block.size], low[block]))
-    high_cols = np.vstack((scaled, ones[: block.size], high[block]))
+    low_cols = np.vstack((-2.0 * centred[block].T, ones[: block.size], low[block]))
     width = min(block.size, _TILE)
     height = _TILE // width
     for r0 in range(0, sq.size, height):
-        rows = slice(r0, r0 + height)
-        threshold, found = sq[rows], []
+        rows = np.arange(r0, min(r0 + height, sq.size))
+        found = []
         for c0 in range(0, block.size, width):
             cols = slice(c0, c0 + width)
-            lower = lows[rows] @ low_cols[:, cols]
-            upper = highs[rows] @ high_cols[:, cols]
+            lower = lows[r0 : r0 + height] @ low_cols[:, cols]
             if densities is not None:
                 lower /= dens[cols]
-                upper /= dens[cols]
             if every[cols].any():
                 lower[:, every[cols]] = -math.inf
-                upper[:, every[cols]] = math.inf
-            threshold = np.minimum(threshold, upper.min(axis=1))
-            pairs = np.flatnonzero(lower <= threshold[:, None])
+            # each row's pair of least bound first: no other pair whose
+            # bound exceeds the row's nearness after that can beat it
+            best = np.argmin(lower, axis=1)
+            _hand_over(features, rows, block[c0 + best], pi, sq, densities)
+            lower[np.arange(rows.size), best] = math.inf
+            pairs = np.flatnonzero(lower <= sq[rows, None])
             t, j = np.divmod(pairs, lower.shape[1])
             found.append((t, c0 + j, lower.ravel()[pairs]))
-        # a pair kept by an earlier column tile may exceed the last threshold
+        # a pair kept by an earlier column tile may exceed the last nearness
         t, j, lower = (np.concatenate(v) for v in zip(*found))
-        keep = lower <= threshold[t]
+        keep = lower <= sq[r0 + t]
         _hand_over(features, r0 + t[keep], block[j[keep]], pi, sq, densities)
 
 
@@ -323,7 +323,8 @@ def _hand_over(
             "(rescaling every density by one factor changes no pick)"
         )
     several = isinstance(ks, np.ndarray)
-    if several:  # each row's first least pair
+    # each row's first least pair, where a row has several
+    if several and not np.all(rows[1:] > rows[:-1]):
         order = np.lexsort((near, rows))  # stable: equal nearness keeps index order
         rows, ks, near = rows[order], ks[order], near[order]
         first = np.ones(rows.size, dtype=bool)

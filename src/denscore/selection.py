@@ -18,12 +18,14 @@ coverage assignment uses: for a pick, a matrix-vector product bounds every
 point's squared distance to the new point k from below, and only the
 points whose bound over k's density does not exceed their r_t are
 measured.  A run that does not resume claims its whole initial set as one
-block, in tiles that bound every pair's squared distance from below and
-above, so about one pair per point is measured; a filtered protocol round
-starts each greedy on a new universe with every selected point in that
-set.  The radii are the same as when every point is measured.  The greedy
-tracks the owner of every r_t (the selected point it comes from) for the
-scratch argmin's tie rule.
+block (of 24 points or more; a smaller one goes a point at a time), in
+tiles that bound every pair's squared distance from below; a point
+measures the pair of its least bound, then only the pairs whose bound
+does not exceed that pair's r, about one pair per point.  A filtered
+protocol round starts each greedy on a new universe with every selected
+point in that set.  The radii are the same as when every point is
+measured.  The greedy tracks the owner of every r_t (the selected point
+it comes from) for the scratch argmin's tie rule.
 
 Uncertainty enters only through the dataset's per-point ``scores`` (one
 finite scalar per point, read from the CSV's ``score`` column or attached

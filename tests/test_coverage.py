@@ -112,6 +112,17 @@ class TestAssignment:
         assert peak < n * m * 8 / 4
         assert state.selected[:m] == tuple(initial.tolist())
 
+    def test_initial_block_tie_goes_to_the_lower_index(self):
+        # point 2 is as near to 0 as to 1, but the filter's bound is lower
+        # to 1 (the larger norm once centred): the block must still measure
+        # the pair with 0, the least bound of point 0's own row too
+        ps = _line([0.0, 2.0, 1.0, -3.0])
+        with mock.patch.object(coverage, "_BLOCK_MIN", 2):
+            state = k_center_greedy(ps, [1, 0], 0)
+            assert state.owners.tolist() == [0, 1, 0, 0]
+            state = density_aware_greedy(ps, np.ones(4), [1, 0], 0)
+            assert state.owners.tolist() == [0, 1, 0, 0]
+
     def test_overflowing_distance_raises(self):
         # finite coordinates whose squared distance is not
         ps = _line([0.0, 1e155, -1e155])

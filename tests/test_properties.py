@@ -219,8 +219,9 @@ def test_pruned_coverage_equals_the_dense_assignment(points, data):
                    offsets=OFFSETS), st.data())
 def test_block_claim_equals_claims_one_at_a_time(points, data):
     # after some points are claimed one at a time, a block of the rest
-    # claims bit for bit what they do one at a time, in tiles of any shape,
-    # and raises where they raise
+    # (of two points or more, which this test claims as a block) claims bit
+    # for bit what they do one at a time, in tiles of any shape, and raises
+    # where they raise
     n = points.n
     densities = data.draw(st.none() | st.lists(DENSITIES, min_size=n, max_size=n))
     densities = None if densities is None else np.asarray(densities)
@@ -243,7 +244,8 @@ def test_block_claim_equals_claims_one_at_a_time(points, data):
         assert "overflows float64" in str(exc)
         expected = None
     blocks = [[k] for k in chosen[:held]] + [chosen[held:]]
-    with mock.patch.object(coverage, "_TILE", tile):
+    with mock.patch.object(coverage, "_TILE", tile), \
+            mock.patch.object(coverage, "_BLOCK_MIN", 2):
         if expected is None:
             with pytest.raises(ValidationError, match="overflows float64"):
                 claim(blocks)
