@@ -20,39 +20,40 @@ losses Lipschitz in a metric; squared Euclidean distance is not a metric,
 so it is only what the steps compare, and every reported distance is its
 root.
 
-Cost for n points, |s| selected, dimension d: each new selected point k
-costs one n x d matrix-vector product and O(n) to find the points it may
-take, plus O(d) per such point to measure it.  `_claim` is that step, for
-this assignment and for the greedy (``selection``), whose r_t divides the
-squared distance by the density of the selected endpoint (1 here).  Once
-per assignment or greedy run the features are centred on their bounding
-box's midpoint (an n x d copy) and their squared norms taken; each claim
-then expands ||y_t - y_k||^2 through the product, less a rounding bound,
-into a lower bound on the squared distance that the claim compares.  A
-point whose lower bound, divided by k's density, already exceeds its
-nearness to its owner cannot move to k; only the others are measured, by
-the explicit difference, so every value handed over and every tie is what
-measuring every pair gives.  The filter is nearly exact: on a greedy or an
-assignment in any order it measures little more than the points that
-move.  Memory is O(n * d).
+Cost for n points, |s| selected, dimension d: `_claim` measures new
+selected points, for this assignment and for the greedy (``selection``),
+whose r_t divides the squared distance by the density of the selected
+endpoint (1 here).  Once per assignment or greedy run the features are
+centred on their bounding box's midpoint, and each point t is stored as
+[y_t, low_t, 1]: its centred coordinates and its squared norm less a
+rounding bound (one n x (d + 2) copy).  A product of these terms expands
+||y_t - y_k||^2 into a lower bound on the squared distance that a claim
+compares.  A point whose lower bound, divided by k's density, already
+exceeds its nearness to its owner cannot move to k; only the others are
+measured, by the explicit difference, so every value handed over and
+every tie is what measuring every pair gives.
 
-A greedy that does not resume claims its m initial points as one block,
-not in m claims, when m >= 24 (a smaller block measured no faster): in
-tiles of about 256 KiB, rows by columns, one matrix product gives every
-pair the lower bound, each point measures the pair of its least bound,
-and then only the pairs whose bound does not exceed the least of that
-nearness and its own (about one pair per point), and it takes its least
-(nearness, index) pair, so owners and radii are bit for bit those of the
-m claims.  That costs O(n m d) in the product with no per-claim
-overhead, and O(n d) memory plus the tiles.  The assignment claims one
-point at a time, which measured faster than blocks on its extensions
-and its one-shot assignments at n >= 8000 and d = 8.  Every summary
-then reads only the assignment, O(n) from its distances.  An assignment
-extended by new selected points measures only those points, so a
-multi-round protocol that carries one assignment measures each selected
-point once per run, not per round.  An unfiltered k-center run measures
-each selected point once in total: its greedy runs on every point
-without densities, so the greedy's owners and radii are this
+Each set of new selected points is one claim, and its size alone picks
+the path.  One point (every pick) costs one n x d matrix-vector product
+and O(n) to find the points it may take, plus O(d) per such point to
+measure it.  More points (an assignment's new points, a greedy's initial
+set) go in tiles of about 256 KiB, the whole block by a run of rows: one
+matrix product gives every pair its bound, a row whose least bound
+exceeds its nearness is skipped, every other row measures the pair of
+its least bound and then only the pairs whose bound does not exceed its
+new nearness (about one pair per point), and takes its least (nearness,
+index) pair.  That costs O(n m d) in products for m points, with no
+per-point overhead.  Either way owners and radii are bit for bit those of
+claiming the points one at a time in any order, and the filter is nearly
+exact: a greedy or an assignment measures little more than the points
+that move.  Memory is O(n * d) plus the tiles.
+
+Every summary then reads only the assignment, O(n) from its distances.
+An assignment extended by new selected points measures only those
+points, so a multi-round protocol that carries one assignment measures
+each selected point once per run, not per round.  An unfiltered k-center
+run measures each selected point once in total: its greedy runs on every
+point without densities, so the greedy's owners and radii are this
 assignment, and the protocol extends them with nothing left to measure.
 """
 
@@ -114,15 +115,6 @@ _SLACK = 8
 # `kernel_density`'s buffers
 _TILE = 2**15
 
-# Fewer new selected points than this are claimed one at a time: below it a
-# block's work per point (its least-bound pair measured and handed over)
-# can outweigh the per-claim overhead it saves.  Greedy initial sets at
-# n = 1150 to 24000, d = 8: a block of 2 took up to 1.7 times as long as
-# one claim per point, of 10 up to 1.4 and of 16 up to 1.1 (a spread set
-# without densities at n >= 4000); of 24 to 2000, 0.2 to 1.01 times, 0.64
-# at the median
-_BLOCK_MIN = 24
-
 
 @dataclass(frozen=True, eq=False)
 class CoverageAssignment:
@@ -159,10 +151,10 @@ def assign_coverage(
 
     ``previous``, an assignment of the same points to a subset of
     ``selected``, is extended: only the selected points it lacks are
-    measured, in the order ``selected`` lists them.  Without it the empty
-    assignment (owner -1 at squared distance inf) is extended, so there is
-    one path, and an extended assignment is bit-identical to one assigned
-    from scratch, whatever the order.
+    measured, in one claim.  Without it the empty assignment (owner -1 at
+    squared distance inf) is extended, so there is one path, and an
+    extended assignment is bit-identical to one assigned from scratch,
+    whatever the order.
     """
     order = check_indices(selected, points.n, "selected")
     sel = check_index_set(order, points.n, "selected")
@@ -181,43 +173,46 @@ def assign_coverage(
         )
     if new.size:
         with np.errstate(over="ignore", invalid="ignore"):  # `_claim` raises
-            terms = _claim_terms(points.features)
-            for i in range(new.size):
-                _claim(points.features, new[i : i + 1], terms, pi, sq)
+            _claim(points.features, new, _claim_terms(points.features), pi, sq)
     for arr in (sel, pi, sq):
         arr.setflags(write=False)
     return CoverageAssignment(sel, pi, sq)
 
 
-def _claim_terms(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """What `_claim`'s filter reads, once per assignment or greedy run: the
-    features centred on their bounding box's midpoint, each row's squared
-    norm lowered by the rounding bound (``low``, at ``_SLACK``), and a
-    bound on every filter value, inf when the norms lie so near float64's
-    largest value that a filter value could overflow.
+def _claim_terms(features: np.ndarray) -> tuple[np.ndarray, float]:
+    """What `_claim`'s filter reads, once per assignment or greedy run: every
+    point t as the row [y_t, low_t, 1] of one n x (d + 2) array, y_t its
+    features centred on their bounding box's midpoint and low_t its squared
+    norm lowered by the rounding bound (at ``_SLACK``), and a bound on every
+    filter value, inf when the norms lie so near float64's largest value
+    that a filter value could overflow.
 
     Centring keeps the norms, and so the rounding bound, at the scale of
     the points' spread rather than of their offset from the origin.
     """
-    # column-major: the product runs along each coordinate's column, and
-    # the bounding box is found along them too (a row-major minimum over
-    # the rows takes several times as long)
-    centred = np.array(features, order="F")
+    n, d = features.shape
+    # column-major: a product runs along each coordinate's column, and the
+    # bounding box is found along them too (a row-major minimum over the
+    # rows takes several times as long)
+    lifted = np.empty((n, d + 2), order="F")
+    centred = lifted[:, :d]
+    centred[...] = features
     lo, hi = centred.min(axis=0), centred.max(axis=0)
     centred -= 0.5 * lo + 0.5 * hi
     norms = np.einsum("ij,ij->i", centred, centred)
-    e = _SLACK * (features.shape[1] + 2) * 2.0**-53
-    low = norms * (1.0 - e)
+    e = _SLACK * (d + 2) * 2.0**-53
+    low = lifted[:, d]
+    np.multiply(norms, 1.0 - e, out=low)
     low -= e * np.finfo(np.float64).tiny
+    lifted[:, d + 1] = 1.0
     # |L_t| <= 4 max ||y||^2 (1 + O(d u)), so this bounds it, and it is inf
     # unless every one is finite
     bound = 8.0 * float(norms.max())
-    return centred, low, bound
+    return lifted, bound
 
 
 def _claim(
-    features: np.ndarray, block: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray, float],
+    features: np.ndarray, block: np.ndarray, terms: tuple[np.ndarray, float],
     pi: np.ndarray, sq: np.ndarray, densities: np.ndarray | None = None,
 ) -> None:
     """Hand each new selected point of ``block``, in place, every point it
@@ -228,25 +223,24 @@ def _claim(
     Nearness is the squared distance, divided by the new point's density
     when ``densities`` is given (the greedy's r).  ``sq`` holds every
     point's nearness to its owner ``pi``; an unowned point has owner -1 and
-    nearness inf.  ``terms`` is `_claim_terms` of ``features``: a product
-    of the centred features gives every pair of a point t and a new point
-    k a lower bound L on their squared distance (``_SLACK``), and only the
-    pairs whose L / dens_k does not exceed t's threshold are measured, each
-    by the explicit difference (`squared_distances_to`).  A new point whose
-    bound over its density is inf, so that a filter value could overflow,
-    is measured against every point.
+    nearness inf.  ``terms`` is `_claim_terms` of ``features``: the product
+    [y_t, low_t, 1] . [-2 y_k, 1, low_k] gives every pair of a point t and
+    a new point k a lower bound L on their squared distance (``_SLACK``),
+    and only the pairs whose L / dens_k does not exceed t's nearness are
+    measured, each by the explicit difference (`squared_distances_to`).  A
+    new point whose bound over its density is inf, so that a filter value
+    could overflow, is measured against every point.
 
-    A block of fewer than ``_BLOCK_MIN`` points (a pick is one) is
-    claimed one point at a time, each with one matrix-vector product, and
-    t's threshold is sq_t.  A larger block (a greedy's initial set) goes in
-    tiles of ``_TILE`` entries, runs of rows by the whole block (or by
-    ``_TILE`` columns at a time, in a wider block), with one matrix product
-    each.  Each point t measures the pair of its least L / dens_k in the
-    tile, and takes it where it beats its owner; then only the pairs whose
-    L / dens_k does not exceed t's new nearness are measured, as no other
-    can beat or tie it, so about one pair per point is measured where one
-    claim per new point would measure each point at least once.  Each
-    point takes its least (nearness, index) pair.
+    The block's size alone picks the path.  One point is claimed with one
+    matrix-vector product.  More go in tiles of about ``_TILE`` entries,
+    the whole block by a run of rows, with one matrix product each.  A
+    point t whose least L / dens_k in the tile exceeds its nearness cannot
+    move and is not measured.  Every other point measures the pair of its
+    least L / dens_k and takes it where it beats its owner; then only the
+    pairs whose L / dens_k does not exceed t's new nearness are measured,
+    as no other can beat or tie it, so about one pair per point is measured
+    where one claim per new point would measure each point at least once.
+    Each point takes its least (nearness, index) pair.
 
     A measured squared distance, or its quotient by a density, that
     overflows float64 raises a ValidationError before the pairs measured
@@ -255,52 +249,50 @@ def _claim(
     invalid="ignore")`` once around all their claims, so an overflow
     reaches this check as inf or nan instead of raising a warning.
     """
-    centred, low, bound = terms
-    if block.size < _BLOCK_MIN:
-        for k in block.tolist():
-            dens_k = 1.0 if densities is None else densities[k]
-            if bound / dens_k < math.inf:
-                lower = centred @ (-2.0 * centred[k])
-                lower += low
-                lower += low[k]
-                if densities is not None:
-                    lower /= dens_k
-                rows = np.flatnonzero(lower <= sq)
-            else:
-                rows = np.arange(sq.size)
-            _hand_over(features, rows, k, pi, sq, densities)
+    lifted, bound = terms
+    d = lifted.shape[1] - 2
+    if block.size == 1:
+        k = int(block[0])
+        dens_k = 1.0 if densities is None else densities[k]
+        if bound / dens_k < math.inf:
+            lower = lifted[:, :d] @ (-2.0 * lifted[k, :d])
+            lower += lifted[:, d]
+            lower += lifted[k, d]
+            if densities is not None:
+                lower /= dens_k
+            rows = np.flatnonzero(lower <= sq)
+        else:
+            rows = np.arange(sq.size)
+        _hand_over(features, rows, k, pi, sq, densities)
         return
-    block = np.sort(block)  # a row's first least column is its lowest index
+    block = np.sort(block)  # so that a row's pairs come in index order
+    # [-2 y_k, 1, low_k] for each new point k
+    cols = np.hstack((-2.0 * lifted[block, :d], lifted[block, d:][:, ::-1]))
     dens = np.ones(block.size) if densities is None else densities[block]
     every = ~(bound / dens < math.inf)
-    # L as one product: [y_t, low_t, 1] . [-2 y_k, 1, low_k]
-    ones = np.ones(sq.size)
-    lows = np.column_stack((centred, low, ones))
-    low_cols = np.vstack((-2.0 * centred[block].T, ones[: block.size], low[block]))
-    width = min(block.size, _TILE)
-    height = _TILE // width
+    height = max(1, _TILE // block.size)
     for r0 in range(0, sq.size, height):
-        rows = np.arange(r0, min(r0 + height, sq.size))
-        found = []
-        for c0 in range(0, block.size, width):
-            cols = slice(c0, c0 + width)
-            lower = lows[r0 : r0 + height] @ low_cols[:, cols]
-            if densities is not None:
-                lower /= dens[cols]
-            if every[cols].any():
-                lower[:, every[cols]] = -math.inf
-            # each row's pair of least bound first: no other pair whose
-            # bound exceeds the row's nearness after that can beat it
-            best = np.argmin(lower, axis=1)
-            _hand_over(features, rows, block[c0 + best], pi, sq, densities)
-            lower[np.arange(rows.size), best] = math.inf
-            pairs = np.flatnonzero(lower <= sq[rows, None])
-            t, j = np.divmod(pairs, lower.shape[1])
-            found.append((t, c0 + j, lower.ravel()[pairs]))
-        # a pair kept by an earlier column tile may exceed the last nearness
-        t, j, lower = (np.concatenate(v) for v in zip(*found))
-        keep = lower <= sq[r0 + t]
-        _hand_over(features, r0 + t[keep], block[j[keep]], pi, sq, densities)
+        # block x rows, so that each row's least bound is a minimum over
+        # contiguous runs
+        lower = cols @ lifted[r0 : r0 + height].T
+        if densities is not None:
+            lower /= dens[:, None]
+        if every.any():
+            lower[every] = -math.inf
+        near = sq[r0 : r0 + height]  # a view: it follows the hand-overs
+        # each row's pair of least bound first (the lowest of tied ones),
+        # where it does not exceed the row's nearness: no other pair whose
+        # bound exceeds the nearness after that can beat it
+        least = lower.min(axis=0)
+        j, t = np.divmod(np.flatnonzero(lower <= np.minimum(least, near)), near.size)
+        first = np.full(near.size, block.size)
+        np.minimum.at(first, t, j)
+        t = np.flatnonzero(first < block.size)
+        j = first[t]
+        _hand_over(features, r0 + t, block[j], pi, sq, densities)
+        lower[j, t] = math.inf
+        j, t = np.divmod(np.flatnonzero(lower <= near), near.size)
+        _hand_over(features, r0 + t, block[j], pi, sq, densities)
 
 
 def _hand_over(
@@ -311,6 +303,8 @@ def _hand_over(
     ``ks`` (one for all rows, or one per row, a row's own ascending), and
     hand each point its least (nearness, index) pair where that beats its
     owner's."""
+    if not rows.size:
+        return
     near = squared_distances_to(features[rows], features[ks])
     if densities is not None:
         near /= densities[ks]

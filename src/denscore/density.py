@@ -519,7 +519,8 @@ def estimator_from_config(config: dict):
     A kernel estimate extends the sums of the one before it (`kernel_density`
     with ``previous``), so each call's points must contain the previous
     call's, as the universes of `run_rounds` do; build one estimator per
-    run.
+    run.  The estimator alone holds those sums: the fields it returns have
+    ``kernel=None``.
     """
     if not isinstance(config, dict):
         raise ValidationError("estimator config must be a mapping")
@@ -551,6 +552,6 @@ def estimator_from_config(config: dict):
     def estimate(points: PointSet) -> DensityField:
         nonlocal field
         field = kernel_density(points, bandwidth, previous=field)
-        return field
+        return DensityField(field.values, field.num_clamped)
 
     return estimate

@@ -13,19 +13,20 @@ d == 1 (no rescale), so the two differ only in how strongly an existing pick
 low-density pick almost nothing, which is what steers extra budget into
 sparse areas.
 
-Each selected point's measuring step is coverage's `_claim`, the one the
-coverage assignment uses: for a pick, a matrix-vector product bounds every
-point's squared distance to the new point k from below, and only the
-points whose bound over k's density does not exceed their r_t are
-measured.  A run that does not resume claims its whole initial set as one
-block (of 24 points or more; a smaller one goes a point at a time), in
-tiles that bound every pair's squared distance from below; a point
+Each set of new selected points is one call of coverage's `_claim`, the
+step the coverage assignment uses, and its size alone picks the path.  A
+pick is one point: a matrix-vector product bounds every point's squared
+distance to the new point k from below, and only the points whose bound
+over k's density does not exceed their r_t are measured.  A run that does
+not resume claims its whole initial set in one call; more than one point
+goes in tiles that bound every pair's squared distance from below, where
+a point whose least bound exceeds its r is skipped and every other
 measures the pair of its least bound, then only the pairs whose bound
-does not exceed that pair's r, about one pair per point.  A filtered
-protocol round starts each greedy on a new universe with every selected
-point in that set.  The radii are the same as when every point is
-measured.  The greedy tracks the owner of every r_t (the selected point
-it comes from) for the scratch argmin's tie rule.
+does not exceed its new r, about one pair per point.  A filtered protocol
+round starts each greedy on a new universe with every selected point in
+that set.  The radii are the same as when every point is measured.  The
+greedy tracks the owner of every r_t (the selected point it comes from)
+for the scratch argmin's tie rule.
 
 Uncertainty enters only through the dataset's per-point ``scores`` (one
 finite scalar per point, read from the CSV's ``score`` column or attached
@@ -42,7 +43,7 @@ densities), and b1 picks then b2 more equal one run of b1 + b2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,10 +309,7 @@ class RoundResult:
 
     ``universe`` holds the dataset indices the greedy ran on (the pool plus
     the selected points); ``picks`` and ``pool`` are dataset indices.
-    ``partial`` flags an exhausted pool.  ``densities`` keeps its
-    ``values`` and ``num_clamped``; a kernel field keeps its ``kernel``
-    sums only in the last round's field, the one a next estimate would
-    extend, and an earlier round's has ``kernel=None``.
+    ``partial`` flags an exhausted pool.
     """
 
     round_index: int
@@ -409,12 +407,6 @@ def run_rounds(
             else:
                 sub_points = PointSet(points.features[universe], points.ids[universe])
                 if config.algorithm == "density-aware":
-                    if densities is not None and densities.kernel is not None:
-                        # only the estimator reads the last field's sums:
-                        # the rounds that hold it keep its values
-                        kept = DensityField(densities.values, densities.num_clamped)
-                        rounds = [replace(r, densities=kept) if r.densities is densities
-                                  else r for r in rounds]
                     densities = estimate(sub_points)
                 s0 = np.searchsorted(universe, selected)
             if config.algorithm == "density-aware":

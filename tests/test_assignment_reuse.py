@@ -115,17 +115,18 @@ def test_learner_matches_owners_on_conflicting_duplicates():
 
 
 # (algorithm, alpha, points the greedy claims, in how many calls, points
-# the assignment claims) for a run of 4 rounds of 5 picks from 2 initial
-# points; a greedy that does not resume claims its initial set in one call
+# the assignment claims, in how many calls) for a run of 4 rounds of 5
+# picks from 2 initial points; a greedy that does not resume claims its
+# initial set in one call, and an assignment its new points in one call
 CLAIM_COUNTS = (
     # on every point and without densities, the greedy's state is the
     # assignment: each selected point is measured once in the whole run
-    ("k-center", None, 22, 1 + 20, 0),
+    ("k-center", None, 22, 1 + 20, 0, 0),
     # a filtered universe changes every round, so each round's greedy
     # claims the selected points again (2 + 5, then 7 + 5, ...)
-    ("k-center", 2.0, 7 + 12 + 17 + 22, 4 + 20, 22),
+    ("k-center", 2.0, 7 + 12 + 17 + 22, 4 + 20, 22, 4),
     # density-weighted owners are not the nearest-selected ones
-    ("density-aware", None, 22, 1 + 20, 22),
+    ("density-aware", None, 22, 1 + 20, 22, 4),
 )
 
 
@@ -135,7 +136,8 @@ def test_run_rounds_measures_each_selected_point_once():
     # the assignment's through `coverage._claim`
     ds = _grid_dataset(np.random.default_rng(6), 200, 3)
     ds = replace(ds, scores=np.random.default_rng(7).uniform(size=ds.n))
-    for algorithm, alpha, greedy_points, greedy_calls, coverage_points in CLAIM_COUNTS:
+    for (algorithm, alpha, greedy_points, greedy_calls, coverage_points,
+         coverage_calls) in CLAIM_COUNTS:
         greedy, assigned = [], []
         with _recording(selection, "_claim", greedy), \
                 _recording(coverage, "_claim", assigned):
@@ -146,9 +148,8 @@ def test_run_rounds_measures_each_selected_point_once():
         assert len(result.selected) == 22
         claimed = [k for args, _ in greedy for k in args[1].tolist()]
         measured = [k for args, _ in assigned for k in args[1].tolist()]
-        assert (len(claimed), len(greedy), len(measured)) == (
-            greedy_points, greedy_calls, coverage_points)
-        assert len(assigned) == coverage_points  # one point per call
+        assert (len(claimed), len(greedy), len(measured), len(assigned)) == (
+            greedy_points, greedy_calls, coverage_points, coverage_calls)
         if alpha is None:  # every point is in the universe, at its own index
             assert claimed == list(result.selected)
         if coverage_points:
@@ -170,5 +171,6 @@ def test_evaluate_assigns_once(tmp_path):
         code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_OK
     # one assignment, measuring each selected point once in file order
-    assert [args[1] for args, _ in claimed] == [40, 3, 77]
+    assert len(claimed) == 1
+    assert [k for args, _ in claimed for k in args[1].tolist()] == [40, 3, 77]
     assert predicted == []

@@ -91,37 +91,42 @@ class TestAssignment:
             tracemalloc.stop()
         assert peak < n * b * 8
 
-    @pytest.mark.parametrize("densities", [None, "field"])
-    def test_initial_block_never_holds_its_distance_matrix(self, densities):
-        # a greedy claims its initial set of 1500 in one block, in tiles: it
-        # never holds |U| x |S| entries, nor a quarter of them
+    @pytest.mark.parametrize("case", [None, "field", "assignment"])
+    def test_initial_block_never_holds_its_distance_matrix(self, case):
+        # a greedy claims its initial set of 1500 in one block, without
+        # densities (None) or with them, and an assignment its 1500 points,
+        # in tiles: neither holds |U| x |S| entries, nor a quarter of them
         n, m = 3000, 1500
         rng = np.random.default_rng(9)
         ps = PointSet.from_features(rng.normal(size=(n, 8)))
         initial = rng.permutation(n)[:m]
-        values = None if densities is None else rng.uniform(0.5, 2.0, size=n)
+        values = rng.uniform(0.5, 2.0, size=n)
         tracemalloc.start()
         try:
-            if values is None:
+            if case is None:
                 state = k_center_greedy(ps, initial, 1)
-            else:
+            elif case == "field":
                 state = density_aware_greedy(ps, values, initial, 1)
+            else:
+                cov = assign_coverage(ps, initial)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * m * 8 / 4
-        assert state.selected[:m] == tuple(initial.tolist())
+        if case == "assignment":
+            assert cov.pi[initial].tolist() == initial.tolist()
+        else:
+            assert state.selected[:m] == tuple(initial.tolist())
 
     def test_initial_block_tie_goes_to_the_lower_index(self):
         # point 2 is as near to 0 as to 1, but the filter's bound is lower
         # to 1 (the larger norm once centred): the block must still measure
         # the pair with 0, the least bound of point 0's own row too
         ps = _line([0.0, 2.0, 1.0, -3.0])
-        with mock.patch.object(coverage, "_BLOCK_MIN", 2):
-            state = k_center_greedy(ps, [1, 0], 0)
-            assert state.owners.tolist() == [0, 1, 0, 0]
-            state = density_aware_greedy(ps, np.ones(4), [1, 0], 0)
-            assert state.owners.tolist() == [0, 1, 0, 0]
+        state = k_center_greedy(ps, [1, 0], 0)
+        assert state.owners.tolist() == [0, 1, 0, 0]
+        state = density_aware_greedy(ps, np.ones(4), [1, 0], 0)
+        assert state.owners.tolist() == [0, 1, 0, 0]
 
     def test_overflowing_distance_raises(self):
         # finite coordinates whose squared distance is not
@@ -174,6 +179,36 @@ def test_claims_measure_little_more_than_the_points_they_take(offset):
         assignment_rows = sum(measured)
     assert greedy_rows <= 0.05 * n * 300
     assert assignment_rows <= 0.05 * n * 300
+
+
+def test_an_extension_measures_no_more_than_its_points_one_at_a_time():
+    # an assignment of 275 k-center picks extended by the next 25 in one
+    # claim: a row that none of the 25 can take is not measured, so the
+    # block measures no more pairs than 25 extensions by one point each
+    n, dim = 3000, 8
+    rng = np.random.default_rng(1)
+    centres = rng.normal(scale=6.0, size=(6, dim))
+    which = rng.integers(0, 6, size=n)
+    points = PointSet.from_features(centres[which] + rng.normal(size=(n, dim)))
+    picks = list(k_center_greedy(points, None, 300).selected)
+    start = assign_coverage(points, picks[:275])
+    measured = []
+
+    def recording(a, x):
+        measured.append(a.shape[0])
+        return squared_distances_to(a, x)
+
+    with mock.patch.object(coverage, "squared_distances_to", recording):
+        block = assign_coverage(points, picks, previous=start)
+        block_rows = sum(measured)
+        measured.clear()
+        single = start
+        for m in range(276, 301):
+            single = assign_coverage(points, picks[:m], previous=single)
+        single_rows = sum(measured)
+    assert block.pi.tobytes() == single.pi.tobytes()
+    assert block.sq_distances.tobytes() == single.sq_distances.tobytes()
+    assert block_rows <= single_rows
 
 
 class TestRadii:

@@ -318,7 +318,11 @@ class TestKernelExtension:
         est = estimator_from_config({"kind": "kernel", "bandwidth": 0.8})
         first = est(_line([0.0, 1.0, 5.0]))
         second = est(_line([0.0, 1.0, 5.0, 2.0]))
-        direct = kernel_density(_line([0.0, 1.0, 5.0, 2.0]), 0.8, previous=first)
+        # the estimator alone holds the sums it extends
+        assert first.kernel is None and second.kernel is None
+        held = kernel_density(_line([0.0, 1.0, 5.0]), 0.8)
+        direct = kernel_density(_line([0.0, 1.0, 5.0, 2.0]), 0.8, previous=held)
+        np.testing.assert_array_equal(first.values, held.values)
         np.testing.assert_array_equal(second.values, direct.values)
         with pytest.raises(ValidationError, match="lack"):
             est(_line([0.0, 1.0]))
