@@ -20,33 +20,15 @@ losses Lipschitz in a metric; squared Euclidean distance is not a metric,
 so it is only what the steps compare, and every reported distance is its
 root.
 
-Cost for n points, |s| selected, dimension d: `_claim` measures new
-selected points, for this assignment and for the greedy (``selection``),
-whose r_t divides the squared distance by the density of the selected
-endpoint (1 here).  Once per assignment or greedy run the features are
-centred on their bounding box's midpoint, and each point t is stored as
-[y_t, low_t, 1]: its centred coordinates and its squared norm less a
-rounding bound (one n x (d + 2) copy).  A product of these terms expands
-||y_t - y_k||^2 into a lower bound on the squared distance that a claim
-compares.  A point whose lower bound, divided by k's density, already
-exceeds its nearness to its owner cannot move to k; only the others are
-measured, by the explicit difference, so every value handed over and
-every tie is what measuring every pair gives.
-
-Each set of new selected points is one claim, and its size alone picks
-the path.  One point (every pick) costs one n x d matrix-vector product
-and O(n) to find the points it may take, plus O(d) per such point to
-measure it.  More points (an assignment's new points, a greedy's initial
-set) go in tiles of about 256 KiB, the whole block by a run of rows: one
-matrix product gives every pair its bound, a row whose least bound
-exceeds its nearness is skipped, every other row measures the pair of
-its least bound and then only the pairs whose bound does not exceed its
-new nearness (about one pair per point), and takes its least (nearness,
-index) pair.  That costs O(n m d) in products for m points, with no
-per-point overhead.  Either way owners and radii are bit for bit those of
-claiming the points one at a time in any order, and the filter is nearly
-exact: a greedy or an assignment measures little more than the points
-that move.  Memory is O(n * d) plus the tiles.
+Cost for n points, |s| selected, dimension d: new selected points are
+measured by one step, `_claim`, for this assignment and for the greedy
+(``selection``); its docstring and ``_SLACK`` give the full account.  A
+matrix product bounds every pair's squared distance from below, and only
+the pairs that bound lets move a point are measured, so owners and radii
+are bit for bit those of measuring every pair.  One new point costs one
+n x d matrix-vector product, m new points O(n m d) in matrix products,
+plus O(d) per measured pair, about one per point that moves.  Memory is
+O(n * d) plus tiles of about 256 KiB.
 
 Every summary then reads only the assignment, O(n) from its distances.
 An assignment extended by new selected points measures only those

@@ -61,19 +61,23 @@ def config_value(value, kind: type, name: str):
     takes only a number (no bool, no string), an int no number with a
     fraction, and a list no string and no bool.
     """
-    wrong = (
+    if _is_kind(value, kind):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{name} must be {_KIND_NAMES[kind]} (got {value!r})")
+
+
+def _is_kind(value, kind: type) -> bool:
+    """Whether ``value`` may stand for ``kind`` (see `config_value`)."""
+    return not (
         isinstance(value, bool)
         or (kind in (int, float) and not isinstance(value, numbers.Real))
         or (kind is int and not isinstance(value, numbers.Integral)
             and not float(value).is_integer())
         or (kind is tuple and isinstance(value, str))
     )
-    if not wrong:
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValidationError(f"{name} must be {_KIND_NAMES[kind]} (got {value!r})")
 
 
 def _config_values(values, kind: type, name: str) -> tuple:
@@ -84,24 +88,35 @@ def _config_values(values, kind: type, name: str) -> tuple:
 def check_indices(indices, n: int, name: str) -> np.ndarray:
     """``indices`` as an int64 array in the given order; a fractional or
     boolean index, an index outside 0..n-1 or one given twice raises a
-    ValidationError naming the ``name`` set."""
+    ValidationError naming the ``name`` set and the first such entry as
+    given."""
     raw = np.asarray(indices).ravel()
     # an empty list is float64; a whole finite float still names an index
     if raw.dtype.kind == "f":
         whole = np.isfinite(raw) & (raw == np.trunc(raw))
-    else:
-        whole = np.full(raw.shape, raw.dtype.kind in "iu")
+    elif raw.dtype.kind in "iu":
+        whole = np.ones(raw.shape, dtype=bool)
+    else:  # None, a bool, a string or an int beyond 64 bits: each as given
+        raw = np.asarray(indices, dtype=object).ravel()
+        whole = np.array([_is_kind(v, int) for v in raw], dtype=bool)
     if not whole.all():
-        raise ValidationError(f"{name} index {raw[~whole][0].item()!r} is not an integer")
-    idx = raw.astype(np.int64)
-    outside = idx[(idx < 0) | (idx >= n)]
+        raise ValidationError(f"{name} index {_given(raw[~whole])} is not an integer")
+    # compared before the cast, which would wrap them
+    outside = raw[(raw < 0) | (raw >= n)]
     if outside.size:
-        raise ValidationError(f"{name} index {int(outside[0])} out of range (n={n})")
+        raise ValidationError(f"{name} index {_given(outside)} out of range (n={n})")
+    idx = raw.astype(np.int64)
     ordered = np.sort(idx)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
         raise ValidationError(f"{name} set contains duplicate index {int(repeated[0])}")
     return idx
+
+
+def _given(entries: np.ndarray) -> str:
+    """The first of ``entries`` as its caller wrote it (no numpy scalar)."""
+    first = entries[0]
+    return repr(first.item() if isinstance(first, np.generic) else first)
 
 
 def check_index_set(indices, n: int, name: str) -> np.ndarray:
@@ -388,22 +403,18 @@ def load_pointset(path) -> LabeledPointSet:
         except UnicodeDecodeError:
             raise  # not a bad row: open_text names the file, with no re-read
         except ValueError as exc:
-            raise _row_error(path, cols, cause=exc) from None
+            raise _row_error(path, cols, exc) from None
     if table.size == 0:
         raise ValidationError(f"{path}: line 2: no data rows")
+    ids = table["id"]
+    ordered = np.sort(ids)
     valid = np.isfinite(table["f"]).all(axis=1)
     if cols["label"] is not None:
         valid &= table["label"] >= 1
     if cols["score"] is not None:
         valid &= np.isfinite(table["score"])
-    if not valid.all():
-        raise _row_error(path, cols, int(np.argmin(valid)))
-    ids = table["id"]
-    first_rows = np.unique(ids, return_index=True)[1]
-    if first_rows.size < ids.size:
-        repeat = np.ones(ids.size, dtype=bool)
-        repeat[first_rows] = False
-        raise _row_error(path, cols, int(np.argmax(repeat)), duplicate=True)
+    if not valid.all() or np.any(ordered[1:] == ordered[:-1]):
+        raise _row_error(path, cols, None)
     labels = np.ones(ids.size, dtype=np.int64) if cols["label"] is None else table["label"]
     return LabeledPointSet(
         PointSet(table["f"], ids),
@@ -426,15 +437,16 @@ def _parse(lines, dtype: np.dtype) -> np.ndarray:
 _NUMPY_POSITION = re.compile(r" at row \d+, column \d+\.$")
 
 
-def _row_error(path, cols: dict, row: int | None = None, *, duplicate: bool = False,
-               cause: ValueError | None = None) -> ValidationError:
-    """The error naming a bad data row of ``path``: data row ``row``
-    (0-based), whose id an earlier row holds if ``duplicate``, or without
-    ``row`` the first row that `_row_problem` rejects.  If it accepts every
-    row, ``cause``, numpy's error on the whole file, came from a field that
+def _row_error(path, cols: dict, cause: ValueError | None) -> ValidationError:
+    """The error naming the first data line of ``path``, in file order, that
+    `_row_problem` rejects.  ``cause`` is numpy's error on the whole file,
+    or None when the parse passed and a value or id check failed (the line
+    is then always found: `_row_problem` rejects all that those checks
+    reject).  If
+    `_row_problem` accepts every line, ``cause`` came from a field that
     Python's ``float`` and ``int`` read and numpy does not (such as
-    ``1_0``): the first row that `_parse` rejects on its own is named, with
-    numpy's message less its 0-based position.
+    ``1_0``): the first line that `_parse` rejects on its own is named,
+    with numpy's message less its 0-based position.
 
     It runs only once the vectorized parse or its checks have failed, and
     it is the one place that words a row error; numpy's message is never
@@ -445,16 +457,12 @@ def _row_error(path, cols: dict, row: int | None = None, *, duplicate: bool = Fa
         reader = csv.reader(fh)
         next(reader)
         numbered = [(lineno, fields) for lineno, fields in enumerate(reader, start=2) if fields]
-    if row is not None:
-        numbered = numbered[row:row + 1]
+    seen: set[int] = set()
     for lineno, fields in numbered:
-        if duplicate:
-            problem = f"duplicate id {int(fields[cols['id']])}"
-        else:
-            problem = _row_problem(fields, cols)
+        problem = _row_problem(fields, cols, seen)
         if problem is not None:
             return ValidationError(f"{path}: line {lineno}: {problem}")
-    # every field is a number to Python: the row numpy rejects is one that
+    # every field is a number to Python: the line numpy rejects is one that
     # it rejects alone (quotes are gone, and no number holds a comma)
     for lineno, fields in numbered:
         try:
@@ -465,18 +473,22 @@ def _row_error(path, cols: dict, row: int | None = None, *, duplicate: bool = Fa
     return ValidationError(f"{path}: {cause}")
 
 
-def _row_problem(row: list[str], cols: dict) -> str | None:
-    """What makes one data row invalid, or None."""
+def _row_problem(row: list[str], cols: dict, seen: set[int]) -> str | None:
+    """What makes one data row invalid, or None; ``seen`` holds the ids of
+    the rows before it, and gains this row's."""
     if len(row) != cols["width"]:
         return f"expected {cols['width']} fields, got {len(row)}"
     try:
-        _int64(row[cols["id"]], "id", -(2**63))
+        row_id = _int64(row[cols["id"]], "id", -(2**63))
         features = [float(row[j]) for j in cols["features"]]
         if cols["label"] is not None:
             _int64(row[cols["label"]], "label", 1)
         score = 0.0 if cols["score"] is None else float(row[cols["score"]])
     except ValueError as exc:
         return str(exc)
+    if row_id in seen:
+        return f"duplicate id {row_id}"
+    seen.add(row_id)
     if not all(math.isfinite(v) for v in features):
         return "non-finite feature value"
     if not math.isfinite(score):

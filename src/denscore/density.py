@@ -379,13 +379,11 @@ def masked_reconstruction_error(
     return np.sum((reconstruction - grid.values) ** 2, axis=-1)
 
 
-def grid_density(
-    grid: FeatureGrid, rec: MaskedReconstructor, tau: float = DEFAULT_TAU
-) -> DensityField:
+def grid_density(grid: FeatureGrid, rec: MaskedReconstructor) -> DensityField:
     """Density field over the row-major flattened grid, from masked
-    reconstruction errors."""
+    reconstruction errors at ``DEFAULT_TAU``."""
     return _field_from_errors(
-        masked_reconstruction_error(grid, rec).ravel(), tau,
+        masked_reconstruction_error(grid, rec).ravel(), DEFAULT_TAU,
         "masked-reconstruction",
     )
 
@@ -397,7 +395,8 @@ class CalibrationReport:
     Least-squares fit of radial mean on 1/density over the selected points,
     Spearman correlation of density against radial mean, and an equal-width
     density histogram of per-bin radial means.  ``degenerate`` flags a
-    constant regressor (R^2 forced to 0) or an undefined correlation.
+    flat regressor or a flat response (see `calibrate`), the cases in which
+    the correlation is undefined.
     """
 
     r_squared: float
@@ -418,9 +417,13 @@ def calibrate(
     """Regress each selected point's mean radial distance in the assignment
     ``cov`` on its inverse density and report fit quality.
 
-    Needs at least 3 selected points for a meaningful fit.  With a constant
-    regressor (all selected densities equal) the report is degenerate:
-    slope 0, R^2 0 by convention, correlation undefined.
+    Needs at least 3 selected points for a meaningful fit.  A flat column
+    (all its values equal) makes the report degenerate, with the rank
+    correlation undefined (NaN).  With a flat regressor (every selected
+    1/density equal) the fit is slope 0, intercept the mean radial mean and
+    R^2 0 by convention.  Otherwise, with a flat response (every radial
+    mean equal), it is slope 0, intercept that radial mean and R^2 1: the
+    constant fits exactly.
     """
     if densities.n != cov.n:
         raise ValidationError("density field does not match the assignment")
@@ -437,34 +440,30 @@ def calibrate(
     y = np.array([radial[int(k)] for k in sel])
     x = 1.0 / d
 
-    degenerate = False
-    sxx = float(np.sum((x - x.mean()) ** 2))
+    # a column is flat when its values are equal; a response whose squares
+    # underflow (radial means within about 1e-162 of their mean) is flat to
+    # the fit too
     syy = float(np.sum((y - y.mean()) ** 2))
-    if sxx == 0.0:
-        degenerate = True
+    flat_x = float(x.min()) == float(x.max())
+    flat_y = float(y.min()) == float(y.max()) or syy == 0.0
+    degenerate = flat_x or flat_y
+    spearman = math.nan
+    if flat_x:
         slope, intercept, r_squared = 0.0, float(y.mean()), 0.0
+    elif flat_y:
+        slope, intercept, r_squared = 0.0, float(y[0]), 1.0
     else:
+        sxx = float(np.sum((x - x.mean()) ** 2))
         sxy = float(np.sum((x - x.mean()) * (y - y.mean())))
         slope = sxy / sxx
         intercept = float(y.mean() - slope * x.mean())
-        if syy == 0.0:
-            r_squared = 1.0  # constant response fit exactly by its mean
-        else:
-            residual = y - (slope * x + intercept)
-            r_squared = 1.0 - float(np.sum(residual**2)) / syy
-            r_squared = min(max(r_squared, 0.0), 1.0)
-
-    if degenerate or syy == 0.0:
-        spearman = float("nan")
-        degenerate = True
-    else:
+        residual = y - (slope * x + intercept)
+        r_squared = 1.0 - float(np.sum(residual**2)) / syy
+        r_squared = min(max(r_squared, 0.0), 1.0)
         # Pearson of the average ranks, laid out as scipy.stats.spearmanr
-        # does; a constant rank column makes it NaN
+        # does; both columns vary, so both rank columns do
         ranks = np.column_stack((_average_ranks(d), _average_ranks(y)))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            spearman = float(np.corrcoef(ranks, rowvar=False)[1, 0])
-        if spearman != spearman:
-            degenerate = True
+        spearman = float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
     lo, hi = float(d.min()), float(d.max())
     if hi == lo:

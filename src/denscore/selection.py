@@ -13,20 +13,15 @@ d == 1 (no rescale), so the two differ only in how strongly an existing pick
 low-density pick almost nothing, which is what steers extra budget into
 sparse areas.
 
-Each set of new selected points is one call of coverage's `_claim`, the
-step the coverage assignment uses, and its size alone picks the path.  A
-pick is one point: a matrix-vector product bounds every point's squared
-distance to the new point k from below, and only the points whose bound
-over k's density does not exceed their r_t are measured.  A run that does
-not resume claims its whole initial set in one call; more than one point
-goes in tiles that bound every pair's squared distance from below, where
-a point whose least bound exceeds its r is skipped and every other
-measures the pair of its least bound, then only the pairs whose bound
-does not exceed its new r, about one pair per point.  A filtered protocol
-round starts each greedy on a new universe with every selected point in
-that set.  The radii are the same as when every point is measured.  The
-greedy tracks the owner of every r_t (the selected point it comes from)
-for the scratch argmin's tie rule.
+Each set of new selected points is one call of coverage's `_claim` (whose
+docstring gives the full account), with the filter's bounds divided by the
+new point's density.  A pick costs one n x d matrix-vector product, and a
+run that does not resume claims its m initial points in one call, O(n m d)
+in matrix products; either way only the points that may move are
+measured, and the radii are those of measuring every point.  A filtered
+protocol round starts each greedy on a new universe, so it claims every
+selected point again.  The greedy tracks the owner of every r_t (the
+selected point it comes from) for the scratch argmin's tie rule.
 
 Uncertainty enters only through the dataset's per-point ``scores`` (one
 finite scalar per point, read from the CSV's ``score`` column or attached
@@ -259,8 +254,9 @@ class ProtocolConfig:
     keeps only the top ceil(alpha*budget) unselected points by score
     (``LabeledPointSet.scores``) before estimating densities and selecting
     (the reference setting is 20 for small budgets, 10 around a 5% budget).
-    It defaults to None, which disables filtering and needs no scores.  ``estimator`` is a density estimator config dict
-    (see density.estimator_from_config), required for the density-aware
+    It defaults to None, which disables filtering and needs no scores.
+    ``estimator`` is a density estimator config dict (see
+    density.estimator_from_config), required for the density-aware
     algorithm.  ``initial`` holds the row positions of the points selected
     before the first round.  ``seed`` drives only the ``random`` baseline;
     the greedy algorithms are deterministic.
@@ -333,7 +329,6 @@ class ProtocolResult:
     rounds: tuple[RoundResult, ...]
     selected: tuple[int, ...]
     exhausted: bool
-    config: ProtocolConfig
     coverage: CoverageAssignment | None
 
 
@@ -450,6 +445,5 @@ def run_rounds(
         rounds=tuple(rounds),
         selected=tuple(selected),
         exhausted=exhausted,
-        config=config,
         coverage=coverage,
     )

@@ -150,6 +150,17 @@ class TestAssignment:
         for selected in ([0.5], [True], [0, 1.5]):
             with pytest.raises(ValidationError, match="selected index"):
                 assign_coverage(ps, selected)
+        # each named as given: no int64 wrap, no cast warning
+        for selected, named in [
+            ([10**20], "100000000000000000000 out of range"),
+            ([1, None], "None is not an integer"),
+            ([2**63], "9223372036854775808 out of range"),
+            ([np.uint64(2**63)], "9223372036854775808 out of range"),
+            ([1e20], r"1e\+20 out of range"),
+            ([1, "a"], "'a' is not an integer"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^selected index {named}"):
+                assign_coverage(ps, selected)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])

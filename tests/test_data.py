@@ -245,6 +245,11 @@ class TestCsvRoundTrip:
         path.write_text("id,f0\n3,1.0\n4,1.5\n3,2.0\n")
         with pytest.raises(ValidationError, match="line 4: duplicate id 3"):
             load_pointset(path)
+        # the first bad line in file order, whatever the later ones hold
+        for last in ("1,nan", "1,oops"):
+            path.write_text(f"id,f0\n0,1.0\n0,2.0\n{last}\n")
+            with pytest.raises(ValidationError, match="line 3: duplicate id 0"):
+                load_pointset(path)
 
     @pytest.mark.parametrize("text", [
         "id,f0,label\r\n0,1.0,1\r\n1,-2.5,2\r\n",

@@ -18,6 +18,7 @@ from denscore import (
     DEFAULT_TAU,
     DensityField,
     FeatureGrid,
+    KernelSums,
     MaskedReconstructor,
     PointSet,
     ValidationError,
@@ -314,6 +315,16 @@ class TestKernelExtension:
         with pytest.raises(ValidationError, match=message):
             kernel_density(points, bandwidth, previous=previous)
 
+    @pytest.mark.parametrize("part", ["ids", "sums", "features"])
+    def test_kernel_sums_must_align(self, part):
+        aligned = {"ids": np.arange(3), "features": np.zeros((3, 2)),
+                   "sums": np.ones(3)}
+        KernelSums(bandwidth=0.5, **aligned)
+        misfit = {"ids": np.arange(3).reshape(3, 1), "sums": np.ones(4),
+                  "features": np.zeros((2, 2))}[part]
+        with pytest.raises(ValidationError, match="must align"):
+            KernelSums(bandwidth=0.5, **{**aligned, part: misfit})
+
     def test_estimator_extends_its_last_field(self):
         est = estimator_from_config({"kind": "kernel", "bandwidth": 0.8})
         first = est(_line([0.0, 1.0, 5.0]))
@@ -559,23 +570,42 @@ class TestCalibration:
 
     def test_constant_density_is_degenerate(self, tmp_path):
         points, selected = self._clustered([1.0, 2.0, 4.0])
-        field = _manual_field(np.full(points.n, 1.5))
-        rep = calibrate(field, assign_coverage(points, selected))
-        assert rep.degenerate
-        assert rep.slope == 0.0
-        assert rep.r_squared == 0.0
-        assert math.isnan(rep.spearman)
-        assert _written(rep, tmp_path)["spearman"] is None
+        # ten of 40 sorted normal draws, whose equal 1/density values
+        # deviate from their rounded mean
+        draws = _line(np.sort(np.random.default_rng(0).normal(size=40)))
+        for points, selected, rho in [
+            (points, selected, 1.5),
+            (draws, np.linspace(0, 39, 10).astype(int), 2.9),
+        ]:
+            field = _manual_field(np.full(points.n, rho))
+            rep = calibrate(field, assign_coverage(points, selected))
+            radial = np.array([y for _, y in rep.pairs])
+            assert rep.degenerate
+            assert rep.slope == 0.0
+            assert rep.intercept == float(radial.mean())
+            assert rep.r_squared == 0.0
+            assert math.isnan(rep.spearman)
+            assert _written(rep, tmp_path)["spearman"] is None
 
     def test_constant_radial_is_degenerate_with_perfect_fit(self):
         points, selected = self._clustered([2.0, 2.0, 2.0])
         rho = np.ones(points.n)
         rho[selected] = [0.5, 1.0, 2.0]
-        field = _manual_field(rho)
-        rep = calibrate(field, assign_coverage(points, selected))
-        assert rep.degenerate
-        assert rep.r_squared == 1.0
-        assert math.isnan(rep.spearman)
+        # 0..29 with every third point from 1 selected: each area is
+        # {k - 1, k, k + 1}, of radial mean 2/3, which the rounded mean of
+        # the ten misses
+        for points, selected, field, radial in [
+            (points, selected, _manual_field(rho), 4.0 / 3.0),
+            (_line(np.arange(30.0)), list(range(1, 30, 3)),
+             _manual_field(np.linspace(1.0, 2.0, 30)), 2.0 / 3.0),
+        ]:
+            rep = calibrate(field, assign_coverage(points, selected))
+            assert {y for _, y in rep.pairs} == {radial}
+            assert rep.degenerate
+            assert rep.slope == 0.0
+            assert rep.intercept == radial
+            assert rep.r_squared == 1.0
+            assert math.isnan(rep.spearman)
 
     def test_bin_counts_cover_all_selected(self, tmp_path):
         points, selected = self._clustered([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

@@ -180,6 +180,22 @@ class TestGreedyProperties:
                 k_center_greedy(points, s0, 1)
             with pytest.raises(ValidationError, match="initial index"):
                 density_aware_greedy(points, np.ones(3), s0, 1)
+        # each named as given: no int64 wrap, no cast warning
+        for s0, named in [
+            ([10**20], "100000000000000000000 out of range"),
+            ([1, None], "None is not an integer"),
+            ([2**63], "9223372036854775808 out of range"),
+            ([np.uint64(2**63)], "9223372036854775808 out of range"),
+            ([1e20], r"1e\+20 out of range"),
+            ([1, "a"], "'a' is not an integer"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^initial index {named}"):
+                k_center_greedy(points, s0, 1)
+            with pytest.raises(ValidationError, match=f"^candidates index {named}"):
+                filter_candidates(np.ones(3), alpha=2.0, b=1, candidates=s0)
+        config = ProtocolConfig(budget=1, algorithm="k-center", initial=(10**20,))
+        with pytest.raises(ValidationError, match="^initial index 100000000000000000000 "):
+            run_rounds(LabeledPointSet(points, np.ones(3), 1), config)
         assert k_center_greedy(points, [1.0], 1).selected == (1, 0)
 
     def test_accepts_density_field(self):
