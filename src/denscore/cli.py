@@ -53,8 +53,8 @@ from .data import (
     GeneratorSpec,
     LabeledPointSet,
     ValidationError,
+    _count,
     _id_positions,
-    config_value,
     generate,
     load_pointset,
     open_text,
@@ -365,7 +365,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig) -> int:
 def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     estimator = cfg.require("estimator")
     estimate = estimator_from_config(estimator)
-    bins = config_value(cfg.raw.get("bins", 10), int, "bins")
+    bins = _count(cfg.raw.get("bins", 10), "bins")
     dataset, selection_path, cov = _selection_coverage(cfg)
     report = calibrate(estimate(dataset.points), cov, bins)
     out = _out_dir(args)

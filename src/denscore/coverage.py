@@ -49,6 +49,8 @@ import numpy as np
 from .data import (
     PointSet,
     ValidationError,
+    _count,
+    _positive,
     check_index_set,
     check_indices,
     config_value,
@@ -93,8 +95,8 @@ ORDERING_RTOL = 1e-12
 # holds for L / dens_k against the measured nearness.
 _SLACK = 8
 
-# Entries in one tile of a block claim: 256 KiB of float64, as in
-# `kernel_density`'s buffers
+# Entries in one tile of a block claim, and in each of `kernel_density`'s
+# two row buffers: 256 KiB of float64
 _TILE = 2**15
 
 
@@ -339,15 +341,11 @@ def hoeffding_term(loss_bound: float, confidence: float, n: int) -> float:
     is the failure probability, n >= 1 the sample count.  Monotone
     decreasing in n and in gamma; exactly 0 at gamma = 1.
     """
-    loss_bound = config_value(loss_bound, float, "loss_bound")
+    loss_bound = _positive(loss_bound, "loss_bound")
     confidence = config_value(confidence, float, "confidence")
-    n = config_value(n, int, "n")
-    if not (loss_bound > 0 and math.isfinite(loss_bound)):
-        raise ValidationError("loss_bound must be a positive finite number")
     if not (0.0 < confidence <= 1.0):
         raise ValidationError("confidence must lie in (0, 1]")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = _count(n, "n")
     return math.sqrt(loss_bound**2 * math.log(1.0 / confidence) / (2.0 * n))
 
 
@@ -364,14 +362,8 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("lambda_l", "lambda_eta", "loss_bound"):
-            v = config_value(getattr(self, name), float, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be a positive finite number")
-            object.__setattr__(self, name, v)
-        num_classes = config_value(self.num_classes, int, "num_classes")
-        if num_classes < 1:
-            raise ValidationError("num_classes must be >= 1")
-        object.__setattr__(self, "num_classes", num_classes)
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        object.__setattr__(self, "num_classes", _count(self.num_classes, "num_classes"))
         c = config_value(self.confidence, float, "confidence")
         if not (0.0 < c < 1.0):
             raise ValidationError("confidence must lie in (0, 1)")

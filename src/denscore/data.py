@@ -13,6 +13,15 @@ Conventions shared across the package:
 * labels are integers in 1..num_classes,
 * distances are Euclidean on the features as given: every algorithm
   compares squared distances, and every reported distance is their root.
+
+Each validation rule is written once.  `config_value` converts a configured
+value to its type.  `_count` is the rule for a count (an int of at least 1,
+or of the floor it is given) and `_positive` the rule for a scale (a
+positive finite float); every module checks its counts and scales through
+them, and only a parameter with a range of its own (a confidence, a
+bandwidth, ``k_neighbors``) words its own check.  A dataset's invariants
+(finite values, labels in 1..num_classes, unique ids) are checked by its
+containers alone.
 """
 
 from __future__ import annotations
@@ -70,14 +79,35 @@ def config_value(value, kind: type, name: str):
 
 
 def _is_kind(value, kind: type) -> bool:
-    """Whether ``value`` may stand for ``kind`` (see `config_value`)."""
+    """Whether ``value`` may stand for ``kind`` (see `config_value`); a
+    rational (an int or a Fraction) is whole exactly when its denominator
+    is 1, so no rational is rounded into a float to decide it."""
     return not (
         isinstance(value, bool)
         or (kind in (int, float) and not isinstance(value, numbers.Real))
-        or (kind is int and not isinstance(value, numbers.Integral)
-            and not float(value).is_integer())
+        or (kind is int and not (value.denominator == 1
+                                 if isinstance(value, numbers.Rational)
+                                 else float(value).is_integer()))
         or (kind is tuple and isinstance(value, str))
     )
+
+
+def _count(value, name: str, low: int = 1) -> int:
+    """``value`` as an int of at least ``low``: the one rule for a count
+    (a size, a budget, a number of rounds, bins or classes)."""
+    count = config_value(value, int, name)
+    if count < low:
+        raise ValidationError(f"{name} must be >= {low}")
+    return count
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a positive finite float: the one rule for a scale (a
+    temperature, a Lipschitz factor or a loss bound)."""
+    scale = config_value(value, float, name)
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValidationError(f"{name} must be a positive finite number")
+    return scale
 
 
 def _config_values(values, kind: type, name: str) -> tuple:
@@ -106,11 +136,17 @@ def check_indices(indices, n: int, name: str) -> np.ndarray:
     if outside.size:
         raise ValidationError(f"{name} index {_given(outside)} out of range (n={n})")
     idx = raw.astype(np.int64)
-    ordered = np.sort(idx)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    repeated = _repeated(idx)
     if repeated.size:
         raise ValidationError(f"{name} set contains duplicate index {int(repeated[0])}")
     return idx
+
+
+def _repeated(values: np.ndarray) -> np.ndarray:
+    """The entries of ``values`` that occur more than once, ascending, by a
+    sort and a neighbour compare (`np.unique` may take a slower hash path)."""
+    ordered = np.sort(values)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
 
 
 def _given(entries: np.ndarray) -> str:
@@ -179,7 +215,7 @@ class PointSet:
         ids = np.asarray(self.ids, dtype=np.int64)
         if ids.shape != (n,):
             raise ValidationError("ids must align with features (one id per row)")
-        if len(np.unique(ids)) != n:
+        if _repeated(ids).size:
             raise ValidationError("ids must be unique")
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "ids", _readonly(ids))
@@ -217,11 +253,11 @@ class LabeledPointSet:
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.shape != (self.points.n,):
             raise ValidationError("labels must align with points")
-        if self.num_classes < 1:
-            raise ValidationError("num_classes must be >= 1")
-        if labels.min() < 1 or labels.max() > self.num_classes:
+        num_classes = _count(self.num_classes, "num_classes")
+        if labels.min() < 1 or labels.max() > num_classes:
             raise ValidationError("labels must lie in 1..num_classes")
         object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "num_classes", num_classes)
         if self.scores is not None:
             scores = np.asarray(self.scores, dtype=np.float64)
             if scores.shape != (self.points.n,):
@@ -391,7 +427,9 @@ def load_pointset(path) -> LabeledPointSet:
     Schema or value problems raise ValidationError with the 1-based line
     number: a wrong field count, a field that is not a number (to Python or
     to numpy), an id or label outside int64, a label below 1, a non-finite
-    feature or score, or an id an earlier line holds.
+    feature or score, or an id an earlier line holds.  The value checks are
+    the containers' own (`PointSet`, `LabeledPointSet`); when one fails,
+    the first line in file order that holds a bad value is named.
     """
     with open_text(path) as fh:
         first = fh.readline()
@@ -406,22 +444,16 @@ def load_pointset(path) -> LabeledPointSet:
             raise _row_error(path, cols, exc) from None
     if table.size == 0:
         raise ValidationError(f"{path}: line 2: no data rows")
-    ids = table["id"]
-    ordered = np.sort(ids)
-    valid = np.isfinite(table["f"]).all(axis=1)
-    if cols["label"] is not None:
-        valid &= table["label"] >= 1
-    if cols["score"] is not None:
-        valid &= np.isfinite(table["score"])
-    if not valid.all() or np.any(ordered[1:] == ordered[:-1]):
-        raise _row_error(path, cols, None)
-    labels = np.ones(ids.size, dtype=np.int64) if cols["label"] is None else table["label"]
-    return LabeledPointSet(
-        PointSet(table["f"], ids),
-        labels,
-        num_classes=int(labels.max()),
-        scores=None if cols["score"] is None else table["score"],
-    )
+    labels = np.ones(table.size, dtype=np.int64) if cols["label"] is None else table["label"]
+    try:
+        return LabeledPointSet(
+            PointSet(table["f"], table["id"]),
+            labels,
+            num_classes=labels.max(),
+            scores=None if cols["score"] is None else table["score"],
+        )
+    except ValidationError as exc:
+        raise _row_error(path, cols, exc) from None
 
 
 def _parse(lines, dtype: np.dtype) -> np.ndarray:
@@ -437,19 +469,19 @@ def _parse(lines, dtype: np.dtype) -> np.ndarray:
 _NUMPY_POSITION = re.compile(r" at row \d+, column \d+\.$")
 
 
-def _row_error(path, cols: dict, cause: ValueError | None) -> ValidationError:
+def _row_error(path, cols: dict, cause: ValueError) -> ValidationError:
     """The error naming the first data line of ``path``, in file order, that
     `_row_problem` rejects.  ``cause`` is numpy's error on the whole file,
-    or None when the parse passed and a value or id check failed (the line
-    is then always found: `_row_problem` rejects all that those checks
-    reject).  If
-    `_row_problem` accepts every line, ``cause`` came from a field that
-    Python's ``float`` and ``int`` read and numpy does not (such as
-    ``1_0``): the first line that `_parse` rejects on its own is named,
-    with numpy's message less its 0-based position.
+    or a container's (`PointSet`, `LabeledPointSet`) on the parsed table: a
+    bad value is then always named by its line, as `_row_problem` rejects
+    every value the containers reject.  If `_row_problem` accepts every
+    line, ``cause`` came from a field that Python's ``float`` and ``int``
+    read and numpy does not (such as ``1_0``): the first line that `_parse`
+    rejects on its own is named, with numpy's message less its 0-based
+    position.
 
-    It runs only once the vectorized parse or its checks have failed, and
-    it is the one place that words a row error; numpy's message is never
+    It runs only once the vectorized parse or a container has failed, and
+    it is the one place that words a row error; neither message is ever
     read for a line number.  Blank lines are skipped, as numpy skips them,
     but keep their line numbers.
     """

@@ -37,12 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageAssignment, all_radial_distances
+from .coverage import _TILE, CoverageAssignment, all_radial_distances
 from .data import (
     FeatureGrid,
     PointSet,
     ValidationError,
+    _count,
     _id_positions,
+    _positive,
     config_value,
 )
 
@@ -129,9 +131,7 @@ def density_from_error(err, tau: float = DEFAULT_TAU):
     Accepts a scalar or an array; the output has the same shape.  The map is
     strictly decreasing, equals BETA at 0 and BETA/e at ``err == tau``.
     """
-    tau = config_value(tau, float, "tau")
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValidationError("tau must be a positive finite number")
+    tau = _positive(tau, "tau")
     arr = np.asarray(err, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("errors must be finite")
@@ -245,7 +245,7 @@ def kernel_density(
     fresh = np.setdiff1d(np.arange(n), at, assume_unique=True)
     columns = np.zeros(n) if at.size else None
     coords = np.ascontiguousarray(points.features.T)
-    rows = min(n, max(1, 2**15 // n))  # two (rows, n) buffers of about 256 KiB
+    rows = min(n, max(1, _TILE // n))  # two (rows, n) buffers of about 256 KiB
     sq_rows, diff_rows = np.empty((rows, n)), np.empty((rows, n))
     # sq and sq / scale overflow only where exp is 0
     with np.errstate(over="ignore"):
@@ -329,10 +329,7 @@ class MaskedReconstructor:
         if k < 3 or k % 2 == 0:
             raise ValidationError("kernel_size must be an odd integer >= 3")
         object.__setattr__(self, "kernel_size", k)
-        temperature = config_value(self.temperature, float, "temperature")
-        if not (temperature > 0 and math.isfinite(temperature)):
-            raise ValidationError("temperature must be a positive finite number")
-        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "temperature", _positive(self.temperature, "temperature"))
         if self.weight_mode not in ("uniform", "similarity"):
             raise ValidationError(
                 f"weight_mode must be 'uniform' or 'similarity' "
@@ -427,9 +424,7 @@ def calibrate(
     """
     if densities.n != cov.n:
         raise ValidationError("density field does not match the assignment")
-    num_bins = config_value(num_bins, int, "num_bins")
-    if num_bins < 1:
-        raise ValidationError("num_bins must be >= 1")
+    num_bins = _count(num_bins, "num_bins")
     if cov.selected.size < 3:
         raise ValidationError(
             f"calibration needs at least 3 selected points (got {cov.selected.size})"

@@ -34,6 +34,7 @@ from .data import (
     PointSet,
     ValidationError,
     _config_values,
+    _count,
     check_index_set,
     config_value,
     generate,
@@ -242,12 +243,8 @@ def nonuniform_mixture_spec(
     two values.  Counts keep their proportions when ``n`` changes; cluster
     directions repeat when ``dim`` is too small to give each its own axis.
     """
-    n = config_value(n, int, "n")
-    dim = config_value(dim, int, "dim")
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    if n < 20:
-        raise ValidationError("n must be >= 20")
+    n = _count(n, "n", low=20)
+    dim = _count(dim, "dim")
     base = 0.5
     radius = 64.0 * base
     # dense mass 0.30 of n: 0.135 across the tight tier, 0.165 across the

@@ -56,6 +56,7 @@ from .data import (
     PointSet,
     ValidationError,
     _config_values,
+    _count,
     check_index_set,
     check_indices,
     config_value,
@@ -110,7 +111,7 @@ def _greedy_select(
     densities: np.ndarray | None,
 ) -> SelectionState:
     n = features.shape[0]
-    b = config_value(b, int, "b")
+    b = _count(b, "b", low=0)
     resume = isinstance(s0, SelectionState)
     if resume and s0.radii.shape != (n,):
         raise ValidationError(
@@ -122,8 +123,6 @@ def _greedy_select(
     else:
         selected = check_indices(() if s0 is None else s0, n, "initial").tolist()
         radii, owners = np.full(n, np.inf), np.full(n, -1, dtype=np.int64)
-    if b < 0:
-        raise ValidationError("b must be non-negative")
     if b > n - len(selected):
         raise ValidationError(
             f"b={b} exceeds available candidates ({n - len(selected)})"
@@ -271,14 +270,8 @@ class ProtocolConfig:
     initial: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rounds = config_value(self.rounds, int, "rounds")
-        if rounds < 1:
-            raise ValidationError("rounds must be >= 1")
-        object.__setattr__(self, "rounds", rounds)
-        budget = config_value(self.budget, int, "budget")
-        if budget < 1:
-            raise ValidationError("budget must be >= 1")
-        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "rounds", _count(self.rounds, "rounds"))
+        object.__setattr__(self, "budget", _count(self.budget, "budget"))
         if self.alpha is not None:
             a = config_value(self.alpha, float, "alpha")
             if not (1 < a < math.inf):

@@ -1,9 +1,11 @@
 """The public surface: every exported name resolves, every count rejects a
-fractional value instead of truncating it, and every real-valued parameter
-rejects a bool or a string instead of coercing it."""
+fractional value instead of truncating it, every real-valued parameter
+rejects a bool or a string instead of coercing it, and every count and scale
+out of its range gets the one message of its rule."""
 
 import importlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ import pytest
 import denscore
 from denscore import coverage, data, density, evaluation, rng, selection
 from denscore import (
+    BoundParams,
     DensityField,
+    LabeledPointSet,
     MaskedReconstructor,
     PointSet,
     ProtocolConfig,
@@ -55,6 +59,7 @@ POINTS = PointSet.from_features(np.arange(12, dtype=np.float64).reshape(6, 2))
 FIELD = DensityField(np.linspace(1.0, 2.0, 6))
 COVERAGE = assign_coverage(POINTS, [0, 2, 4])
 SCORES = np.linspace(0.0, 1.0, 6)
+LABELS = np.ones(6, dtype=np.int64)
 
 # (call, parameter name); each call passes one count as a fraction
 FRACTIONAL_COUNTS = {
@@ -72,10 +77,17 @@ FRACTIONAL_COUNTS = {
         lambda v: ProtocolConfig(budget=v, algorithm="random"), "budget"),
     "ProtocolConfig.seed": (
         lambda v: ProtocolConfig(budget=2, algorithm="random", seed=v), "seed"),
+    "ProtocolConfig.rounds": (
+        lambda v: ProtocolConfig(budget=2, rounds=v, algorithm="random"), "rounds"),
+    "BoundParams.num_classes": (lambda v: BoundParams(num_classes=v), "num_classes"),
+    "LabeledPointSet.num_classes": (
+        lambda v: LabeledPointSet(POINTS, LABELS, num_classes=v), "num_classes"),
     "filter_candidates": (lambda v: filter_candidates(SCORES, 1.0, v), "b"),
     # the mixture needs n >= 20
     "nonuniform_mixture_spec": (
         lambda v: nonuniform_mixture_spec(n=20 + v), "n"),
+    "nonuniform_mixture_spec.dim": (
+        lambda v: nonuniform_mixture_spec(n=20, dim=v), "dim"),
 }
 
 
@@ -106,6 +118,9 @@ NON_NUMBERS = {
         lambda v: MaskedReconstructor(3, temperature=v), "temperature"),
     "hoeffding_term.loss_bound": (lambda v: hoeffding_term(v, 0.5, 10), "loss_bound"),
     "hoeffding_term.confidence": (lambda v: hoeffding_term(1.0, v, 10), "confidence"),
+    "BoundParams.lambda_l": (lambda v: BoundParams(lambda_l=v), "lambda_l"),
+    "BoundParams.lambda_eta": (lambda v: BoundParams(lambda_eta=v), "lambda_eta"),
+    "BoundParams.loss_bound": (lambda v: BoundParams(loss_bound=v), "loss_bound"),
 }
 
 
@@ -118,3 +133,46 @@ def test_non_number_names_its_parameter(case, value):
         call(value)
     call(1.0)
     call(np.float64(1.0))
+
+
+# (call, parameter name, least valid count, or None for a scale); each call
+# passes one count or one scale, which `data._count` or `data._positive` checks
+OUT_OF_RANGE = {
+    "hoeffding_term.n": (lambda v: hoeffding_term(1.0, 0.5, v), "n", 1),
+    "BoundParams.num_classes": (lambda v: BoundParams(num_classes=v), "num_classes", 1),
+    "LabeledPointSet.num_classes": (
+        lambda v: LabeledPointSet(POINTS, LABELS, num_classes=v), "num_classes", 1),
+    "calibrate": (lambda v: calibrate(FIELD, COVERAGE, num_bins=v), "num_bins", 1),
+    "ProtocolConfig.rounds": (
+        lambda v: ProtocolConfig(budget=2, rounds=v, algorithm="random"), "rounds", 1),
+    "ProtocolConfig.budget": (
+        lambda v: ProtocolConfig(budget=v, algorithm="random"), "budget", 1),
+    "nonuniform_mixture_spec.n": (lambda v: nonuniform_mixture_spec(n=v), "n", 20),
+    "nonuniform_mixture_spec.dim": (
+        lambda v: nonuniform_mixture_spec(n=20, dim=v), "dim", 1),
+    "k_center_greedy": (lambda v: k_center_greedy(POINTS, None, v), "b", 0),
+    "density_aware_greedy": (
+        lambda v: density_aware_greedy(POINTS, FIELD, None, v), "b", 0),
+    "hoeffding_term.loss_bound": (
+        lambda v: hoeffding_term(v, 0.5, 10), "loss_bound", None),
+    "BoundParams.lambda_l": (lambda v: BoundParams(lambda_l=v), "lambda_l", None),
+    "BoundParams.lambda_eta": (lambda v: BoundParams(lambda_eta=v), "lambda_eta", None),
+    "BoundParams.loss_bound": (lambda v: BoundParams(loss_bound=v), "loss_bound", None),
+    "density_from_error": (lambda v: density_from_error(0.5, v), "tau", None),
+    "knn_density": (lambda v: knn_density(POINTS, 2, v), "tau", None),
+    "MaskedReconstructor": (
+        lambda v: MaskedReconstructor(3, temperature=v), "temperature", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_gets_its_rule_message(case):
+    call, name, low = OUT_OF_RANGE[case]
+    if low is None:
+        values = (0.0, -1.0, np.inf, np.nan)
+        message = f"{name} must be a positive finite number"
+    else:
+        values, message = (low - 1, -1), f"{name} must be >= {low}"
+    for value in values:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(value)

@@ -720,6 +720,8 @@ class TestExitCodes:
         ("compare", "generator.kind", MISSING, "generator.kind is required"),
         ("generate", "output", 5, "'output' must be a non-empty string"),
         ("generate", "output", "", "'output' must be a non-empty string"),
+        # the config's own key, not calibrate's num_bins
+        ("calibrate", "bins", 0, "error: bins must be >= 1"),
     ])
     def test_misshapen_config_names_the_field(
         self, tmp_path, capsys, command, path, value, message

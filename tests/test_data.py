@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from denscore import (
     load_pointset,
     save_pointset,
 )
-from denscore.data import FeatureGrid, squared_distances_to
+from denscore.data import FeatureGrid, check_indices, config_value, squared_distances_to
 
 from oracles import squared as oracle_squared
 
@@ -68,6 +69,13 @@ INVALID_INPUTS = {
     "num-classes": (
         lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 1], 0),
         "num_classes must be >= 1"),
+    # a bool is not the count 1, and a string is no count at all
+    "num-classes-bool": (
+        lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 2], True),
+        "num_classes must be an integer (got True)"),
+    "num-classes-string": (
+        lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 1], "3"),
+        "num_classes must be an integer (got '3')"),
     "scores-align": (
         lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 1], 1,
                                 scores=[0.5]),
@@ -105,6 +113,18 @@ def test_invalid_input_names_the_problem(case):
     build, message = INVALID_INPUTS[case]
     with pytest.raises(ValidationError, match=re.escape(message)):
         build()
+
+
+def test_rational_is_whole_by_its_denominator():
+    # decided exactly, with no float(): this one lies beyond float range
+    huge = Fraction(10**400, 3)
+    with pytest.raises(ValidationError, match=r"^seed must be an integer \(got Fraction\("):
+        config_value(huge, int, "seed")
+    with pytest.raises(ValidationError,
+                       match=r"^initial index Fraction\(\d+, 3\) is not an integer$"):
+        check_indices([huge], 3, "initial")
+    assert config_value(Fraction(10**400, 1), int, "seed") == 10**400
+    assert check_indices([Fraction(2, 1)], 3, "initial").tolist() == [2]
 
 
 class TestMetrics:
