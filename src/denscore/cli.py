@@ -54,6 +54,7 @@ from .data import (
     LabeledPointSet,
     ValidationError,
     _count,
+    _first_repeat,
     _id_positions,
     generate,
     load_pointset,
@@ -255,15 +256,14 @@ def _ids_to_positions(dataset: LabeledPointSet, ids: list[int], source: str):
         query = np.where(outside, 0, np.array(ids, dtype=object)).astype(np.int64)
     at, missing = _id_positions(dataset.points.ids, query)
     missing |= outside
-    repeated = np.ones(query.size, dtype=bool)
-    repeated[np.unique(query, return_index=True)[1]] = False
-    first = int(np.argmax(missing | repeated))
-    if missing[first]:
+    first = int(np.argmax(missing)) if missing.any() else len(ids)
+    repeat = _first_repeat(query)
+    if repeat is not None and repeat < first:
+        raise ValidationError(f"{source}: id {ids[repeat]} is listed more than once")
+    if first < len(ids):
         raise ValidationError(
             f"{source}: id {ids[first]} does not occur in the dataset (mismatched files?)"
         )
-    if repeated[first]:
-        raise ValidationError(f"{source}: id {ids[first]} is listed more than once")
     return at.tolist()
 
 

@@ -21,7 +21,11 @@ positive finite float); every module checks its counts and scales through
 them, and only a parameter with a range of its own (a confidence, a
 bandwidth, ``k_neighbors``) words its own check.  A dataset's invariants
 (finite values, labels in 1..num_classes, unique ids) are checked by its
-containers alone.
+containers alone, and each names the value that breaks it.  A dataset
+file is valid when numpy's parse into the header's dtype and those
+containers accept it: `load_pointset` has no rules of its own, and its
+error path finds the first bad line by running the same parse and
+containers on prefixes of the file.
 """
 
 from __future__ import annotations
@@ -136,17 +140,28 @@ def check_indices(indices, n: int, name: str) -> np.ndarray:
     if outside.size:
         raise ValidationError(f"{name} index {_given(outside)} out of range (n={n})")
     idx = raw.astype(np.int64)
-    repeated = _repeated(idx)
-    if repeated.size:
-        raise ValidationError(f"{name} set contains duplicate index {int(repeated[0])}")
+    repeat = _first_repeat(idx)
+    if repeat is not None:
+        raise ValidationError(f"{name} set contains duplicate index {int(idx[repeat])}")
     return idx
 
 
-def _repeated(values: np.ndarray) -> np.ndarray:
-    """The entries of ``values`` that occur more than once, ascending, by a
-    sort and a neighbour compare (`np.unique` may take a slower hash path)."""
+def _first_repeat(values: np.ndarray) -> int | None:
+    """The position of the first entry of ``values``, in the order given,
+    that an earlier entry holds too, or None if every entry differs.
+
+    A sort and a neighbour compare decide whether any entry repeats
+    (`np.unique` may take a slower hash path); only then does a stable
+    argsort, which keeps equal entries in their given order, find which.
+    """
     ordered = np.sort(values)
-    return ordered[1:][ordered[1:] == ordered[:-1]]
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return None
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    repeats = np.zeros(values.size, dtype=bool)
+    repeats[order[1:]] = ordered[1:] == ordered[:-1]
+    return int(np.argmax(repeats))
 
 
 def _given(entries: np.ndarray) -> str:
@@ -211,12 +226,13 @@ class PointSet:
         if dim < 1:
             raise ValidationError("features: need at least one dimension")
         if not np.all(np.isfinite(feats)):
-            raise ValidationError("features must be finite")
+            raise ValidationError("non-finite feature value")
         ids = np.asarray(self.ids, dtype=np.int64)
         if ids.shape != (n,):
             raise ValidationError("ids must align with features (one id per row)")
-        if _repeated(ids).size:
-            raise ValidationError("ids must be unique")
+        repeat = _first_repeat(ids)
+        if repeat is not None:
+            raise ValidationError(f"duplicate id {ids[repeat]}")
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "ids", _readonly(ids))
 
@@ -255,7 +271,8 @@ class LabeledPointSet:
             raise ValidationError("labels must align with points")
         num_classes = _count(self.num_classes, "num_classes")
         if labels.min() < 1 or labels.max() > num_classes:
-            raise ValidationError("labels must lie in 1..num_classes")
+            bad = labels[(labels < 1) | (labels > num_classes)][0]
+            raise ValidationError(f"label must lie in 1..{num_classes} (got {bad})")
         object.__setattr__(self, "labels", _readonly(labels))
         object.__setattr__(self, "num_classes", num_classes)
         if self.scores is not None:
@@ -263,7 +280,7 @@ class LabeledPointSet:
             if scores.shape != (self.points.n,):
                 raise ValidationError("scores must align with points")
             if not np.all(np.isfinite(scores)):
-                raise ValidationError("scores must be finite")
+                raise ValidationError("non-finite score")
             object.__setattr__(self, "scores", _readonly(scores))
 
     @property
@@ -318,8 +335,9 @@ class GeneratorSpec:
                 f"kind must be one of {GENERATOR_KINDS} (got {self.kind!r})"
             )
         object.__setattr__(self, "seed", config_value(self.seed, int, "seed"))
-        for name, kind in (("sigmas", float), ("counts", int)):
-            object.__setattr__(self, name, _config_values(getattr(self, name), kind, name))
+        for name, rule in (("sigmas", _positive), ("counts", _count)):
+            given = config_value(getattr(self, name), tuple, name)
+            object.__setattr__(self, name, tuple(rule(v, name) for v in given))
         given = config_value(self.means, tuple, "means")
         means = tuple(_config_values(row, float, "means") for row in given)
         if not means:
@@ -332,10 +350,6 @@ class GeneratorSpec:
             raise ValidationError("sigmas: need one value per component")
         if len(self.counts) != len(means):
             raise ValidationError("counts: need one value per component")
-        if any(s <= 0 for s in self.sigmas):
-            raise ValidationError("sigmas: must be strictly positive")
-        if any(c < 1 for c in self.counts):
-            raise ValidationError("counts: must be >= 1")
         if not all(math.isfinite(x) for row in means for x in row):
             raise ValidationError("means: must be finite")
         object.__setattr__(self, "means", means)
@@ -422,147 +436,123 @@ def load_pointset(path) -> LabeledPointSet:
 
     numpy parses every data row at once: ids and labels as int64 (an id
     above 2**53 stays exact), features and scores as float64.  A field may
-    be quoted or padded with spaces, a line may end in CRLF, and blank
-    lines are skipped.  A missing label column defaults every label to 1.
-    Schema or value problems raise ValidationError with the 1-based line
-    number: a wrong field count, a field that is not a number (to Python or
-    to numpy), an id or label outside int64, a label below 1, a non-finite
-    feature or score, or an id an earlier line holds.  The value checks are
-    the containers' own (`PointSet`, `LabeledPointSet`); when one fails,
-    the first line in file order that holds a bad value is named.
+    be quoted or padded with spaces, a line may end in CRLF, and empty
+    lines are skipped (a line of spaces is a row of one field).  A missing
+    label column defaults every label to 1; ``num_classes`` is the largest
+    label, and at least 1.
+
+    A file is valid when numpy's parse and the containers (`PointSet`,
+    `LabeledPointSet`) accept it; the loader has no rules of its own.  A
+    rejected file raises a ValidationError naming its first bad line in
+    file order, 1-based, with the rule's own message: a wrong field count,
+    a field numpy cannot convert (an id or label outside int64 among
+    them), a non-finite feature or score, a label below 1, or an id an
+    earlier line holds.  `_row_error` finds that line with the same parse
+    and containers.
     """
     with open_text(path) as fh:
         first = fh.readline()
         if not first:
             raise ValidationError(f"{path}: line 1: empty file")
-        cols = _parse_header([h.strip() for h in next(csv.reader([first]))], path)
+        dtype = _parse_header([h.strip() for h in next(csv.reader([first]))], path)
         try:
-            table = _parse(fh, cols["dtype"])
+            dataset = _dataset(fh, dtype)
         except UnicodeDecodeError:
             raise  # not a bad row: open_text names the file, with no re-read
         except ValueError as exc:
-            raise _row_error(path, cols, exc) from None
-    if table.size == 0:
+            raise _row_error(path, dtype, exc) from None
+    if dataset is None:
         raise ValidationError(f"{path}: line 2: no data rows")
-    labels = np.ones(table.size, dtype=np.int64) if cols["label"] is None else table["label"]
-    try:
-        return LabeledPointSet(
-            PointSet(table["f"], table["id"]),
-            labels,
-            num_classes=labels.max(),
-            scores=None if cols["score"] is None else table["score"],
-        )
-    except ValidationError as exc:
-        raise _row_error(path, cols, exc) from None
+    return dataset
 
 
-def _parse(lines, dtype: np.dtype) -> np.ndarray:
-    """The data ``lines`` of a dataset CSV parsed by numpy into ``dtype``;
-    a field numpy cannot convert raises its ValueError."""
+def _dataset(lines, dtype: np.dtype) -> LabeledPointSet | None:
+    """The dataset of the data ``lines`` of a dataset CSV, parsed by numpy
+    into ``dtype`` and checked by the containers, or None if they hold no
+    row; numpy's or a container's ValueError is raised as it is."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a file of no rows
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
-                          comments=None, ndmin=1)
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                           comments=None, ndmin=1)
+    if table.size == 0:
+        return None
+    labels = table["label"] if "label" in dtype.names else np.ones(table.size, dtype=np.int64)
+    return LabeledPointSet(
+        PointSet(table["f"], table["id"]),
+        labels,
+        # at least 1, so a label below 1 always fails the labels rule
+        num_classes=max(labels.max(), 1),
+        scores=table["score"] if "score" in dtype.names else None,
+    )
 
 
-# the 0-based position numpy appends to a conversion error
-_NUMPY_POSITION = re.compile(r" at row \d+, column \d+\.$")
+# the 0-based position numpy appends to a conversion error, or the row
+# and advice it appends to a field-count error
+_NUMPY_POSITION = re.compile(r" at row \d+(, column \d+\.|; use `usecols` .*)$")
 
 
-def _row_error(path, cols: dict, cause: ValueError) -> ValidationError:
-    """The error naming the first data line of ``path``, in file order, that
-    `_row_problem` rejects.  ``cause`` is numpy's error on the whole file,
-    or a container's (`PointSet`, `LabeledPointSet`) on the parsed table: a
-    bad value is then always named by its line, as `_row_problem` rejects
-    every value the containers reject.  If `_row_problem` accepts every
-    line, ``cause`` came from a field that Python's ``float`` and ``int``
-    read and numpy does not (such as ``1_0``): the first line that `_parse`
-    rejects on its own is named, with numpy's message less its 0-based
-    position.
+def _row_error(path, dtype: np.dtype, cause: ValueError) -> ValidationError:
+    """The error naming the first data line of ``path``, in file order,
+    that makes it invalid; ``cause`` is the error that `_dataset` raised on
+    the whole file.
 
-    It runs only once the vectorized parse or a container has failed, and
-    it is the one place that words a row error; neither message is ever
-    read for a line number.  Blank lines are skipped, as numpy skips them,
-    but keep their line numbers.
+    Every rule holds per line or over the lines before it (a repeated id),
+    so once a prefix of the data lines is rejected, every longer one is
+    too.  A bisection finds the shortest prefix that `_dataset` rejects, in
+    about log2(lines) parses, and names its last line with that
+    rejection's message, less numpy's 0-based position.  Empty lines,
+    which numpy skips, keep their line numbers.  It runs only once a load
+    has failed, and never reads a line number from a message; if the file
+    now loads in full, it changed after that load, and ``cause`` is named
+    with the path.
     """
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        numbered = [(lineno, fields) for lineno, fields in enumerate(reader, start=2) if fields]
-    seen: set[int] = set()
-    for lineno, fields in numbered:
-        problem = _row_problem(fields, cols, seen)
-        if problem is not None:
-            return ValidationError(f"{path}: line {lineno}: {problem}")
-    # every field is a number to Python: the line numpy rejects is one that
-    # it rejects alone (quotes are gone, and no number holds a comma)
-    for lineno, fields in numbered:
+        lines = fh.readlines()[1:]
+
+    def rejection(k: int) -> ValueError | None:
         try:
-            _parse([",".join(fields)], cols["dtype"])
+            _dataset(lines[:k], dtype)
         except ValueError as exc:
-            problem = _NUMPY_POSITION.sub("", str(exc))
-            return ValidationError(f"{path}: line {lineno}: {problem}")
-    return ValidationError(f"{path}: {cause}")
+            return exc
+        return None
+
+    # lines[:good] loads, and lines[:bad] is rejected with `error`
+    good, bad = 0, len(lines)
+    error = rejection(bad)
+    if error is None:
+        return ValidationError(f"{path}: {cause}")
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        found = rejection(mid)
+        if found is None:
+            good = mid
+        else:
+            bad, error = mid, found
+    problem = _NUMPY_POSITION.sub("", str(error))
+    # data line k (from 1) is line k + 1 of the file
+    return ValidationError(f"{path}: line {bad + 1}: {problem}")
 
 
-def _row_problem(row: list[str], cols: dict, seen: set[int]) -> str | None:
-    """What makes one data row invalid, or None; ``seen`` holds the ids of
-    the rows before it, and gains this row's."""
-    if len(row) != cols["width"]:
-        return f"expected {cols['width']} fields, got {len(row)}"
-    try:
-        row_id = _int64(row[cols["id"]], "id", -(2**63))
-        features = [float(row[j]) for j in cols["features"]]
-        if cols["label"] is not None:
-            _int64(row[cols["label"]], "label", 1)
-        score = 0.0 if cols["score"] is None else float(row[cols["score"]])
-    except ValueError as exc:
-        return str(exc)
-    if row_id in seen:
-        return f"duplicate id {row_id}"
-    seen.add(row_id)
-    if not all(math.isfinite(v) for v in features):
-        return "non-finite feature value"
-    if not math.isfinite(score):
-        return "non-finite score"
-    return None
-
-
-def _int64(text: str, name: str, low: int) -> int:
-    """``int(text)``, raising a ValueError unless it lies in low..2**63-1."""
-    value = int(text)
-    if not low <= value < 2**63:
-        raise ValueError(f"{name} must lie in {low}..{2**63 - 1} (got {value})")
-    return value
-
-
-def _parse_header(header: Sequence[str], path) -> dict:
-    """The column positions of ``header``, its width, and the structured
-    dtype numpy parses a data row into."""
+def _parse_header(header: Sequence[str], path) -> np.dtype:
+    """The structured dtype numpy parses a data row of ``header`` into:
+    ``id``, the features as one field ``f``, then ``label`` and ``score``
+    if the header has them."""
     if not header or header[0] != "id":
         raise ValidationError(f"{path}: line 1: first column must be 'id'")
-    features = []
-    j = 1
-    while j < len(header) and header[j] == f"f{len(features)}":
-        features.append(j)
-        j += 1
-    if not features:
+    dim = 0
+    while 1 + dim < len(header) and header[1 + dim] == f"f{dim}":
+        dim += 1
+    if not dim:
         raise ValidationError(f"{path}: line 1: expected feature columns f0..")
-    fields = [("id", np.int64), ("f", np.float64, (len(features),))]
-    label_col = None
-    score_col = None
-    if j < len(header) and header[j] == "label":
-        label_col = j
-        fields.append(("label", np.int64))
-        j += 1
-    if j < len(header) and header[j] == "score":
-        score_col = j
-        fields.append(("score", np.float64))
-        j += 1
-    if j != len(header):
+    fields = [("id", np.int64), ("f", np.float64, (dim,))]
+    rest = list(header[1 + dim:])
+    for name, kind in (("label", np.int64), ("score", np.float64)):
+        if rest and rest[0] == name:
+            fields.append((name, kind))
+            rest.pop(0)
+    if rest:
         raise ValidationError(
-            f"{path}: line 1: unexpected column {header[j]!r} "
+            f"{path}: line 1: unexpected column {rest[0]!r} "
             "(schema is id,f0..f{D-1}[,label][,score])"
         )
-    return {"id": 0, "features": features, "label": label_col, "score": score_col,
-            "width": len(header), "dtype": np.dtype(fields)}
+    return np.dtype(fields)

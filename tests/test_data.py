@@ -16,6 +16,7 @@ from denscore import (
     load_pointset,
     save_pointset,
 )
+from denscore import data
 from denscore.data import FeatureGrid, check_indices, config_value, squared_distances_to
 
 from oracles import squared as oracle_squared
@@ -83,7 +84,7 @@ INVALID_INPUTS = {
     "scores-finite": (
         lambda: LabeledPointSet(PointSet.from_features(np.zeros((2, 1))), [1, 1], 1,
                                 scores=[0.5, np.nan]),
-        "scores must be finite"),
+        "non-finite score"),
     "grid-finite": (
         lambda: FeatureGrid(np.full((2, 2, 1), np.inf)), "grid values must be finite"),
     "spec-no-component": (
@@ -105,6 +106,27 @@ INVALID_INPUTS = {
         lambda: GeneratorSpec(kind="gaussian-mixture", seed=0, means=((np.nan,),),
                               sigmas=(1.0,), counts=(5,)),
         "means: must be finite"),
+    # Python's json reads NaN and Infinity from a config
+    "spec-sigmas-nan": (
+        lambda: GeneratorSpec(kind="uniform-box", seed=0, means=((0.0,),),
+                              sigmas=(float("nan"),), counts=(3,)),
+        "sigmas must be a positive finite number"),
+    "spec-sigmas-inf": (
+        lambda: GeneratorSpec(kind="uniform-box", seed=0, means=((0.0,),),
+                              sigmas=(float("inf"),), counts=(3,)),
+        "sigmas must be a positive finite number"),
+    "spec-counts-zero": (
+        lambda: GeneratorSpec(kind="uniform-box", seed=0, means=((0.0,),),
+                              sigmas=(1.0,), counts=(0,)),
+        "counts must be >= 1"),
+    # each container names the value that breaks its rule
+    "pointset-finite": (
+        lambda: PointSet(np.array([[0.0], [np.inf]]), [0, 1]), "non-finite feature value"),
+    "pointset-duplicate": (
+        lambda: PointSet(np.zeros((4, 1)), [5, 3, 5, 3]), "duplicate id 5"),
+    "labels-range": (
+        lambda: LabeledPointSet(PointSet.from_features(np.zeros((3, 1))), [1, 3, 0], 2),
+        "label must lie in 1..2 (got 3)"),
 }
 
 
@@ -125,6 +147,13 @@ def test_rational_is_whole_by_its_denominator():
         check_indices([huge], 3, "initial")
     assert config_value(Fraction(10**400, 1), int, "seed") == 10**400
     assert check_indices([Fraction(2, 1)], 3, "initial").tolist() == [2]
+
+
+def test_repeated_index_is_the_first_as_given():
+    # 5 is the first entry that an earlier one holds, though 3 is smaller
+    with pytest.raises(ValidationError,
+                       match=r"^initial set contains duplicate index 5$"):
+        check_indices([5, 3, 5, 3], 10, "initial")
 
 
 class TestMetrics:
@@ -319,13 +348,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match="line 3"):
             load_pointset(bad_width)
 
-        # integers outside int64, and a label below 1
-        for name, row in [("id", "100000000000000000000,2.0,1"),
-                          ("label", "1,2.0,100000000000000000000"),
-                          ("label", "1,2.0,0")]:
+        # integers outside int64 (numpy's own message), and a label below 1
+        too_big = "could not convert string '100000000000000000000' to int64"
+        for problem, row in [(too_big, "100000000000000000000,2.0,1"),
+                             (too_big, "1,2.0,100000000000000000000"),
+                             ("label must lie", "1,2.0,0")]:
             path = tmp_path / "range.csv"
             path.write_text(f"id,f0,label\n0,1.0,1\n{row}\n")
-            message = f"^{re.escape(str(path))}: line 3: {name} must lie"
+            message = f"^{re.escape(f'{path}: line 3: {problem}')}"
             with pytest.raises(ValidationError, match=message):
                 load_pointset(path)
 
@@ -373,6 +403,57 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError) as exc:
             load_pointset(path)
         assert str(exc.value) == f"{path}: line 3: could not convert string '1_0' to float64"
+
+    @pytest.mark.parametrize("text, field, kind", [
+        ("id,f0\n0,1.0\n1,1_0\n2,nan\n", "1_0", "float64"),
+        ("id,f0\n0,1.0\n1,1_0\n0,2.0\n", "1_0", "float64"),
+        ("id,f0,label\n0,1.0,1\n1,2.0,+1_0\n0,3.0,1\n", "+1_0", "int64"),
+    ], ids=["then-non-finite", "then-repeated-id", "label-then-repeated-id"])
+    def test_first_of_several_bad_lines_is_named(self, tmp_path, text, field, kind):
+        # numpy rejects line 3, and a container would reject line 4
+        path = tmp_path / "mixed.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_pointset(path)
+        assert str(exc.value) == (
+            f"{path}: line 3: could not convert string '{field}' to {kind}")
+
+    @pytest.mark.parametrize("header, row, message", [
+        ("id,f0", "1,oops", "could not convert string 'oops' to float64"),
+        ("id,f0,label", "1,2.0,1,7", "the dtype passed requires 3 columns but 4 were found"),
+        ("id,f0,label", "1,2.0", "the dtype passed requires 3 columns but 2 were found"),
+    ], ids=["conversion", "too-many-fields", "too-few-fields"])
+    def test_numpy_message_loses_its_position(self, tmp_path, header, row, message):
+        # numpy's own wording on the installed numpy, less the 0-based
+        # position or column-count advice it appends; a changed wording
+        # shows up here
+        path = tmp_path / "numpy.csv"
+        first = "0,1.0,1" if header.endswith("label") else "0,1.0"
+        path.write_text(f"{header}\n{first}\n{row}\n")
+        with pytest.raises(ValidationError) as exc:
+            load_pointset(path)
+        assert str(exc.value) == f"{path}: line 3: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,f0,label\n0,1.0,-3\n", "line 2: label must lie in 1..1 (got -3)"),
+        ("id,f0,label\n0,1.0,2\n\n1,2.0,0\n", "line 4: label must lie in 1..2 (got 0)"),
+        ("id,f0\n7,1.0\n3,2.0\n7,inf\n", "line 4: non-finite feature value"),
+    ], ids=["only-label-below-1", "label-after-blank", "two-faults-on-one-line"])
+    def test_container_message_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "container.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_pointset(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_file_that_loads_on_the_reread_names_the_first_error(self, tmp_path):
+        # the file changed between the failed load and the search for its
+        # bad line: the first error is named with the path
+        path = tmp_path / "changed.csv"
+        path.write_text("id,f0\n0,1.0\n")
+        dtype = data._parse_header(["id", "f0"], path)
+        error = data._row_error(path, dtype, ValueError("non-finite feature value"))
+        assert str(error) == f"{path}: non-finite feature value"
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"

@@ -32,6 +32,7 @@ from denscore import (
 )
 from denscore import ValidationError, coverage
 from denscore.coverage import ORDERING_RTOL
+from denscore.data import _first_repeat
 from denscore.density import DENSITY_FLOOR
 
 SCALES = (1e-3, 1.0, 7.5, 1e3)
@@ -173,6 +174,90 @@ def test_every_accepted_csv_form_loads_the_values_written(points, data):
     assert loaded.points.ids.tolist() == ids
     assert loaded.points.features.tobytes() == points.features.tobytes()
     assert loaded.labels.tolist() == labels
+
+
+# Fields that no number parse takes (Python's float takes 1_0, numpy's does
+# not), and integers just outside int64
+NON_NUMBERS = ("x", "1_0", "+1_0", "", "0x1", "1e")
+OUTSIDE_INT64 = (str(2**63), str(-2**63 - 1), "100000000000000000000")
+
+
+@st.composite
+def faulty_csvs(draw):
+    """A dataset CSV with blank lines mixed in and 0-3 faulty rows, the
+    1-based line of its first faulty row (None when it has none), and the
+    ids, features and labels of its rows."""
+    n, dim = draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    labeled, scored = draw(st.booleans()), draw(st.booleans())
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    values = st.floats(-1e3, 1e3)
+    rows = []
+    for i in ids:
+        row = [str(i), *(repr(draw(values)) for _ in range(dim))]
+        row += [str(draw(st.integers(1, 3)))] if labeled else []
+        row += [repr(draw(values))] if scored else []
+        rows.append(row)
+    clean = ([int(r[0]) for r in rows], [[float(v) for v in r[1:1 + dim]] for r in rows],
+             [int(r[1 + dim]) if labeled else 1 for r in rows])
+    faulty = sorted(draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)))
+    for p in faulty:
+        row = rows[p]
+        kinds = ["feature", "non-number", "width", "int64"]
+        kinds += (["label"] if labeled else []) + (["score"] if scored else [])
+        kinds += ["repeat"] if p else []
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("feature", "score"):
+            at = -1 if kind == "score" else draw(st.integers(1, dim))
+            row[at] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        elif kind == "repeat":  # the later occurrence is the fault
+            row[0] = rows[draw(st.integers(0, p - 1))][0]
+        elif kind == "label":
+            row[1 + dim] = draw(st.sampled_from(["0", "-1"]))
+        elif kind == "non-number":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(NON_NUMBERS))
+        elif kind == "width":
+            rows[p] = row + ["1"] if draw(st.booleans()) else row[:-1]
+        else:
+            at = draw(st.sampled_from([0, 1 + dim] if labeled else [0]))
+            row[at] = draw(st.sampled_from(OUTSIDE_INT64))
+    header = ["id", *(f"f{j}" for j in range(dim))]
+    header += (["label"] if labeled else []) + (["score"] if scored else [])
+    lines, linenos = [",".join(header)], []
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(",".join(row))
+        linenos.append(len(lines))
+    first = linenos[faulty[0]] if faulty else None
+    return "\n".join(lines) + "\n", first, clean
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(faulty_csvs())
+def test_a_rejected_csv_names_its_first_faulty_line(case):
+    # every rule the loader applies is numpy's parse or a container's, and
+    # the line named is the first one in file order that breaks any rule
+    text, first, (ids, features, labels) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        path.write_text(text)
+        if first is None:
+            loaded = load_pointset(path)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                load_pointset(path)
+    if first is None:
+        assert loaded.points.ids.tolist() == ids
+        assert loaded.points.features.tolist() == features
+        assert loaded.labels.tolist() == labels
+    else:
+        assert str(exc.value).startswith(f"{path}: line {first}: ")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=12))
+def test_first_repeat_is_the_first_entry_an_earlier_one_holds(values):
+    expected = next((pos for pos, v in enumerate(values) if v in values[:pos]), None)
+    assert _first_repeat(np.array(values, dtype=np.int64)) == expected
 
 
 # Up to 10 coordinates, so that numpy's unrolled sums (8 and more terms)
