@@ -25,6 +25,10 @@ dataclass's fields.
 ``select`` runs the greedy algorithms and the seeded ``random`` baseline.
 A protocol ``alpha`` filters each round's pool by the dataset CSV's
 ``score`` column, one scalar per point; any other algorithm name exits 1.
+``evaluate`` and ``calibrate`` read a selection CSV's ``id`` column with
+the dataset's reader, `data.read_table`: an id is whatever numpy's int64
+parse takes, and the first line whose id is malformed, repeated or not in
+the dataset is named, as a bad dataset line is.
 
 Exit codes: 0 success, 1 invalid config or input (a config, dataset or
 selection file that is missing, not UTF-8, or malformed), 2 runtime
@@ -35,7 +39,6 @@ candidates).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -59,6 +62,7 @@ from .data import (
     generate,
     load_pointset,
     open_text,
+    read_table,
     save_pointset,
     write_csv,
 )
@@ -213,41 +217,10 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledPointSet:
     return load_pointset(path)
 
 
-def _load_selection_ids(path: str) -> list[int]:
-    """Read the id column from a selection CSV (or any CSV with an id column)."""
-    if not Path(path).is_file():
-        raise ValidationError(f"selection file not found: {path}")
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: line 1: empty file") from None
-        header = [h.strip() for h in header]
-        if "id" not in header:
-            raise ValidationError(f"{path}: line 1: no 'id' column")
-        col = header.index("id")
-        ids = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ids.append(int(row[col]))
-            except (ValueError, IndexError):
-                raise ValidationError(
-                    f"{path}: line {lineno}: invalid id value"
-                ) from None
-    if not ids:
-        raise ValidationError(f"{path}: no selection rows")
-    return ids
-
-
-def _ids_to_positions(dataset: LabeledPointSet, ids: list[int], source: str):
+def _ids_to_positions(dataset: LabeledPointSet, ids) -> list[int]:
     """The row positions of the dataset ids ``ids``, in their order; the
     first id, in that order, that the dataset lacks or that an earlier
-    entry lists raises a ValidationError naming ``source``."""
-    if not ids:
-        return []
+    entry lists raises a ValidationError naming it."""
     try:
         query = np.array(ids, dtype=np.int64)
         outside = np.zeros(query.size, dtype=bool)
@@ -259,20 +232,31 @@ def _ids_to_positions(dataset: LabeledPointSet, ids: list[int], source: str):
     first = int(np.argmax(missing)) if missing.any() else len(ids)
     repeat = _first_repeat(query)
     if repeat is not None and repeat < first:
-        raise ValidationError(f"{source}: id {ids[repeat]} is listed more than once")
+        raise ValidationError(f"id {ids[repeat]} is listed more than once")
     if first < len(ids):
         raise ValidationError(
-            f"{source}: id {ids[first]} does not occur in the dataset (mismatched files?)"
+            f"id {ids[first]} does not occur in the dataset (mismatched files?)"
         )
     return at.tolist()
 
 
+def _id_column(header: list[str], path) -> tuple[np.dtype, list[int]]:
+    """The `read_table` schema of a selection file: its ``id`` column
+    alone, as int64; other columns are not read."""
+    if "id" not in header:
+        raise ValidationError(f"{path}: line 1: no 'id' column")
+    return np.dtype(np.int64), [header.index("id")]
+
+
 def _selection_coverage(cfg: ExperimentConfig) -> tuple:
     """The config's dataset, its selection file, and the coverage
-    assignment of the ids that file lists."""
+    assignment of the ids that file lists; a bad, repeated or unknown id
+    is named by its line, as a bad dataset line is."""
     dataset = _load_dataset(cfg)
     path = cfg.require("selection")
-    positions = _ids_to_positions(dataset, _load_selection_ids(path), path)
+    if not Path(path).is_file():
+        raise ValidationError(f"selection file not found: {path}")
+    positions = read_table(path, _id_column, lambda ids: _ids_to_positions(dataset, ids))
     return dataset, path, assign_coverage(dataset.points, positions)
 
 
@@ -303,9 +287,10 @@ def cmd_select(args, cfg: ExperimentConfig) -> int:
     config = ProtocolConfig(estimator=cfg.raw.get("estimator"), **protocol_section)
     # config.initial holds dataset ids, as the summary records them; the
     # protocol takes row positions
-    initial = _ids_to_positions(
-        dataset, config.initial, f"{cfg.path}: protocol.initial"
-    )
+    try:
+        initial = _ids_to_positions(dataset, config.initial)
+    except ValidationError as exc:
+        raise ValidationError(f"{cfg.path}: protocol.initial: {exc}") from None
     bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
     result = run_rounds(dataset, replace(config, initial=initial), bound_params=bounds)
 

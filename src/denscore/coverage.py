@@ -52,7 +52,6 @@ from .data import (
     _count,
     _positive,
     check_index_set,
-    check_indices,
     config_value,
     squared_distances_to,
 )
@@ -140,8 +139,7 @@ def assign_coverage(
     extended assignment is bit-identical to one assigned from scratch,
     whatever the order.
     """
-    order = check_indices(selected, points.n, "selected")
-    sel = check_index_set(order, points.n, "selected")
+    sel = check_index_set(selected, points.n, "selected")
     if previous is None:
         held = np.empty(0, dtype=np.int64)
         pi, sq = np.full(points.n, -1, dtype=np.int64), np.full(points.n, np.inf)
@@ -150,7 +148,7 @@ def assign_coverage(
             raise ValidationError("previous assignment does not match point set")
         held = previous.selected
         pi, sq = previous.pi.copy(), previous.sq_distances.copy()
-    new = order[~np.isin(order, held)]
+    new = sel[~np.isin(sel, held)]
     if new.size != sel.size - held.size:
         raise ValidationError(
             "selected set must contain the previous assignment's selected set"

@@ -2,7 +2,8 @@
 uniform box), squared distances to one point, and CSV I/O.
 
 Every CSV the package writes goes through `write_csv`, so a float always
-reads back as the same double.
+reads back as the same double, and every CSV it reads (a dataset or a
+selection) through `read_table`, so one parse decides what a field holds.
 
 Conventions shared across the package:
 
@@ -21,11 +22,12 @@ positive finite float); every module checks its counts and scales through
 them, and only a parameter with a range of its own (a confidence, a
 bandwidth, ``k_neighbors``) words its own check.  A dataset's invariants
 (finite values, labels in 1..num_classes, unique ids) are checked by its
-containers alone, and each names the value that breaks it.  A dataset
-file is valid when numpy's parse into the header's dtype and those
-containers accept it: `load_pointset` has no rules of its own, and its
-error path finds the first bad line by running the same parse and
-containers on prefixes of the file.
+containers alone, and each names the value that breaks it.  A CSV is
+valid when `read_table`'s parse (numpy's, into the dtype its header
+gives) and the checks of its rows accept it: for a dataset file those are
+the containers, and `load_pointset` has no rules of its own.  The error
+path finds the first bad line by running the same parse and checks on
+prefixes of the file.
 """
 
 from __future__ import annotations
@@ -272,7 +274,8 @@ class LabeledPointSet:
         num_classes = _count(self.num_classes, "num_classes")
         if labels.min() < 1 or labels.max() > num_classes:
             bad = labels[(labels < 1) | (labels > num_classes)][0]
-            raise ValidationError(f"label must lie in 1..{num_classes} (got {bad})")
+            bound = ">= 1" if bad < 1 else f"<= {num_classes}"
+            raise ValidationError(f"label must be {bound} (got {bad})")
         object.__setattr__(self, "labels", _readonly(labels))
         object.__setattr__(self, "num_classes", num_classes)
         if self.scores is not None:
@@ -435,70 +438,89 @@ def load_pointset(path) -> LabeledPointSet:
     """Read a ``id,f0..f{D-1}[,label][,score]`` CSV in one vectorized pass.
 
     numpy parses every data row at once: ids and labels as int64 (an id
-    above 2**53 stays exact), features and scores as float64.  A field may
-    be quoted or padded with spaces, a line may end in CRLF, and empty
-    lines are skipped (a line of spaces is a row of one field).  A missing
+    above 2**53 stays exact), features and scores as float64.  A missing
     label column defaults every label to 1; ``num_classes`` is the largest
     label, and at least 1.
 
-    A file is valid when numpy's parse and the containers (`PointSet`,
-    `LabeledPointSet`) accept it; the loader has no rules of its own.  A
-    rejected file raises a ValidationError naming its first bad line in
-    file order, 1-based, with the rule's own message: a wrong field count,
-    a field numpy cannot convert (an id or label outside int64 among
-    them), a non-finite feature or score, a label below 1, or an id an
-    earlier line holds.  `_row_error` finds that line with the same parse
-    and containers.
+    A file is valid when `read_table`'s parse and the containers
+    (`PointSet`, `LabeledPointSet`) accept it; the loader has no rules of
+    its own.  A rejected file names its first bad line with the rule's own
+    message: a wrong field count, a field numpy cannot convert (an id or
+    label outside int64 among them), a non-finite feature or score, a label
+    below 1, or an id an earlier line holds.
+    """
+    return read_table(path, _parse_header, _dataset)
+
+
+def read_table(path, schema, build):
+    """``build`` of the data lines of the CSV ``path``, parsed by numpy: the
+    one reader of every CSV the package takes in.
+
+    ``schema(header, path)`` turns the header line's fields into the dtype
+    of a row and the columns numpy reads (``usecols``, None for every
+    column, which every row must then hold exactly); ``build(table)``
+    checks the parsed rows, at least one, and makes the result.  A field may be quoted or
+    padded with spaces, a line may end in CRLF, and empty lines are
+    skipped (a line of spaces is a row of one field).
+
+    A rejected file raises a ValidationError naming its first bad line in
+    file order, 1-based, with the message of the rule it breaks, numpy's
+    or ``build``'s (any ValueError); `_row_error` finds that line with the
+    same parse and ``build``.
     """
     with open_text(path) as fh:
         first = fh.readline()
         if not first:
             raise ValidationError(f"{path}: line 1: empty file")
-        dtype = _parse_header([h.strip() for h in next(csv.reader([first]))], path)
+        dtype, usecols = schema([h.strip() for h in next(csv.reader([first]))], path)
+
+        def parse(lines):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file of no rows
+                table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1, usecols=usecols)
+            return build(table) if table.size else None
+
         try:
-            dataset = _dataset(fh, dtype)
+            result = parse(fh)
         except UnicodeDecodeError:
             raise  # not a bad row: open_text names the file, with no re-read
         except ValueError as exc:
-            raise _row_error(path, dtype, exc) from None
-    if dataset is None:
+            raise _row_error(path, parse, exc) from None
+    if result is None:
         raise ValidationError(f"{path}: line 2: no data rows")
-    return dataset
+    return result
 
 
-def _dataset(lines, dtype: np.dtype) -> LabeledPointSet | None:
-    """The dataset of the data ``lines`` of a dataset CSV, parsed by numpy
-    into ``dtype`` and checked by the containers, or None if they hold no
-    row; numpy's or a container's ValueError is raised as it is."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a file of no rows
-        table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
-                           comments=None, ndmin=1)
-    if table.size == 0:
-        return None
-    labels = table["label"] if "label" in dtype.names else np.ones(table.size, dtype=np.int64)
+def _dataset(table: np.ndarray) -> LabeledPointSet:
+    """The dataset of the rows ``table`` of a dataset CSV (a dtype of
+    `_parse_header`), checked by the containers."""
+    names = table.dtype.names
+    labels = table["label"] if "label" in names else np.ones(table.size, dtype=np.int64)
     return LabeledPointSet(
         PointSet(table["f"], table["id"]),
         labels,
         # at least 1, so a label below 1 always fails the labels rule
         num_classes=max(labels.max(), 1),
-        scores=table["score"] if "score" in dtype.names else None,
+        scores=table["score"] if "score" in names else None,
     )
 
 
-# the 0-based position numpy appends to a conversion error, or the row
-# and advice it appends to a field-count error
-_NUMPY_POSITION = re.compile(r" at row \d+(, column \d+\.|; use `usecols` .*)$")
+# the 0-based position numpy appends to a conversion error, the row and
+# advice it appends to a field-count error, or the row and its field count
+# it appends when a row lacks a column of ``usecols``
+_NUMPY_POSITION = re.compile(
+    r" at row \d+(, column \d+\.|; use `usecols` .*| with \d+ columns)$")
 
 
-def _row_error(path, dtype: np.dtype, cause: ValueError) -> ValidationError:
+def _row_error(path, parse, cause: ValueError) -> ValidationError:
     """The error naming the first data line of ``path``, in file order,
-    that makes it invalid; ``cause`` is the error that `_dataset` raised on
-    the whole file.
+    that makes it invalid; ``parse`` is `read_table`'s parse of a list of
+    data lines, and ``cause`` the error it raised on the whole file.
 
     Every rule holds per line or over the lines before it (a repeated id),
     so once a prefix of the data lines is rejected, every longer one is
-    too.  A bisection finds the shortest prefix that `_dataset` rejects, in
+    too.  A bisection finds the shortest prefix that ``parse`` rejects, in
     about log2(lines) parses, and names its last line with that
     rejection's message, less numpy's 0-based position.  Empty lines,
     which numpy skips, keep their line numbers.  It runs only once a load
@@ -511,7 +533,7 @@ def _row_error(path, dtype: np.dtype, cause: ValueError) -> ValidationError:
 
     def rejection(k: int) -> ValueError | None:
         try:
-            _dataset(lines[:k], dtype)
+            parse(lines[:k])
         except ValueError as exc:
             return exc
         return None
@@ -533,10 +555,10 @@ def _row_error(path, dtype: np.dtype, cause: ValueError) -> ValidationError:
     return ValidationError(f"{path}: line {bad + 1}: {problem}")
 
 
-def _parse_header(header: Sequence[str], path) -> np.dtype:
-    """The structured dtype numpy parses a data row of ``header`` into:
-    ``id``, the features as one field ``f``, then ``label`` and ``score``
-    if the header has them."""
+def _parse_header(header: Sequence[str], path) -> tuple[np.dtype, None]:
+    """The structured dtype numpy parses a data row of ``header`` into,
+    with every column read: ``id``, the features as one field ``f``, then
+    ``label`` and ``score`` if the header has them."""
     if not header or header[0] != "id":
         raise ValidationError(f"{path}: line 1: first column must be 'id'")
     dim = 0
@@ -555,4 +577,4 @@ def _parse_header(header: Sequence[str], path) -> np.dtype:
             f"{path}: line 1: unexpected column {rest[0]!r} "
             "(schema is id,f0..f{D-1}[,label][,score])"
         )
-    return np.dtype(fields)
+    return np.dtype(fields), None

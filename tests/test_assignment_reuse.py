@@ -152,8 +152,8 @@ def test_run_rounds_measures_each_selected_point_once():
             greedy_points, greedy_calls, coverage_points, coverage_calls)
         if alpha is None:  # every point is in the universe, at its own index
             assert claimed == list(result.selected)
-        if coverage_points:
-            assert measured == list(result.selected)
+        if coverage_points:  # each selected point in exactly one block
+            assert sorted(measured) == sorted(result.selected)
 
 
 def test_evaluate_assigns_once(tmp_path):
@@ -170,7 +170,7 @@ def test_evaluate_assigns_once(tmp_path):
             _recording(evaluation.PluginLearner, "predict", predicted):
         code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == EXIT_OK
-    # one assignment, measuring each selected point once in file order
+    # one assignment, measuring each selected point once, in one block
     assert len(claimed) == 1
-    assert [k for args, _ in claimed for k in args[1].tolist()] == [40, 3, 77]
+    assert sorted(claimed[0][0][1].tolist()) == [3, 40, 77]
     assert predicted == []

@@ -417,14 +417,16 @@ class TestEvaluate:
             "selection": str(twice),
         })
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
-        assert f"{twice}: id 1014 is listed more than once" in capsys.readouterr().err
+        assert f"{twice}: line 4: id 1014 is listed more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
-        ("id\n1014\n1014\n5\n", "id 1014 is listed more than once"),
-        ("id\n1014\n5\n1014\n", "id 5 does not occur"),
-        ("id\n1007\n1007\n99999999999999999999\n", "id 1007 is listed more than once"),
+        ("id\n1014\n1014\n5\n", "line 3: id 1014 is listed more than once"),
+        ("id\n1014\n5\n1014\n", "line 3: id 5 does not occur"),
+        ("id\n1007\n1007\n99999999999999999999\n",
+         "line 3: id 1007 is listed more than once"),
+        # an id outside int64 is one numpy's parse rejects, as in a dataset
         ("id\n1007\n99999999999999999999\n1007\n",
-         "id 99999999999999999999 does not occur"),
+         "line 3: could not convert string '99999999999999999999' to int64"),
     ], ids=["repeat-first", "unknown-first", "repeat-then-huge", "huge-first"])
     def test_first_bad_selection_id_in_file_order_is_named(
         self, tmp_path, capsys, text, message
@@ -441,19 +443,27 @@ class TestEvaluate:
     @pytest.mark.parametrize("text, message", [
         (None, "selection file not found: {path}"),
         ("", "{path}: line 1: empty file"),
-        ("id\n", "{path}: no selection rows"),
-        ("id\n\n", "{path}: no selection rows"),
-        ("id\n3\nthree\n", "{path}: line 3: invalid id value"),
+        ("id\n", "{path}: line 2: no data rows"),
+        ("id\n\n", "{path}: line 2: no data rows"),
+        ("3\n", "{path}: line 1: no 'id' column"),
+        ("id\n3\nthree\n", "{path}: line 3: could not convert string 'three' to int64"),
         # blank lines are skipped but keep their line numbers
-        ("id\n\n3\n\n1.5\n", "{path}: line 5: invalid id value"),
-        ("label,id\n1,3\n2\n", "{path}: line 3: invalid id value"),
-    ], ids=["missing", "empty", "header-only", "blank-rows", "word", "blank-then-bad",
-            "short-row"])
+        ("id\n\n3\n\n1.5\n", "{path}: line 5: could not convert string '1.5' to int64"),
+        ("label,id\n1,3\n2\n", "{path}: line 3: invalid column index 1"),
+        # Python's int takes these; numpy's parse, the dataset's, does not
+        ("id\n3\n1_0\n", "{path}: line 3: could not convert string '1_0' to int64"),
+        ("id\n3\n\u0663\n", "{path}: line 3: could not convert string '\u0663' to int64"),
+        ("id\n3\n9223372036854775808\n",
+         "{path}: line 3: could not convert string '9223372036854775808' to int64"),
+        ("id\n3\n\n5\n3\n", "{path}: line 5: id 3 is listed more than once"),
+    ], ids=["missing", "empty", "header-only", "blank-rows", "no-id-column", "word",
+            "blank-then-bad", "short-row", "underscore", "arabic-indic-digit",
+            "outside-int64", "repeated"])
     def test_bad_selection_file_names_it(self, tmp_path, capsys, text, message):
         dataset, _ = self.prepare(tmp_path)
         selection = tmp_path / "picked.csv"
         if text is not None:
-            selection.write_text(text)
+            selection.write_text(text, encoding="utf-8")
         cfg = write_config(tmp_path / "eval.json", {
             "dataset": str(dataset),
             "selection": str(selection),

@@ -17,7 +17,9 @@ from denscore import (
     save_pointset,
 )
 from denscore import data
-from denscore.data import FeatureGrid, check_indices, config_value, squared_distances_to
+from denscore.data import (
+    FeatureGrid, check_indices, config_value, read_table, squared_distances_to,
+)
 
 from oracles import squared as oracle_squared
 
@@ -126,7 +128,7 @@ INVALID_INPUTS = {
         lambda: PointSet(np.zeros((4, 1)), [5, 3, 5, 3]), "duplicate id 5"),
     "labels-range": (
         lambda: LabeledPointSet(PointSet.from_features(np.zeros((3, 1))), [1, 3, 0], 2),
-        "label must lie in 1..2 (got 3)"),
+        "label must be <= 2 (got 3)"),
 }
 
 
@@ -352,7 +354,7 @@ class TestCsvRoundTrip:
         too_big = "could not convert string '100000000000000000000' to int64"
         for problem, row in [(too_big, "100000000000000000000,2.0,1"),
                              (too_big, "1,2.0,100000000000000000000"),
-                             ("label must lie", "1,2.0,0")]:
+                             ("label must be >= 1 (got 0)", "1,2.0,0")]:
             path = tmp_path / "range.csv"
             path.write_text(f"id,f0,label\n0,1.0,1\n{row}\n")
             message = f"^{re.escape(f'{path}: line 3: {problem}')}"
@@ -422,23 +424,32 @@ class TestCsvRoundTrip:
         ("id,f0", "1,oops", "could not convert string 'oops' to float64"),
         ("id,f0,label", "1,2.0,1,7", "the dtype passed requires 3 columns but 4 were found"),
         ("id,f0,label", "1,2.0", "the dtype passed requires 3 columns but 2 were found"),
-    ], ids=["conversion", "too-many-fields", "too-few-fields"])
+        # read as a selection file is, only the id column: a row without it
+        ("label,id", "2", "invalid column index 1"),
+    ], ids=["conversion", "too-many-fields", "too-few-fields", "short-of-usecols"])
     def test_numpy_message_loses_its_position(self, tmp_path, header, row, message):
         # numpy's own wording on the installed numpy, less the 0-based
-        # position or column-count advice it appends; a changed wording
-        # shows up here
+        # position, column-count advice or row width it appends; a changed
+        # wording shows up here
         path = tmp_path / "numpy.csv"
-        first = "0,1.0,1" if header.endswith("label") else "0,1.0"
+        first = {"id,f0": "0,1.0", "id,f0,label": "0,1.0,1", "label,id": "1,0"}[header]
         path.write_text(f"{header}\n{first}\n{row}\n")
         with pytest.raises(ValidationError) as exc:
-            load_pointset(path)
+            if header.startswith("id"):
+                load_pointset(path)
+            else:
+                read_table(path, lambda names, _: (np.dtype(np.int64), [names.index("id")]),
+                           np.asarray)
         assert str(exc.value) == f"{path}: line 3: {message}"
 
     @pytest.mark.parametrize("text, message", [
-        ("id,f0,label\n0,1.0,-3\n", "line 2: label must lie in 1..1 (got -3)"),
-        ("id,f0,label\n0,1.0,2\n\n1,2.0,0\n", "line 4: label must lie in 1..2 (got 0)"),
+        ("id,f0,label\n0,1.0,-3\n", "line 2: label must be >= 1 (got -3)"),
+        ("id,f0,label\n0,1.0,2\n\n1,2.0,0\n", "line 4: label must be >= 1 (got 0)"),
+        # the bound broken is named, not the largest label before the line
+        ("id,f0,label\n0,1.0,1\n1,2.0,0\n2,3.0,5\n", "line 3: label must be >= 1 (got 0)"),
         ("id,f0\n7,1.0\n3,2.0\n7,inf\n", "line 4: non-finite feature value"),
-    ], ids=["only-label-below-1", "label-after-blank", "two-faults-on-one-line"])
+    ], ids=["only-label-below-1", "label-after-blank", "label-below-1-before-5",
+            "two-faults-on-one-line"])
     def test_container_message_names_the_line(self, tmp_path, text, message):
         path = tmp_path / "container.csv"
         path.write_text(text)
@@ -451,8 +462,12 @@ class TestCsvRoundTrip:
         # bad line: the first error is named with the path
         path = tmp_path / "changed.csv"
         path.write_text("id,f0\n0,1.0\n")
-        dtype = data._parse_header(["id", "f0"], path)
-        error = data._row_error(path, dtype, ValueError("non-finite feature value"))
+        dtype, _ = data._parse_header(["id", "f0"], path)
+
+        def parse(lines):
+            return data._dataset(np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1))
+
+        error = data._row_error(path, parse, ValueError("non-finite feature value"))
         assert str(error) == f"{path}: non-finite feature value"
 
     def test_non_finite_feature_rejected(self, tmp_path):

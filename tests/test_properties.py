@@ -30,7 +30,7 @@ from denscore import (
     run_rounds,
     save_pointset,
 )
-from denscore import ValidationError, coverage
+from denscore import ValidationError, cli, coverage
 from denscore.coverage import ORDERING_RTOL
 from denscore.data import _first_repeat
 from denscore.density import DENSITY_FLOOR
@@ -249,6 +249,70 @@ def test_a_rejected_csv_names_its_first_faulty_line(case):
         assert loaded.points.ids.tolist() == ids
         assert loaded.points.features.tolist() == features
         assert loaded.labels.tolist() == labels
+    else:
+        assert str(exc.value).startswith(f"{path}: line {first}: ")
+
+
+@st.composite
+def faulty_selections(draw):
+    """A dataset's ids; a selection CSV of some of them, in any order, with
+    the id among 1-3 columns, blank lines mixed in and 0-3 faulty rows; the
+    1-based line of its first faulty row (None when it has none); and the
+    dataset positions of its rows."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    positions = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    width = draw(st.integers(1, 3))
+    col = draw(st.integers(0, width - 1))
+    rows = [["7"] * col + [str(ids[p])] + ["7"] * (width - col - 1) for p in positions]
+    faulty = sorted(draw(st.lists(st.integers(0, len(rows) - 1), max_size=3, unique=True)))
+    for p in faulty:
+        kinds = ["non-number", "int64", "unknown"]
+        kinds += ["short"] if col else []
+        kinds += ["repeat"] if p else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "short":  # a row that ends before the id column
+            rows[p] = rows[p][:col]
+        elif kind == "repeat":  # the later occurrence is the fault
+            rows[p][col] = str(ids[positions[draw(st.integers(0, p - 1))]])
+        elif kind == "unknown":
+            rows[p][col] = str(draw(st.integers(-2**63, 2**63 - 1).filter(
+                lambda v: v not in ids)))
+        else:
+            # an empty field alone on its line is a blank line, not a row
+            fields = NON_NUMBERS if width > 1 else tuple(f for f in NON_NUMBERS if f)
+            rows[p][col] = draw(st.sampled_from(
+                fields if kind == "non-number" else OUTSIDE_INT64))
+    lines, linenos = [",".join("id" if j == col else f"c{j}" for j in range(width))], []
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(",".join(row))
+        linenos.append(len(lines))
+    first = linenos[faulty[0]] if faulty else None
+    return ids, "\n".join(lines) + "\n", first, positions
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(faulty_selections())
+def test_a_rejected_selection_names_its_first_faulty_line(case):
+    # a selection file is read by the dataset's reader: a non-number, a
+    # short row, an id an earlier line holds or one the dataset lacks is
+    # named at its line, the first such line in file order
+    ids, text, first, positions = case
+    dataset = LabeledPointSet(PointSet(np.zeros((len(ids), 1)), ids), np.ones(len(ids)), 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_pointset(dataset, Path(tmp) / "dataset.csv")
+        path = Path(tmp) / "selection.csv"
+        path.write_text(text)
+        cfg = cli.ExperimentConfig("evaluate", {
+            "dataset": str(Path(tmp) / "dataset.csv"), "selection": str(path)}, "cfg.json")
+        if first is None:
+            _, _, cov = cli._selection_coverage(cfg)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                cli._selection_coverage(cfg)
+    if first is None:
+        assert cov.selected.tolist() == sorted(positions)
     else:
         assert str(exc.value).startswith(f"{path}: line {first}: ")
 
