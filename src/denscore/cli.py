@@ -63,6 +63,7 @@ from .data import (
     load_pointset,
     open_text,
     read_table,
+    require_file,
     save_pointset,
     write_csv,
 )
@@ -110,11 +111,9 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, command: str, path: str) -> "ExperimentConfig":
-        p = Path(path)
-        if not p.is_file():
-            raise ValidationError(f"config file not found: {path}")
+        require_file(path, "config")
         try:
-            with open_text(p) as fh:
+            with open_text(path) as fh:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
@@ -212,8 +211,7 @@ def _bound_params(section: dict | None, dataset: LabeledPointSet) -> BoundParams
 
 def _load_dataset(cfg: ExperimentConfig) -> LabeledPointSet:
     path = cfg.require("dataset")
-    if not Path(path).is_file():
-        raise ValidationError(f"{cfg.path}: dataset file not found: {path}")
+    require_file(path, f"{cfg.path}: dataset")
     return load_pointset(path)
 
 
@@ -254,8 +252,7 @@ def _selection_coverage(cfg: ExperimentConfig) -> tuple:
     is named by its line, as a bad dataset line is."""
     dataset = _load_dataset(cfg)
     path = cfg.require("selection")
-    if not Path(path).is_file():
-        raise ValidationError(f"selection file not found: {path}")
+    require_file(path, f"{cfg.path}: selection")
     positions = read_table(path, _id_column, lambda ids: _ids_to_positions(dataset, ids))
     return dataset, path, assign_coverage(dataset.points, positions)
 

@@ -4,6 +4,7 @@ uniform box), squared distances to one point, and CSV I/O.
 Every CSV the package writes goes through `write_csv`, so a float always
 reads back as the same double, and every CSV it reads (a dataset or a
 selection) through `read_table`, so one parse decides what a field holds.
+`require_file` is the one check that an input file exists.
 
 Conventions shared across the package:
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 import re
 import warnings
 from contextlib import contextmanager
@@ -406,19 +408,34 @@ def squared_distances_to(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write ``header`` and then each of ``rows`` as one CSV line (the
-    default ``csv.writer`` dialect, so lines end in CRLF).
+    """Write ``header`` and then each of ``rows`` as one CSV line, with the
+    bytes the default ``csv.writer`` dialect writes: lines end in CRLF, and
+    a cell holding a comma, a double quote, CR or LF is quoted, its quotes
+    doubled (as is a row of one empty cell).
 
     A float cell, numpy's float64 included, is written as
     ``repr(float(v))``: the shortest decimal that reads back as the same
     double, or ``nan``/``inf``/``-inf``.  Any other cell is ``str(v)``.
     """
     with open_text(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
-                             for v in row])
+        fh.write(_csv_line(header))
+        fh.writelines(map(_csv_line, rows))
+
+
+# a character that makes csv.writer quote the cell holding it
+_QUOTE_IF = re.compile('[,"\r\n]')
+
+
+def _csv_line(row) -> str:
+    """``row`` as one line of `write_csv`, CRLF included."""
+    cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+    line = ",".join(cells)
+    # the commas that join the cells are the only ones in a line that
+    # needs no quote
+    if line.count(",") >= len(cells) or "\"" in line or "\r" in line or "\n" in line:
+        line = ",".join(['"' + cell.replace('"', '""') + '"' if _QUOTE_IF.search(cell)
+                         else cell for cell in cells])
+    return (line if cells != [""] else '""') + "\r\n"
 
 
 def save_pointset(dataset: LabeledPointSet, path) -> None:
@@ -450,6 +467,14 @@ def load_pointset(path) -> LabeledPointSet:
     below 1, or an id an earlier line holds.
     """
     return read_table(path, _parse_header, _dataset)
+
+
+def require_file(path, what: str) -> None:
+    """Raise ``{what} file not found: {path}`` as a ValidationError unless
+    ``path`` names a file; ``what`` names the file's role, prefixed as its
+    caller words its other errors."""
+    if not os.path.isfile(path):
+        raise ValidationError(f"{what} file not found: {path}")
 
 
 def read_table(path, schema, build):

@@ -14,12 +14,13 @@ pick.  Estimators:
   around it (the center never contributes to its own reconstruction).
 
 Cost in n points of dimension d: ``knn_density`` builds a KD-tree and
-queries it, O(n log n) time for low d, with O(n k) memory; ``kernel_density``
-sums the kernel a few rows at a time, O(n^2 d) time with O(n) memory plus two
-~256 KiB buffers.  No estimator allocates an n x n matrix.  A kernel field
-carries its raw sums (`KernelSums`), and a later call on a superset of its
-points extends them: only the rows of the points it lacks are summed, in
-O(new n d) time with the same memory bound.
+queries it on every CPU the process may run on, O(n log n) time for low d,
+with O(n k) memory; ``kernel_density`` sums the kernel a few rows at a
+time, O(n^2 d) time with O(n) memory plus two ~256 KiB buffers.  No
+estimator allocates an n x n matrix.  A kernel field carries its raw sums
+(`KernelSums`), and a later call on a superset of its points extends them:
+only the rows of the points it lacks are summed, in O(new n d) time with
+the same memory bound.
 
 The kNN and grid errors take one shared step, ``_field_from_errors``:
 min-max normalization onto [0, 1] over the candidate set (with all errors
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,10 @@ logger = logging.getLogger(__name__)
 BETA = math.exp(2.4)
 DEFAULT_TAU = 0.25
 DENSITY_FLOOR = 1e-12
+# points per leaf of `knn_density`'s KD-tree: against scipy's default of 16
+# it was faster at d >= 8 and at most 0.5 ms slower at d <= 2 (n = 4000 and
+# 12000; the sweep is in CHANGES.md)
+_LEAFSIZE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +182,12 @@ def knn_density(
     normalization and the density map are both order-preserving).
 
     Neighbors come from a KD-tree: O(n log n) time in low dimension, O(n k)
-    memory, and no n x n matrix.
+    memory, and no n x n matrix.  The query uses every CPU the process may
+    run on, and asks for the points in the tree's own order, so that
+    neighbouring points share a thread and the threads' shares cost alike.
+    The tree measures each pair the same way whatever the query order,
+    thread or leaf size, so the distances are the same doubles as those of
+    a single-threaded query in input order.
     """
     k = config_value(k_neighbors, int, "k_neighbors")
     if points.n < 2:
@@ -188,10 +199,15 @@ def knn_density(
     # density never load scipy.spatial.
     from scipy.spatial import cKDTree
 
+    # -1 is scipy's "every CPU", for systems that keep no CPU affinity
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else -1
+    tree = cKDTree(features, leafsize=_LEAFSIZE)
+    order = tree.indices
+    nearest = np.empty((points.n, k + 1))
+    nearest[order] = tree.query(features[order], k=k + 1, workers=cpus)[0]
     # The point's own zero distance is always among its k + 1 smallest, so
     # dropping the first column is exact even when points repeat.
-    nearest = cKDTree(features).query(features, k=k + 1)[0][:, 1:]
-    return _field_from_errors(np.mean(nearest, axis=1), tau, "knn")
+    return _field_from_errors(np.mean(nearest[:, 1:], axis=1), tau, "knn")
 
 
 def kernel_density(

@@ -162,7 +162,7 @@ class TestGenerate:
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["generate", "--config", missing, "--out", str(tmp_path)]) == EXIT_INVALID
-        assert "not found" in capsys.readouterr().err
+        assert f"config file not found: {missing}" in capsys.readouterr().err
 
     def test_env_var_supplies_output_dir(self, tmp_path, monkeypatch):
         outdir = tmp_path / "from_env"
@@ -328,9 +328,10 @@ class TestSelect:
         assert bounds["tight_bound_value"] <= bounds["classical_bound_value"]
 
     def test_missing_dataset_file(self, tmp_path, capsys):
-        cfg = self.select_config(tmp_path, tmp_path / "absent.csv")
+        absent = tmp_path / "absent.csv"
+        cfg = self.select_config(tmp_path, absent)
         assert main(["select", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
-        assert "dataset file not found" in capsys.readouterr().err
+        assert f"{cfg}: dataset file not found: {absent}" in capsys.readouterr().err
 
     def test_seed_flag_overrides_protocol_seed(self, tmp_path):
         dataset = run_generate(tmp_path)
@@ -441,7 +442,7 @@ class TestEvaluate:
         assert f"{listed}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
-        (None, "selection file not found: {path}"),
+        (None, "{config}: selection file not found: {path}"),
         ("", "{path}: line 1: empty file"),
         ("id\n", "{path}: line 2: no data rows"),
         ("id\n\n", "{path}: line 2: no data rows"),
@@ -469,7 +470,7 @@ class TestEvaluate:
             "selection": str(selection),
         })
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
-        assert message.format(path=selection) in capsys.readouterr().err
+        assert message.format(path=selection, config=cfg) in capsys.readouterr().err
 
     def test_blank_selection_lines_are_skipped(self, tmp_path):
         dataset, _ = self.prepare(tmp_path)

@@ -165,6 +165,26 @@ class TestKnnDensity:
         expected = [BETA * math.exp(-e / DEFAULT_TAU) for e in errs]
         np.testing.assert_allclose(field.values, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the system keeps no CPU affinity")
+    def test_query_runs_in_tree_order_on_every_cpu(self, monkeypatch):
+        import scipy.spatial
+
+        queries = []
+
+        class RecordingTree(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                queries.append((self.indices.copy(), np.array(x), kwargs))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        feats = np.random.default_rng(4).normal(size=(300, 3))
+        knn_density(PointSet.from_features(feats), 5)
+        [(indices, queried, kwargs)] = queries
+        assert kwargs["workers"] == len(os.sched_getaffinity(0))
+        assert not np.array_equal(indices, np.arange(300))  # not the input order
+        np.testing.assert_array_equal(queried, feats[indices])
+
     def test_k_bounds(self):
         ps = _line([0.0, 1.0, 2.0])
         with pytest.raises(ValidationError):

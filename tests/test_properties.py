@@ -5,7 +5,10 @@ and equal distances, the tie-breaking cases, are common.  Every test is
 derandomized, so a run is reproducible.
 """
 
+import csv
+import io
 import math
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
 from denscore import (
@@ -26,14 +30,15 @@ from denscore import (
     filter_candidates,
     k_center_greedy,
     kernel_density,
+    knn_density,
     load_pointset,
     run_rounds,
     save_pointset,
 )
 from denscore import ValidationError, cli, coverage
 from denscore.coverage import ORDERING_RTOL
-from denscore.data import _first_repeat
-from denscore.density import DENSITY_FLOOR
+from denscore.data import _first_repeat, write_csv
+from denscore.density import DEFAULT_TAU, DENSITY_FLOOR, _field_from_errors
 
 SCALES = (1e-3, 1.0, 7.5, 1e3)
 # For the claim step's filter: steps of 1e-160 and 3e-161, where squared
@@ -66,6 +71,31 @@ def grid_points(draw, min_n=2, max_n=25, max_dim=3, scales=SCALES, offsets=None)
         if offset > 1e100:
             scale = np.spacing(offset)
     return PointSet.from_features(np.asarray(coords, dtype=np.float64) * scale + offset)
+
+
+# The kNN query runs on this many threads; drawn sizes fall on either side.
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
+
+
+@st.composite
+def knn_inputs(draw):
+    """Points and a neighbour count from 1 to n - 1.  n falls on either side
+    of the CPU count and of a tree leaf, d runs from 1 to 11, and each
+    coordinate takes one of a few levels (one level: every row the same),
+    so rows repeat and distances tie."""
+    n = draw(st.sampled_from(sorted({max(2, CPUS - 1), max(2, CPUS), CPUS + 1}))
+             | st.integers(2, 300))
+    dim = draw(st.integers(1, 11))
+    levels = draw(st.sampled_from([0, 1, 3, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from(SCALES + (1e-150, 1e150)))
+    offset = draw(st.sampled_from(OFFSETS))
+    if offset > 1e100:
+        scale = np.spacing(offset)
+    coords = rng.integers(-levels, levels + 1, size=(n, dim)).astype(np.float64)
+    k = draw(st.just(n - 1) | st.integers(1, n - 1))
+    return PointSet.from_features(coords * scale + offset), k
 
 
 @st.composite
@@ -317,6 +347,29 @@ def test_a_rejected_selection_names_its_first_faulty_line(case):
         assert str(exc.value).startswith(f"{path}: line {first}: ")
 
 
+# Cells as a CSV holds them: ints, floats (numpy's too, with nan, inf and
+# -0.0) and text holding the characters csv.writer quotes for.
+CSV_CELLS = (st.integers(-2**70, 2**70) | st.floats() | st.floats().map(np.float64)
+             | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+             | st.text(st.sampled_from('a1 ,"\'\r\n;\t.-\u00e9')))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from('ab ,"\n')), max_size=4),
+       st.lists(st.lists(CSV_CELLS, max_size=6), max_size=6))
+def test_write_csv_writes_the_bytes_of_csv_writer(header, rows):
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
+                         for v in row])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.lists(st.integers(-3, 3), max_size=12))
 def test_first_repeat_is_the_first_entry_an_earlier_one_holds(values):
@@ -492,3 +545,17 @@ def test_filtered_round_universes_nest(points, data):
                                    rtol=1e-12, atol=0)
         # only the estimator keeps the sums a next estimate extends
         assert rnd.densities.kernel is None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(knn_inputs())
+def test_knn_density_equals_the_single_threaded_query(case):
+    """The query in tree order on every CPU, with wider leaves, gives the
+    same doubles as scipy's stock single-threaded query in input order."""
+    points, k = case
+    features = points.features
+    nearest = cKDTree(features).query(features, k=k + 1)[0][:, 1:]
+    expected = _field_from_errors(np.mean(nearest, axis=1), DEFAULT_TAU, "knn")
+    field = knn_density(points, k)
+    assert field.values.tobytes() == expected.values.tobytes()
+    assert field.num_clamped == expected.num_clamped
