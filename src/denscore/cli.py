@@ -28,7 +28,9 @@ A protocol ``alpha`` filters each round's pool by the dataset CSV's
 ``evaluate`` and ``calibrate`` read a selection CSV's ``id`` column with
 the dataset's reader, `data.read_table`: an id is whatever numpy's int64
 parse takes, and the first line whose id is malformed, repeated or not in
-the dataset is named, as a bad dataset line is.
+the dataset is named, as a bad dataset line is.  ``protocol.initial`` is
+checked by the same rule and search (`data.first_rejected`), so its first
+id, in order, that is repeated or not in the dataset is named.
 
 Exit codes: 0 success, 1 invalid config or input (a config, dataset or
 selection file that is missing, not UTF-8, or malformed), 2 runtime
@@ -59,6 +61,7 @@ from .data import (
     _count,
     _first_repeat,
     _id_positions,
+    first_rejected,
     generate,
     load_pointset,
     open_text,
@@ -215,26 +218,19 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledPointSet:
     return load_pointset(path)
 
 
-def _ids_to_positions(dataset: LabeledPointSet, ids) -> list[int]:
-    """The row positions of the dataset ids ``ids``, in their order; the
-    first id, in that order, that the dataset lacks or that an earlier
-    entry lists raises a ValidationError naming it."""
-    try:
-        query = np.array(ids, dtype=np.int64)
-        outside = np.zeros(query.size, dtype=bool)
-    except OverflowError:  # an id outside int64 is in no dataset
-        outside = np.array([not -(2**63) <= v < 2**63 for v in ids])
-        query = np.where(outside, 0, np.array(ids, dtype=object)).astype(np.int64)
-    at, missing = _id_positions(dataset.points.ids, query)
-    missing |= outside
-    first = int(np.argmax(missing)) if missing.any() else len(ids)
-    repeat = _first_repeat(query)
-    if repeat is not None and repeat < first:
-        raise ValidationError(f"id {ids[repeat]} is listed more than once")
-    if first < len(ids):
+def _ids_to_positions(dataset: LabeledPointSet, ids: np.ndarray) -> list[int]:
+    """The row positions of the dataset ids ``ids`` (int64, or Python ints
+    in an object array), in their order; an id the dataset lacks or one an
+    earlier entry lists raises a ValidationError naming it.  Where several
+    are bad, the first in order is found by `data.first_rejected`."""
+    at, missing = _id_positions(dataset.points.ids, ids)
+    if missing.any():
         raise ValidationError(
-            f"id {ids[first]} does not occur in the dataset (mismatched files?)"
+            f"id {ids[np.argmax(missing)]} does not occur in the dataset (mismatched files?)"
         )
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        raise ValidationError(f"id {ids[repeat]} is listed more than once")
     return at.tolist()
 
 
@@ -283,10 +279,13 @@ def cmd_select(args, cfg: ExperimentConfig) -> int:
         protocol_section["seed"] = args.seed
     config = ProtocolConfig(estimator=cfg.raw.get("estimator"), **protocol_section)
     # config.initial holds dataset ids, as the summary records them; the
-    # protocol takes row positions
+    # protocol takes row positions.  As Python ints, an id outside int64 is
+    # one the dataset lacks.
+    given = np.array(config.initial, dtype=object)
     try:
-        initial = _ids_to_positions(dataset, config.initial)
-    except ValidationError as exc:
+        initial = _ids_to_positions(dataset, given)
+    except ValidationError:
+        _, exc = first_rejected(given, lambda ids: _ids_to_positions(dataset, ids))
         raise ValidationError(f"{cfg.path}: protocol.initial: {exc}") from None
     bounds = _bound_params(cfg.section("bounds", _BOUNDS_KEYS, required=False), dataset)
     result = run_rounds(dataset, replace(config, initial=initial), bound_params=bounds)

@@ -538,43 +538,48 @@ _NUMPY_POSITION = re.compile(
     r" at row \d+(, column \d+\.|; use `usecols` .*| with \d+ columns)$")
 
 
+def first_rejected(entries: Sequence, check) -> tuple[int, ValueError | None]:
+    """The length of the shortest prefix of ``entries`` that ``check``
+    rejects (raises a ValueError on) and that rejection, whose error is
+    None if ``check`` accepts every prefix.
+
+    Each rule of ``check`` must hold per entry or over the entries before
+    it (a repeated id): then once a prefix is rejected every longer one is
+    too, and a bisection finds the shortest in about log2(len(entries))
+    checks.  The prefix before it passed, so its last entry alone is at
+    fault: the rejection names the right entry, whichever rule ``check``
+    tests first.
+    """
+    # entries[:good] passes; entries[:bad] is rejected with `error`, if not None
+    good, bad, error = 0, len(entries) + 1, None
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            check(entries[:mid])
+        except ValueError as exc:
+            bad, error = mid, exc
+        else:
+            good = mid
+    return bad, error
+
+
 def _row_error(path, parse, cause: ValueError) -> ValidationError:
     """The error naming the first data line of ``path``, in file order,
     that makes it invalid; ``parse`` is `read_table`'s parse of a list of
     data lines, and ``cause`` the error it raised on the whole file.
 
-    Every rule holds per line or over the lines before it (a repeated id),
-    so once a prefix of the data lines is rejected, every longer one is
-    too.  A bisection finds the shortest prefix that ``parse`` rejects, in
-    about log2(lines) parses, and names its last line with that
-    rejection's message, less numpy's 0-based position.  Empty lines,
-    which numpy skips, keep their line numbers.  It runs only once a load
-    has failed, and never reads a line number from a message; if the file
-    now loads in full, it changed after that load, and ``cause`` is named
-    with the path.
+    `first_rejected` finds the shortest run of data lines that ``parse``
+    rejects, and its last line is named with that rejection's message,
+    less numpy's 0-based position; the CLI's ``protocol.initial`` names its
+    first bad id by the same search.  Empty lines, which numpy skips, keep
+    their line numbers.  It runs only once a load has failed, and never
+    reads a line number from a message; if the file now loads in full, it
+    changed after that load, and ``cause`` is named with the path.
     """
     with open_text(path) as fh:
-        lines = fh.readlines()[1:]
-
-    def rejection(k: int) -> ValueError | None:
-        try:
-            parse(lines[:k])
-        except ValueError as exc:
-            return exc
-        return None
-
-    # lines[:good] loads, and lines[:bad] is rejected with `error`
-    good, bad = 0, len(lines)
-    error = rejection(bad)
+        bad, error = first_rejected(fh.readlines()[1:], parse)
     if error is None:
         return ValidationError(f"{path}: {cause}")
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        found = rejection(mid)
-        if found is None:
-            good = mid
-        else:
-            bad, error = mid, found
     problem = _NUMPY_POSITION.sub("", str(error))
     # data line k (from 1) is line k + 1 of the file
     return ValidationError(f"{path}: line {bad + 1}: {problem}")

@@ -393,7 +393,9 @@ def run_rounds(
             if last is not None and np.array_equal(universe, last):
                 s0 = state  # same points, same densities: resume
             else:
-                sub_points = PointSet(points.features[universe], points.ids[universe])
+                # a universe of every point is arange(n): no copy
+                sub_points = (points if universe.size == points.n else
+                              PointSet(points.features[universe], points.ids[universe]))
                 if config.algorithm == "density-aware":
                     densities = estimate(sub_points)
                 s0 = np.searchsorted(universe, selected)

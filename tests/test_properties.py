@@ -5,8 +5,10 @@ and equal distances, the tie-breaking cases, are common.  Every test is
 derandomized, so a run is reproducible.
 """
 
+import contextlib
 import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -345,6 +347,66 @@ def test_a_rejected_selection_names_its_first_faulty_line(case):
         assert cov.selected.tolist() == sorted(positions)
     else:
         assert str(exc.value).startswith(f"{path}: line {first}: ")
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+BEYOND_INT64 = st.integers(2**63, 2**70) | st.integers(-2**70, -2**63 - 1)
+
+
+@st.composite
+def id_lists(draw):
+    """A dataset's ids; a non-empty list of ids drawn from them (so with
+    repeats), from ids it lacks and from ints outside int64; and the count
+    of blank lines before each entry in a selection file."""
+    ids = draw(st.lists(INT64, min_size=1, max_size=4, unique=True))
+    # mostly the dataset's ids, so that repeats are common
+    entry = st.sampled_from([st.sampled_from(ids)] * 4 + [INT64, INT64, BEYOND_INT64])
+    listed = draw(st.lists(entry.flatmap(lambda kind: kind), min_size=1, max_size=8))
+    blanks = draw(st.lists(st.integers(0, 2), min_size=len(listed), max_size=len(listed)))
+    return ids, listed, blanks
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(id_lists())
+def test_initial_ids_and_a_selection_file_name_the_same_first_bad_id(case):
+    # protocol.initial and a selection file are judged by one rule: the
+    # first entry, in order, that the dataset lacks or an earlier entry
+    # lists is named, and in the file its line (blank lines counted); a
+    # valid list is checked once, with no search.  numpy's int64 parse
+    # rejects an id outside int64 in a file with its own message, so the
+    # file is read only when the first bad entry is not one.
+    ids, listed, blanks = case
+    bad = next((i for i, v in enumerate(listed) if v not in ids or v in listed[:i]), None)
+    expected = None if bad is None else (
+        f"id {listed[bad]} is listed more than once" if listed[bad] in listed[:bad]
+        else f"id {listed[bad]} does not occur in the dataset (mismatched files?)")
+    dataset = LabeledPointSet(PointSet(np.zeros((len(ids), 1)), ids), np.ones(len(ids)), 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_pointset(dataset, tmp / "dataset.csv")
+        lines, linenos = ["id"], []
+        for blank, v in zip(blanks, listed):
+            lines += [""] * blank + [str(v)]
+            linenos.append(len(lines))
+        (tmp / "selection.csv").write_text("\n".join(lines) + "\n")
+        runs = {"select": {"protocol": {"budget": 1, "rounds": 1, "algorithm": "random",
+                                        "initial": listed}}}
+        if bad is None or -2**63 <= listed[bad] < 2**63:
+            runs["evaluate"] = {"selection": str(tmp / "selection.csv")}
+        for command, raw in runs.items():
+            cfg = tmp / f"{command}.json"
+            cfg.write_text(json.dumps({"dataset": str(tmp / "dataset.csv"), **raw}))
+            err = io.StringIO()
+            with (mock.patch.object(cli, "_ids_to_positions", wraps=cli._ids_to_positions)
+                  as check, contextlib.redirect_stderr(err)):
+                code = cli.main([command, "--config", str(cfg), "--out", str(tmp / "out")])
+            if expected is None:
+                assert code in (cli.EXIT_OK, cli.EXIT_WARNINGS) and check.call_count == 1
+            elif command == "select":
+                assert err.getvalue() == f"error: {cfg}: protocol.initial: {expected}\n"
+            else:
+                assert err.getvalue() == (
+                    f"error: {tmp / 'selection.csv'}: line {linenos[bad]}: {expected}\n")
 
 
 # Cells as a CSV holds them: ints, floats (numpy's too, with nan, inf and
