@@ -18,9 +18,9 @@ queries it on every CPU the process may run on, O(n log n) time for low d,
 with O(n k) memory; ``kernel_density`` sums the kernel a few rows at a
 time, O(n^2 d) time with O(n) memory plus two ~256 KiB buffers.  No
 estimator allocates an n x n matrix.  A kernel field carries its raw sums
-(`KernelSums`), and a later call on a superset of its points extends them:
+(`KernelSums`).  A later call on a superset of its points extends them:
 only the rows of the points it lacks are summed, in O(new n d) time with
-the same memory bound.
+the same memory bound.  Any other later call sums afresh.
 
 The kNN and grid errors take one shared step, ``_field_from_errors``:
 min-max normalization onto [0, 1] over the candidate set (with all errors
@@ -224,11 +224,10 @@ def kernel_density(
     subset of ``points`` (rows matched by id, in any order), is extended:
     only the rows of the points it lacks are summed, and each of its own
     sums gains those rows' terms in its column (a term is the same from
-    either end, as (a - b)^2 == (b - a)^2 in floating point).  Without it
-    the empty set of sums is extended, so there is one path.  A
-    ``previous`` without kernel sums, at another bandwidth or dimension,
-    holding an id that ``points`` lacks, or holding an id with other
-    features raises a ValidationError naming the problem.
+    either end, as (a - b)^2 == (b - a)^2 in floating point).  A
+    ``previous`` without kernel sums, at another bandwidth, or holding an
+    id that ``points`` lacks or has with other features is not extended:
+    every row is summed, as without ``previous``.
 
     A block of rows at a time, the squared distances to every point are
     accumulated in a ~256 KiB buffer one coordinate at a time, then turned
@@ -250,14 +249,16 @@ def kernel_density(
     if points.n < 2:
         raise ValidationError("kernel density needs at least two points")
     n = points.n
-    if previous is None:
-        empty = np.empty(0, dtype=np.int64)
-        held = KernelSums(empty, np.empty((0, points.dim)), bandwidth, np.empty(0))
-    else:
-        held = previous.kernel if isinstance(previous, DensityField) else None
-    at = _held_rows(held, points, bandwidth)
     raw = np.zeros(n)
-    raw[at] = held.sums
+    at = np.empty(0, dtype=np.int64)
+    held = getattr(previous, "kernel", None)
+    if isinstance(held, KernelSums) and held.bandwidth == bandwidth:
+        # the sums fit when every id they hold is among the points with the
+        # same features (so also the same dimension)
+        where, lacked = _id_positions(points.ids, held.ids)
+        if not lacked.any() and np.array_equal(points.features[where], held.features):
+            at = where
+            raw[at] = held.sums
     fresh = np.setdiff1d(np.arange(n), at, assume_unique=True)
     columns = np.zeros(n) if at.size else None
     coords = np.ascontiguousarray(points.features.T)
@@ -291,38 +292,6 @@ def kernel_density(
         )
     kernel = KernelSums(points.ids, points.features, bandwidth, raw)
     return _density_field(BETA * mean / top, "kernel", kernel)
-
-
-def _held_rows(held: KernelSums | None, points: PointSet, bandwidth: float):
-    """The positions in ``points`` of the rows ``held`` has sums for, after
-    checking that those sums can be extended to ``points``."""
-    if not isinstance(held, KernelSums):
-        raise ValidationError(
-            "previous must be a field from kernel_density (it carries no kernel sums)"
-        )
-    if held.bandwidth != bandwidth:
-        raise ValidationError(
-            f"previous kernel sums are at bandwidth {held.bandwidth!r}, "
-            f"not {bandwidth!r}"
-        )
-    if held.features.shape[1] != points.dim:
-        raise ValidationError(
-            f"previous kernel sums are over {held.features.shape[1]}-d points, "
-            f"not {points.dim}-d"
-        )
-    at, lacked = _id_positions(points.ids, held.ids)
-    missing = held.ids[lacked]
-    if missing.size:
-        raise ValidationError(
-            f"previous kernel sums hold id {int(missing[0])}, which the points "
-            "lack: they must be over a subset of the points"
-        )
-    moved = held.ids[np.any(points.features[at] != held.features, axis=1)]
-    if moved.size:
-        raise ValidationError(
-            f"previous kernel sums hold id {int(moved[0])} with other features"
-        )
-    return at
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,10 +496,10 @@ def estimator_from_config(config: dict):
     neighbor count is clamped to n-1 when a round's candidate set is smaller
     than k, so late protocol rounds on a nearly exhausted pool still work.
     A kernel estimate extends the sums of the one before it (`kernel_density`
-    with ``previous``), so each call's points must contain the previous
-    call's, as the universes of `run_rounds` do; build one estimator per
-    run.  The estimator alone holds those sums: the fields it returns have
-    ``kernel=None``.
+    with ``previous``) only when the last call's points are among its own,
+    as the universes of a filtered `run_rounds` are; otherwise it sums
+    afresh, so every call returns its own points' density.  The estimator
+    alone holds those sums: the fields it returns have ``kernel=None``.
     """
     if not isinstance(config, dict):
         raise ValidationError("estimator config must be a mapping")

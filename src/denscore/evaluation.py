@@ -39,6 +39,7 @@ from .data import (
     config_value,
     generate,
 )
+from .density import estimator_from_config
 from .selection import GREEDY_ALGORITHMS, ProtocolConfig, run_rounds
 
 __all__ = [
@@ -172,16 +173,19 @@ def compare_algorithms(
     and both algorithms start from the identical bootstrap pick (the
     lowest-index point), select rounds*budget points without candidate
     filtering, and are measured on covering radius, worst mean radial
-    distance, and core-set loss.  ``budget``, ``rounds`` and the list
-    ``seeds`` may come straight from a config: each is converted here, and a
-    wrong type raises a ValidationError naming it.
+    distance, and core-set loss.  ``budget``, ``rounds``, the list
+    ``seeds`` and ``estimator`` may come straight from a config: each is
+    checked here, before any seed's dataset is drawn, and a wrong type
+    raises a ValidationError naming it.
     """
     budget = config_value(budget, int, "budget")
     rounds = config_value(rounds, int, "rounds")
     seeds = _config_values(seeds, int, "seeds")
     if not seeds:
         raise ValidationError("seeds must be a non-empty list")
-    estimator = dict(estimator) if estimator is not None else dict(COMPARISON_ESTIMATOR)
+    estimator = COMPARISON_ESTIMATOR if estimator is None else estimator
+    estimator_from_config(estimator)
+    estimator = dict(estimator)
     rows = []
     per_alg: dict[str, list[dict]] = {alg: [] for alg in GREEDY_ALGORITHMS}
     for seed in seeds:

@@ -218,9 +218,10 @@ def filter_candidates(scores, alpha: float, b: int, candidates=None) -> np.ndarr
     finite ``scores``.
 
     ``candidates`` restricts the pool (default: everyone).  Ties resolve to
-    the lowest index; the result is sorted ascending.
+    the lowest index; the result is sorted ascending.  ``b`` is a count
+    (at least 1).
     """
-    b = config_value(b, int, "b")
+    b = _count(b, "b")
     alpha = config_value(alpha, float, "alpha")
     if not (alpha * b >= 1.0):
         raise ValidationError(f"alpha*b must be >= 1 (got {alpha * b!r})")
@@ -296,8 +297,9 @@ class ProtocolConfig:
 class RoundResult:
     """One protocol round: who was considered, picked, and how it measured.
 
-    ``universe`` holds the dataset indices the greedy ran on (the pool plus
-    the selected points); ``picks`` and ``pool`` are dataset indices.
+    ``universe`` holds the dataset indices the round selected from: for a
+    greedy, the pool plus the selected points it ran on; for ``random``,
+    the pool alone.  ``picks`` and ``pool`` are dataset indices.
     ``partial`` flags an exhausted pool.
     """
 

@@ -153,6 +153,7 @@ OUT_OF_RANGE = {
     "k_center_greedy": (lambda v: k_center_greedy(POINTS, None, v), "b", 0),
     "density_aware_greedy": (
         lambda v: density_aware_greedy(POINTS, FIELD, None, v), "b", 0),
+    "filter_candidates": (lambda v: filter_candidates(SCORES, 2.0, v), "b", 1),
     "hoeffding_term.loss_bound": (
         lambda v: hoeffding_term(v, 0.5, 10), "loss_bound", None),
     "BoundParams.lambda_l": (lambda v: BoundParams(lambda_l=v), "lambda_l", None),

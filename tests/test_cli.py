@@ -622,6 +622,13 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
         assert "bounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", [[1, 2], "knn"])
+    def test_estimator_must_be_a_mapping(self, tmp_path, capsys, estimator):
+        # as select and calibrate say it, not a runtime error from a copy
+        cfg = self.compare_config(tmp_path, estimator=estimator)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: estimator config must be a mapping\n"
+
 
 class TestWriteJson:
     def test_nested_dataclass_with_non_finite_values(self, tmp_path):

@@ -243,6 +243,11 @@ class TestFilterAndBaselines:
         assert filter_candidates(self.SCORES, alpha, b,
                                  candidates=[3, 1]).tolist() == [1, 3]
 
+    def test_filter_budget_is_a_count(self):
+        # a negative b is no budget, though alpha * b = 2 (it kept the top two)
+        with pytest.raises(ValidationError, match="^b must be >= 1$"):
+            filter_candidates(np.linspace(0.0, 1.0, 6), -2.0, -1)
+
     @pytest.mark.parametrize("candidates, message", [
         ([1.5, 2.2], "candidates index 1.5 is not an integer"),
         ([True, False], "candidates index True is not an integer"),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from denscore import ProtocolConfig, run_rounds, selection
+from denscore import ProtocolConfig, density, run_rounds, selection
 from test_assignment_reuse import _grid_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,3 +71,32 @@ def test_filter_counter_reads_keyword_candidates(monkeypatch):
         assert len(args) < 4 and "candidates" in kwargs
         counts = filtered(args, kwargs, rnd.pool)
         assert counts == {"kept": rnd.pool.size, "pool": len(kwargs["candidates"])}
+
+
+def test_kernel_rounds_go_through_the_traced_kernel_density(monkeypatch):
+    # the benchmark's `density.kernel_density` span wraps the function in
+    # density's namespace and reads the field it returns: a filtered kernel
+    # run calls it once per new universe, each call after the first with
+    # the last call's field, whose points are among its own
+    calls = []
+    real = density.kernel_density
+
+    def record(points, bandwidth, **kwargs):
+        calls.append((points, kwargs.get("previous")))
+        return real(points, bandwidth, **kwargs)
+
+    monkeypatch.setattr(density, "kernel_density", record)
+    rng = np.random.default_rng(6)
+    dataset = replace(_grid_dataset(rng, 40, 2), scores=rng.uniform(size=40))
+    result = run_rounds(dataset, ProtocolConfig(
+        budget=3, rounds=4, alpha=2.0, estimator={"kind": "kernel", "bandwidth": 0.8}))
+    universes = [rnd.universe for rnd in result.rounds]
+    new = [u for i, u in enumerate(universes)
+           if i == 0 or not np.array_equal(u, universes[i - 1])]
+    assert len(calls) == len(new) > 1
+    for (points, _), universe in zip(calls, new):
+        assert np.array_equal(points.ids, dataset.points.ids[universe])
+    assert calls[0][1] is None
+    for points, previous in calls[1:]:
+        assert previous.kernel is not None
+        assert np.isin(previous.kernel.ids, points.ids).all()
